@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -143,8 +144,9 @@ def _denoise_windows(model, windows: np.ndarray) -> np.ndarray:
     """Z-normalize each window, run eval-mode inference, restore the scale."""
     means = windows.mean(axis=1, keepdims=True)
     stds = windows.std(axis=1, keepdims=True)
-    flat = stds[:, 0] == 0.0
-    safe_stds = np.where(stds == 0.0, 1.0, stds)
+    # all samples equal, not std == 0: the mean of a repeated value can be one ulp off
+    flat = windows.max(axis=1) == windows.min(axis=1)
+    safe_stds = np.where(flat[:, None], 1.0, stds)
     normalized = (windows - means) / safe_stds
     out = model.forward(Tensor(normalized[:, None, :]), training=False).data[:, 0, :]
     restored = out * safe_stds + means
@@ -195,10 +197,11 @@ def _print_grouped(report) -> None:
     header = f"{'mix':>12} {'snr':>6} {'n':>4} {'MAE':>9} {'PCC':>8} {'SNRI':>8} {'PRD':>9}"
     print(header)
     for (mix, snr), rows in sorted(groups.items()):
-        mae_m = np.mean([r["mae"] for r in rows])
-        pcc_m = np.mean([r["pcc"] for r in rows])
-        snri_m = np.mean([r["snri"] for r in rows])
-        prd_m = np.mean([r["prd"] for r in rows])
+        # infinite-SNR rows are left out of the means, as in the aggregates
+        finite = [r for r in rows if math.isfinite(r["snr_out"])]
+        mae_m, pcc_m, snri_m, prd_m = (
+            np.mean([r[m] for r in finite]) if finite else math.nan for m in ("mae", "pcc", "snri", "prd")
+        )
         print(f"{mix:>12} {snr:>6g} {len(rows):>4d} {mae_m:>9.4f} {pcc_m:>8.4f} {snri_m:>8.2f} {prd_m:>9.2f}")
     agg = report.aggregates
     print(f"{'overall':>12} {'-':>6} {report.n_segments:>4d} {agg['mae'][0]:>9.4f} "

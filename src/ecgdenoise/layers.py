@@ -1,8 +1,12 @@
 """Parameterized 1D layers: conv, transposed conv, pooling, norms, attention.
 
-Convolutions use the cross-correlation convention (no kernel flip) and are
-implemented as a short loop over kernel taps, each tap a BLAS matmul via
-tensordot, so batched forward/backward stay fast in pure numpy.
+Convolutions use the cross-correlation convention (no kernel flip). conv1d is
+a short loop over kernel taps, each tap one batched BLAS matmul against a
+strided view of the padded input, accumulated into one output; no im2col
+buffer is built. The transposed convolution computes every tap in one matmul
+and scatters the taps with strided adds; its backward gathers sliding windows
+of the upstream gradient. Training-mode batchnorm uses the closed-form
+gradient with in-place arithmetic on buffers it owns.
 
 Backward rules live in module-level ``_*_grads`` helpers so a verification
 harness can swap one out and confirm the gradient checker catches it.
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (
     ShapeMismatch,
@@ -21,10 +26,8 @@ from .tensor import (
     add,
     apply_op,
     bmm,
-    cat,
     matmul,
     mul,
-    narrow,
     relu,
     reshape,
     softmax_last,
@@ -62,31 +65,26 @@ def conv_out_len(length: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def _conv1d_forward(x, w, stride, padding):
-    batch, _, length = x.shape
     c_out, _, kernel = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
-    out_len = conv_out_len(length, kernel, stride, padding)
-    out = np.zeros((batch, c_out, out_len))
+    out_len = conv_out_len(x.shape[2], kernel, stride, padding)
     span = (out_len - 1) * stride + 1
-    for t in range(kernel):
-        # (B, L', C_in) @ (C_in, C_out) per tap
-        tap = np.tensordot(xp[:, :, t : t + span : stride], w[:, :, t], axes=([1], [1]))
-        out += tap.transpose(0, 2, 1)
+    # (C_out, C_in) @ (B, C_in, L') per tap, on a strided view of the input
+    out = np.matmul(w[:, :, 0], xp[:, :, 0:span:stride])
+    for t in range(1, kernel):
+        out += np.matmul(w[:, :, t], xp[:, :, t : t + span : stride])
     return out, xp
 
 
 def _conv1d_grads(g, xp, w, stride, padding, in_len):
-    c_out, _, kernel = w.shape
-    out_len = g.shape[2]
-    span = (out_len - 1) * stride + 1
+    kernel = w.shape[2]
+    span = (g.shape[2] - 1) * stride + 1
     gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
+    gw = np.empty_like(w)
     for t in range(kernel):
-        seg = xp[:, :, t : t + span : stride]
-        gw[:, :, t] = np.tensordot(g, seg, axes=([0, 2], [0, 2]))
-        gxp[:, :, t : t + span : stride] += np.tensordot(
-            g, w[:, :, t], axes=([1], [0])
-        ).transpose(0, 2, 1)
+        view = xp[:, :, t : t + span : stride]
+        gw[:, :, t] = np.matmul(g, view.transpose(0, 2, 1)).sum(0)
+        gxp[:, :, t : t + span : stride] += np.matmul(w[:, :, t].T, g)
     gx = gxp[:, :, padding : padding + in_len] if padding else gxp
     gb = g.sum(axis=(0, 2))
     return gx, gw, gb
@@ -116,28 +114,25 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
 
 def _conv_transpose1d_forward(x, w, stride):
-    batch, _, length = x.shape
+    batch, c_in, length = x.shape
     _, c_out, kernel = w.shape
-    out_len = (length - 1) * stride + kernel
-    out = np.zeros((batch, c_out, out_len))
+    # every tap's contribution at once: (C_out*k, C_in) @ (B, C_in, L)
+    taps = np.matmul(w.reshape(c_in, c_out * kernel).T, x).reshape(batch, c_out, kernel, length)
+    out = np.zeros((batch, c_out, (length - 1) * stride + kernel))
     span = (length - 1) * stride + 1
     for t in range(kernel):
-        out[:, :, t : t + span : stride] += np.tensordot(
-            x, w[:, :, t], axes=([1], [0])
-        ).transpose(0, 2, 1)
+        out[:, :, t : t + span : stride] += taps[:, :, t]
     return out
 
 
 def _conv_transpose1d_grads(g, x, w, stride):
-    _, _, kernel = w.shape
-    length = x.shape[2]
-    span = (length - 1) * stride + 1
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(w)
-    for t in range(kernel):
-        seg = g[:, :, t : t + span : stride]
-        gx += np.tensordot(seg, w[:, :, t], axes=([1], [1])).transpose(0, 2, 1)
-        gw[:, :, t] = np.tensordot(x, seg, axes=([0, 2], [0, 2]))
+    c_in, c_out, kernel = w.shape
+    batch, _, length = x.shape
+    # windows[b, o, i, t] = g[b, o, i*stride + t], gathered as (B, C_out*k, L)
+    windows = sliding_window_view(g, kernel, axis=2)[:, :, ::stride]
+    cols = windows.transpose(0, 1, 3, 2).reshape(batch, c_out * kernel, length)
+    gx = np.matmul(w.reshape(c_in, c_out * kernel), cols)
+    gw = np.matmul(x, cols.transpose(0, 2, 1)).sum(0).reshape(w.shape)
     gb = g.sum(axis=(0, 2))
     return gx, gw, gb
 
@@ -185,13 +180,14 @@ def maxpool1d(x: Tensor, window: int = 2) -> Tensor:
 
 
 def _batchnorm_grads(g, x_hat, inv_std, gamma):
+    """Closed form gx = gamma*inv_std*(g - sum(g)/m - x_hat*sum(g*x_hat)/m)."""
     m = g.shape[0] * g.shape[2]
-    gg = g * gamma.reshape(1, -1, 1)
-    mean_gg = gg.mean(axis=(0, 2), keepdims=True)
-    mean_ggx = (gg * x_hat).mean(axis=(0, 2), keepdims=True)
-    gx = inv_std.reshape(1, -1, 1) * (gg - mean_gg - x_hat * mean_ggx)
-    ggamma = (g * x_hat).sum(axis=(0, 2))
-    gbeta = g.sum(axis=(0, 2))
+    gbeta = np.einsum("bcl->c", g)
+    ggamma = np.einsum("bcl,bcl->c", g, x_hat)
+    gx = x_hat * (-ggamma / m)[:, None]
+    gx += g
+    gx -= (gbeta / m)[:, None]
+    gx *= (gamma * inv_std)[:, None]
     return gx, ggamma, gbeta, m
 
 
@@ -217,16 +213,20 @@ class BatchNorm1d:
         if training:
             if x.shape[0] * x.shape[2] < 2:
                 raise ShapeMismatch("batchnorm1d", x.shape, detail="need batch*length >= 2 to estimate statistics")
-            mean = x.data.mean(axis=(0, 2))
-            var = x.data.var(axis=(0, 2))
+            m = x.shape[0] * x.shape[2]
+            mean = np.einsum("bcl->c", x.data) / m
+            x_hat = x.data - mean[:, None]
+            var = np.einsum("bcl,bcl->c", x_hat, x_hat) / m
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
         else:
             mean, var = self.running_mean, self.running_var
+            x_hat = x.data - mean[:, None]
 
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x.data - mean.reshape(1, -1, 1)) * inv_std.reshape(1, -1, 1)
-        out_data = self.gamma.data.reshape(1, -1, 1) * x_hat + self.beta.data.reshape(1, -1, 1)
+        x_hat *= inv_std[:, None]  # the centred copy becomes x_hat in place
+        out_data = x_hat * self.gamma.data[:, None]
+        out_data += self.beta.data[:, None]
 
         gamma, beta = self.gamma, self.beta
         if training:
@@ -372,11 +372,38 @@ def positional_encoding(tokens: int, dim: int) -> np.ndarray:
     return table
 
 
+def _fold_heads(a: np.ndarray, batch: int, heads: int) -> np.ndarray:
+    """(B*T, H*d) -> (B*H, T, d): each head becomes its own batch entry."""
+    tokens, width = a.shape[0] // batch, a.shape[-1] // heads
+    return a.reshape(batch, tokens, heads, width).transpose(0, 2, 1, 3).reshape(batch * heads, tokens, width)
+
+
+def _unfold_heads(a: np.ndarray, batch: int, heads: int) -> np.ndarray:
+    """(B*H, T, d) -> (B*T, H*d), the inverse of `_fold_heads`."""
+    _, tokens, width = a.shape
+    return a.reshape(batch, heads, tokens, width).transpose(0, 2, 1, 3).reshape(batch * tokens, heads * width)
+
+
+def _split_heads(a: Tensor, batch: int, heads: int) -> Tensor:
+    def backward(g, a=a):
+        accumulate_grad(a, _unfold_heads(g, batch, heads))
+
+    return apply_op(_fold_heads(a.data, batch, heads), (a,), backward)
+
+
+def _merge_heads(a: Tensor, batch: int, heads: int) -> Tensor:
+    def backward(g, a=a):
+        accumulate_grad(a, _fold_heads(g, batch, heads))
+
+    return apply_op(_unfold_heads(a.data, batch, heads), (a,), backward)
+
+
 class MultiHeadSelfAttention:
     """Scaled dot-product attention across H heads, concatenated and projected.
 
     Input is (B, T, d); each batch element's sequence attends to itself only.
-    Projections carry no bias terms.
+    Heads are folded into the batch axis, so every head runs in the same
+    batched matmuls. Projections carry no bias terms.
     """
 
     def __init__(self, dim: int, heads: int, *, rng: np.random.Generator):
@@ -390,46 +417,30 @@ class MultiHeadSelfAttention:
         self.w_v = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
         self.w_o = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
 
-    def _project(self, x2: Tensor, w: Tensor, batch: int, tokens: int) -> Tensor:
-        return reshape(matmul(x2, w), (batch, tokens, self.dim))
+    def _project(self, x2: Tensor, w: Tensor, batch: int) -> Tensor:
+        return _split_heads(matmul(x2, w), batch, self.heads)
+
+    def _attention(self, x2: Tensor, batch: int) -> Tensor:
+        """Attention rows (B*H, T, T) for token rows x2 of shape (B*T, d)."""
+        # the scale goes on q, which is head_dim/T the size of the scores
+        q = mul(self._project(x2, self.w_q, batch), 1.0 / math.sqrt(self.head_dim))
+        k = self._project(x2, self.w_k, batch)
+        return softmax_last(bmm(q, transpose_last(k)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.dim:
             raise ShapeMismatch("mhsa", x.shape, (self.dim,))
         batch, tokens, dim = x.shape
         x2 = reshape(x, (batch * tokens, dim))
-        q = self._project(x2, self.w_q, batch, tokens)
-        k = self._project(x2, self.w_k, batch, tokens)
-        v = self._project(x2, self.w_v, batch, tokens)
-
-        scale = 1.0 / math.sqrt(self.head_dim)
-        heads_out = []
-        for h in range(self.heads):
-            lo = h * self.head_dim
-            qh = narrow(q, 2, lo, self.head_dim)
-            kh = narrow(k, 2, lo, self.head_dim)
-            vh = narrow(v, 2, lo, self.head_dim)
-            scores = mul(bmm(qh, transpose_last(kh)), scale)
-            attn = softmax_last(scores)
-            heads_out.append(bmm(attn, vh))
-        merged = cat(heads_out, axis=2)
-        out = matmul(reshape(merged, (batch * tokens, dim)), self.w_o)
+        heads_out = bmm(self._attention(x2, batch), self._project(x2, self.w_v, batch))
+        out = matmul(_merge_heads(heads_out, batch, self.heads), self.w_o)
         return reshape(out, (batch, tokens, dim))
 
     def attention_weights(self, x: Tensor) -> np.ndarray:
         """Per-head attention rows for inspection: (H, B, T, T)."""
         batch, tokens, dim = x.shape
-        x2 = reshape(x, (batch * tokens, dim))
-        q = self._project(x2, self.w_q, batch, tokens)
-        k = self._project(x2, self.w_k, batch, tokens)
-        scale = 1.0 / math.sqrt(self.head_dim)
-        rows = []
-        for h in range(self.heads):
-            lo = h * self.head_dim
-            qh = narrow(q, 2, lo, self.head_dim)
-            kh = narrow(k, 2, lo, self.head_dim)
-            rows.append(softmax_last(mul(bmm(qh, transpose_last(kh)), scale)).data)
-        return np.stack(rows)
+        rows = self._attention(reshape(x, (batch * tokens, dim)), batch).data
+        return rows.reshape(batch, self.heads, tokens, tokens).transpose(1, 0, 2, 3)
 
     def parameters(self):
         return [("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v), ("w_o", self.w_o)]

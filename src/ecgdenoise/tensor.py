@@ -6,6 +6,12 @@ eval-mode inference stays allocation-free. Backward replays the tape in reverse;
 because nodes are appended in execution order the list is already topologically
 sorted and every node is visited exactly once.
 
+Gradients are shared, not copied: `accumulate_grad` stores the first
+contribution to a tensor's `.grad` as handed in, which may be a view of an
+upstream buffer or the same array another input received, and adds later
+contributions out of place. No code writes into a `.grad` array; the
+optimizer only reads them.
+
 Broadcasting is deliberately limited to the patterns the network actually uses:
 scalar, per-channel bias on (B, C, L), trailing feature bias on (N, D), and a
 full trailing-shape broadcast over the leading (batch) axis.
@@ -182,13 +188,14 @@ class Tape:
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` into `t.grad`, allocating on first use. No-op for constants."""
+    """Add `g` to `t.grad` out of place; the first `g` is stored as is. No-op for constants.
+
+    `g` may be a view of another buffer or the very array handed to a sibling
+    input, so a stored gradient is never written to.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def apply_op(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
@@ -280,7 +287,7 @@ def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
     a = _as_tensor(a)
     mask = a.data > 0.0
-    out_data = np.where(mask, a.data, 0.0)
+    out_data = np.maximum(a.data, 0.0)
 
     def backward(g, a=a, mask=mask):
         accumulate_grad(a, g * mask)
@@ -414,11 +421,13 @@ def mean_all(a: Tensor) -> Tensor:
 def softmax_last(a: Tensor) -> Tensor:
     """Softmax over the last axis (rows sum to 1)."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=-1, keepdims=True)
 
     def backward(g, a=a, s=out_data):
-        accumulate_grad(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
+        gx = g - np.einsum("...i,...i->...", g, s)[..., None]
+        gx *= s
+        accumulate_grad(a, gx)
 
     return apply_op(out_data, (a,), backward)

@@ -96,7 +96,8 @@ def train_step(model, optimizer, x, y, loss_cfg, context: str = "training"):
     optimizer.zero_grad()
     with Tape() as tape:
         out = model.forward(Tensor(x), training=True)
-        _, report = total_loss(out, Tensor(y), loss_cfg)
+        # scored on a constant: backprop starts at the output gradient, not the loss
+        _, report = total_loss(Tensor(out.data), Tensor(y), loss_cfg)
         _check_finite(report.total, context)
         grad, time_norm, spectral_norm = output_gradient(out.data, y, loss_cfg)
         tape.backward(sum_all(mul(out, Tensor(grad))))

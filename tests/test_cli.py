@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ecgdenoise.cli
 import ecgdenoise.layers
 import ecgdenoise.training
 from ecgdenoise.cli import main
-from ecgdenoise.data import SignalRecord, load_manifest, save_signal_file, synth_ecg
+from ecgdenoise.data import SignalRecord, load_manifest, load_split, save_signal_file, synth_ecg
 from ecgdenoise.loss import LossReport
 from ecgdenoise.tensor import Tensor
 
@@ -241,6 +242,17 @@ def test_denoise_pad_flag(run_dir, tmp_path):
     assert np.fromfile(out).size == rec.samples.size
 
 
+def test_denoise_constant_record_passes_through_bit_for_bit(run_dir, tmp_path):
+    # the mean of a repeated 2/3 is one ulp off, so the window's std is not 0.0
+    samples = np.full(4800, 2.0 / 3.0)
+    src = tmp_path / "flat.f64"
+    save_signal_file(src, SignalRecord("flat", 360.0, samples))
+    out = tmp_path / "flat_out.f64"
+    assert main(["denoise", "--checkpoint", str(run_dir / "best"),
+                 "--in", str(src), "--out", str(out), "--pad"]) == 0
+    assert np.array_equal(np.fromfile(out), samples)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -262,6 +274,39 @@ def test_evaluate_grouping_matches_manifest(run_dir, dataset, tmp_path, capsys):
     with open(tmp_path / "metrics_test.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {(r["noise_mix"], float(r["target_snr"])) for r in rows} == combos
+
+
+def test_evaluate_group_means_exclude_infinite_snr(dataset, tmp_path, capsys, monkeypatch):
+    perfect = load_split(dataset, "test")[0]
+
+    class _OnePerfect:
+        """Identity, except that one segment comes back as its clean target."""
+
+        def forward(self, x, training=False):
+            out = x.data.copy()
+            for row in out[:, 0]:
+                if np.array_equal(row, perfect.noisy):
+                    row[...] = perfect.clean
+            return Tensor(out)
+
+    monkeypatch.setattr(ecgdenoise.cli, "load_checkpoint", lambda prefix: (_OnePerfect(), {}, {}))
+    assert main(["evaluate", "--checkpoint", "stub", "--data", str(dataset),
+                 "--split", "test", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    mix = "+".join(perfect.noise_mix)
+    with open(tmp_path / "metrics_test.csv") as fh:
+        group = [r for r in csv.DictReader(fh)
+                 if r["noise_mix"] == mix and float(r["target_snr"]) == perfect.target_snr_db]
+    finite = [r for r in group if math.isfinite(float(r["snr_out"]))]
+    assert len(group) - len(finite) == 1 and finite
+
+    line = next(row.split() for row in printed.splitlines()
+                if row.split()[:2] == [mix, f"{perfect.target_snr_db:g}"])
+    mae_m, pcc_m, snri_m, prd_m = map(float, line[3:])
+    assert int(line[2]) == len(group)
+    assert snri_m == 0.0  # the identity rows alone
+    assert abs(pcc_m - np.mean([float(r["pcc"]) for r in finite])) < 1e-4
+    assert abs(mae_m - np.mean([float(r["mae"]) for r in finite])) < 1e-4
 
 
 def test_evaluate_identity_baseline_zero_snri(dataset, tmp_path, capsys):

@@ -97,17 +97,19 @@ def test_conv1d_matches_oracle_random():
 
 def test_conv1d_gradients_vs_fd():
     rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
-    w = Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 8))
+    for stride, padding, kernel in [(1, 1, 3), (2, 1, 3), (3, 2, 3), (1, 0, 1)]:
+        x = Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2, kernel)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        probe = rng.standard_normal((2, 3, conv_out_len(8, kernel, stride, padding)))
 
-    grads = tape_grads(
-        lambda: sum_all(mul(conv1d(x, w, b, 1, 1), Tensor(probe))), [x, w, b]
-    )
-    for tensor, grad in zip([x, w, b], grads):
-        fd = fd_wrt(tensor, lambda: scalar_through(lambda: conv1d(x, w, b, 1, 1), probe))
-        assert rel_err(grad, fd) < 1e-5
+        def run():
+            return conv1d(x, w, b, stride, padding)
+
+        grads = tape_grads(lambda: sum_all(mul(run(), Tensor(probe))), [x, w, b])
+        for tensor, grad in zip([x, w, b], grads):
+            fd = fd_wrt(tensor, lambda: scalar_through(run, probe))
+            assert rel_err(grad, fd) < 1e-5, (stride, padding, kernel)
 
 
 def test_conv1d_channel_mismatch():
@@ -169,17 +171,19 @@ def test_conv_transpose_is_adjoint_of_conv():
 
 def test_conv_transpose_gradients_vs_fd():
     rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal((2, 2, 5)), requires_grad=True)
-    w = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 10))
+    for stride in (1, 2, 3):
+        x = Tensor(rng.standard_normal((2, 2, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        probe = rng.standard_normal((2, 3, 4 * stride + 2))
 
-    grads = tape_grads(
-        lambda: sum_all(mul(conv_transpose1d(x, w, b, 2), Tensor(probe))), [x, w, b]
-    )
-    for tensor, grad in zip([x, w, b], grads):
-        fd = fd_wrt(tensor, lambda: scalar_through(lambda: conv_transpose1d(x, w, b, 2), probe))
-        assert rel_err(grad, fd) < 1e-5
+        def run():
+            return conv_transpose1d(x, w, b, stride)
+
+        grads = tape_grads(lambda: sum_all(mul(run(), Tensor(probe))), [x, w, b])
+        for tensor, grad in zip([x, w, b], grads):
+            fd = fd_wrt(tensor, lambda: scalar_through(run, probe))
+            assert rel_err(grad, fd) < 1e-5, stride
 
 
 # ---------------------------------------------------------------------------

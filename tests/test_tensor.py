@@ -140,6 +140,18 @@ def test_backward_accumulates_across_reuse():
     np.testing.assert_array_equal(x.grad, 2.0 * np.ones((2, 3)))
 
 
+def test_shared_first_gradient_is_never_written_to():
+    # add hands the same upstream array to both operands; a later
+    # contribution to one of them must leave the other's gradient alone
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    y = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        twice = mul(x, 2.0)  # recorded first, so its gradient reaches x last
+        tape.backward(sum_all(add(add(x, y), twice)))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+    np.testing.assert_array_equal(y.grad, np.ones((2, 3)))
+
+
 def test_backward_rejects_nonscalar_root():
     x = Tensor(np.zeros(3), requires_grad=True)
     with Tape() as tape:
