@@ -179,13 +179,6 @@ def cmd_denoise(args) -> int:
 class _IdentityModel:
     """Baseline that returns its input; SNRI is zero by construction."""
 
-    def __init__(self, input_len: int):
-        class _Cfg:
-            pass
-
-        self.config = _Cfg()
-        self.config.input_len = input_len
-
     def forward(self, x, training=False):
         return x
 
@@ -215,7 +208,7 @@ def cmd_evaluate(args) -> int:
     if not pairs:
         raise DataError(f"split {args.split!r} under {args.data} is empty")
     if args.baseline == "identity":
-        model = _IdentityModel(pairs[0].clean.size)
+        model = _IdentityModel()
     else:
         model, _, _ = load_checkpoint(args.checkpoint)
     report = evaluate(model, pairs, batch_size=args.batch_size or 16)

@@ -233,7 +233,8 @@ def mix_at_snr(clean: np.ndarray, noise: np.ndarray, target_snr_db: float):
 def segment_and_normalize(record: SignalRecord, window: int = WINDOW, stride: int = WINDOW):
     """Z-normalized sliding windows: list of (offset, window, mean, std).
 
-    Windows with zero variance are skipped with a warning.
+    Constant windows (every sample equal) are skipped with a warning: their
+    computed std can be one ulp rather than zero.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
@@ -244,11 +245,11 @@ def segment_and_normalize(record: SignalRecord, window: int = WINDOW, stride: in
     out = []
     for offset in range(0, record.samples.size - window + 1, stride):
         chunk = record.samples[offset : offset + window]
-        mean = float(chunk.mean())
-        std = float(chunk.std())
-        if std == 0.0:
+        if chunk.max() == chunk.min():
             log.warning("record %s offset %d: zero-variance window skipped", record.id, offset)
             continue
+        mean = float(chunk.mean())
+        std = float(chunk.std())
         out.append((offset, (chunk - mean) / std, mean, std))
     return out
 

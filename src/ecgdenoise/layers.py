@@ -6,7 +6,13 @@ strided view of the padded input, accumulated into one output; no im2col
 buffer is built. The transposed convolution computes every tap in one matmul
 and scatters the taps with strided adds; its backward gathers sliding windows
 of the upstream gradient. Training-mode batchnorm uses the closed-form
-gradient with in-place arithmetic on buffers it owns.
+gradient with in-place arithmetic on buffers it owns; eval-mode batchnorm is
+one affine map that records nothing. Pooling is the pairwise maximum of even
+and odd samples (window 2); its backward rebuilds the tie rule from the input.
+
+`Module` names parameters (trainable tensors) and buffers (ndarrays) by
+attribute, in assignment order: child module ``a`` adds the prefix ``a.``, the
+i-th module of list ``a`` adds ``a{i}.`` (from 1). Checkpoints use these names.
 
 Backward rules live in module-level ``_*_grads`` helpers so a verification
 harness can swap one out and confirm the gradient checker catches it.
@@ -35,6 +41,7 @@ from .tensor import (
 )
 
 __all__ = [
+    "Module",
     "Conv1d",
     "ConvTranspose1d",
     "BatchNorm1d",
@@ -49,6 +56,28 @@ __all__ = [
     "layer_norm",
     "positional_encoding",
 ]
+
+
+class Module:
+    """Base of every layer and block; see the module docstring for the naming rule."""
+
+    def _walk(self, leaf):
+        for attr, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from ((f"{attr}.{n}", v) for n, v in value._walk(leaf))
+            elif isinstance(value, list):
+                for i, child in enumerate(value, start=1):
+                    yield from ((f"{attr}{i}.{n}", v) for n, v in child._walk(leaf))
+            elif leaf(value):
+                yield attr, value
+
+    def parameters(self):
+        """Stable, deterministic (name, tensor) list of trainable tensors; each exactly once."""
+        return list(self._walk(lambda v: isinstance(v, Tensor) and v.requires_grad))
+
+    def state_arrays(self):
+        """Non-trained buffers that still belong in a checkpoint, in the same order."""
+        return list(self._walk(lambda v: isinstance(v, np.ndarray)))
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -156,21 +185,20 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Te
     return apply_op(out_data, (x, weight, bias), backward)
 
 
-def maxpool1d(x: Tensor, window: int = 2) -> Tensor:
-    """Non-overlapping window maxima; ties route gradient to the first index."""
+def maxpool1d(x: Tensor) -> Tensor:
+    """Maxima of non-overlapping sample pairs; a tie routes gradient to the first."""
     if x.ndim != 3:
         raise ShapeMismatch("maxpool1d", x.shape, detail="expects rank 3")
-    batch, channels, length = x.shape
-    if length % window != 0:
-        raise ShapeMismatch("maxpool1d", x.shape, detail=f"length not divisible by {window}")
-    blocks = x.data.reshape(batch, channels, length // window, window)
-    arg = blocks.argmax(axis=-1)  # argmax picks the first maximal index
-    out_data = np.take_along_axis(blocks, arg[..., None], axis=-1)[..., 0]
+    if x.shape[2] % 2 != 0:
+        raise ShapeMismatch("maxpool1d", x.shape, detail="length not divisible by 2")
+    out_data = np.maximum(x.data[:, :, 0::2], x.data[:, :, 1::2])
 
-    def backward(g, x=x, arg=arg, shape=(batch, channels, length // window, window)):
-        gb = np.zeros(shape)
-        np.put_along_axis(gb, arg[..., None], g[..., None], axis=-1)
-        accumulate_grad(x, gb.reshape(x.shape))
+    def backward(g, x=x):
+        first = x.data[:, :, 0::2] >= x.data[:, :, 1::2]
+        gx = np.empty(x.shape)
+        gx[:, :, 0::2] = np.where(first, g, 0.0)
+        gx[:, :, 1::2] = np.where(first, 0.0, g)
+        accumulate_grad(x, gx)
 
     return apply_op(out_data, (x,), backward)
 
@@ -191,12 +219,13 @@ def _batchnorm_grads(g, x_hat, inv_std, gamma):
     return gx, ggamma, gbeta, m
 
 
-class BatchNorm1d:
+class BatchNorm1d(Module):
     """Per-channel normalization over (batch, length) with running statistics.
 
     Training mode normalizes with biased batch statistics and updates the
-    running estimates by exponential moving average; eval mode uses the
-    running estimates only.
+    running estimates by exponential moving average. Eval mode is inference
+    only: one per-channel affine map folded from the running estimates, gamma
+    and beta, recorded on no tape.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -210,49 +239,33 @@ class BatchNorm1d:
     def forward(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim != 3 or x.shape[1] != self.gamma.size:
             raise ShapeMismatch("batchnorm1d", x.shape, (self.gamma.size,))
-        if training:
-            if x.shape[0] * x.shape[2] < 2:
-                raise ShapeMismatch("batchnorm1d", x.shape, detail="need batch*length >= 2 to estimate statistics")
-            m = x.shape[0] * x.shape[2]
-            mean = np.einsum("bcl->c", x.data) / m
-            x_hat = x.data - mean[:, None]
-            var = np.einsum("bcl,bcl->c", x_hat, x_hat) / m
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
-        else:
-            mean, var = self.running_mean, self.running_var
-            x_hat = x.data - mean[:, None]
+        gamma, beta = self.gamma, self.beta
+        if not training:
+            scale = gamma.data / np.sqrt(self.running_var + self.eps)
+            shift = beta.data - self.running_mean * scale
+            return Tensor(x.data * scale[:, None] + shift[:, None])
+
+        if x.shape[0] * x.shape[2] < 2:
+            raise ShapeMismatch("batchnorm1d", x.shape, detail="need batch*length >= 2 to estimate statistics")
+        m = x.shape[0] * x.shape[2]
+        mean = np.einsum("bcl->c", x.data) / m
+        x_hat = x.data - mean[:, None]
+        var = np.einsum("bcl,bcl->c", x_hat, x_hat) / m
+        self.running_mean += self.momentum * (mean - self.running_mean)
+        self.running_var += self.momentum * (var - self.running_var)
 
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat *= inv_std[:, None]  # the centred copy becomes x_hat in place
-        out_data = x_hat * self.gamma.data[:, None]
-        out_data += self.beta.data[:, None]
+        out_data = x_hat * gamma.data[:, None]
+        out_data += beta.data[:, None]
 
-        gamma, beta = self.gamma, self.beta
-        if training:
-
-            def backward(g, x=x, x_hat=x_hat, inv_std=inv_std):
-                gx, ggamma, gbeta, _ = _batchnorm_grads(g, x_hat, inv_std, gamma.data)
-                accumulate_grad(x, gx)
-                accumulate_grad(gamma, ggamma)
-                accumulate_grad(beta, gbeta)
-
-        else:
-            scale = (gamma.data * inv_std).reshape(1, -1, 1)
-
-            def backward(g, x=x, x_hat=x_hat, scale=scale):
-                accumulate_grad(x, g * scale)
-                accumulate_grad(gamma, (g * x_hat).sum(axis=(0, 2)))
-                accumulate_grad(beta, g.sum(axis=(0, 2)))
+        def backward(g, x=x, x_hat=x_hat, inv_std=inv_std):
+            gx, ggamma, gbeta, _ = _batchnorm_grads(g, x_hat, inv_std, gamma.data)
+            accumulate_grad(x, gx)
+            accumulate_grad(gamma, ggamma)
+            accumulate_grad(beta, gbeta)
 
         return apply_op(out_data, (x, gamma, beta), backward)
-
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def state_arrays(self):
-        """Non-trained buffers that still belong in a checkpoint."""
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -278,7 +291,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return apply_op(out_data, (x, gamma, beta), backward)
 
 
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
@@ -287,15 +300,12 @@ class LayerNorm:
     def forward(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
 
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
 
 # ---------------------------------------------------------------------------
 # layer classes
 
 
-class Conv1d:
+class Conv1d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, *, rng: np.random.Generator):
         fan_in = in_channels * kernel_size
@@ -310,11 +320,8 @@ class Conv1d:
     def forward(self, x: Tensor) -> Tensor:
         return conv1d(x, self.weight, self.bias, self.stride, self.padding)
 
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
-
-class ConvTranspose1d:
+class ConvTranspose1d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int, *, rng: np.random.Generator):
         fan_in = in_channels * kernel_size
@@ -328,11 +335,8 @@ class ConvTranspose1d:
     def forward(self, x: Tensor) -> Tensor:
         return conv_transpose1d(x, self.weight, self.bias, self.stride)
 
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
-
-class Linear:
+class Linear(Module):
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator,
                  bias: bool = True):
         self.weight = Tensor(
@@ -351,12 +355,6 @@ class Linear:
         if len(orig_shape) == 3:
             y = reshape(y, (orig_shape[0], orig_shape[1], self.weight.shape[1]))
         return y
-
-    def parameters(self):
-        out = [("weight", self.weight)]
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
 
 
 def positional_encoding(tokens: int, dim: int) -> np.ndarray:
@@ -398,7 +396,7 @@ def _merge_heads(a: Tensor, batch: int, heads: int) -> Tensor:
     return apply_op(_unfold_heads(a.data, batch, heads), (a,), backward)
 
 
-class MultiHeadSelfAttention:
+class MultiHeadSelfAttention(Module):
     """Scaled dot-product attention across H heads, concatenated and projected.
 
     Input is (B, T, d); each batch element's sequence attends to itself only.
@@ -442,11 +440,8 @@ class MultiHeadSelfAttention:
         rows = self._attention(reshape(x, (batch * tokens, dim)), batch).data
         return rows.reshape(batch, self.heads, tokens, tokens).transpose(1, 0, 2, 3)
 
-    def parameters(self):
-        return [("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v), ("w_o", self.w_o)]
 
-
-class FeedForward:
+class FeedForward(Module):
     """Position-wise two-layer MLP with ReLU."""
 
     def __init__(self, dim: int, hidden: int, *, rng: np.random.Generator):
@@ -456,13 +451,8 @@ class FeedForward:
     def forward(self, x: Tensor) -> Tensor:
         return self.lin2.forward(relu(self.lin1.forward(x)))
 
-    def parameters(self):
-        return [(f"lin1.{n}", t) for n, t in self.lin1.parameters()] + [
-            (f"lin2.{n}", t) for n, t in self.lin2.parameters()
-        ]
 
-
-class TransformerEncoderLayer:
+class TransformerEncoderLayer(Module):
     """Post-norm encoder layer: LN(x + attention(x)), then LN(u + mlp(u))."""
 
     def __init__(self, dim: int, heads: int, d_ff: int, *, rng: np.random.Generator):
@@ -474,9 +464,3 @@ class TransformerEncoderLayer:
     def forward(self, x: Tensor) -> Tensor:
         u = self.norm1.forward(add(x, self.attn.forward(x)))
         return self.norm2.forward(add(u, self.ff.forward(u)))
-
-    def parameters(self):
-        out = []
-        for prefix, sub in (("attn", self.attn), ("ff", self.ff), ("norm1", self.norm1), ("norm2", self.norm2)):
-            out.extend((f"{prefix}.{name}", t) for name, t in sub.parameters())
-        return out

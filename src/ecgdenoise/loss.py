@@ -5,6 +5,10 @@ The spectral term compares one-sided DFT magnitudes over K = N//2 + 1 bins
 would only double every interior bin). Arbitrary segment lengths are
 supported directly; padding a segment to a power of two would change the bin
 grid and is deliberately not done. Both terms carry exact analytic gradients.
+
+Each formula is written once, in `_smooth_l1_*`/`_spectral_*` helpers shared
+by the tape ops and by `loss_and_gradients` (one training step's report and
+output gradients from one pair of FFTs).
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 
 from .tensor import ShapeMismatch, Tensor, accumulate_grad, add, apply_op, mul
 
-__all__ = ["LossConfig", "LossReport", "smooth_l1", "dft", "spectral_loss", "total_loss"]
+__all__ = ["LossConfig", "LossReport", "smooth_l1", "dft", "spectral_loss", "total_loss",
+           "loss_and_gradients"]
 
 
 @dataclass
@@ -38,6 +43,15 @@ class LossReport:
     total: float
 
 
+def _smooth_l1_value(e: np.ndarray, beta: float) -> float:
+    return np.where(np.abs(e) < beta, 0.5 * e * e / beta, np.abs(e) - 0.5 * beta).mean()
+
+
+def _smooth_l1_grad(e: np.ndarray, beta: float, scale: float) -> np.ndarray:
+    """Gradient of scale * sum(smooth-L1(e)) with respect to e."""
+    return np.where(np.abs(e) < beta, e / beta, np.sign(e)) * scale
+
+
 def smooth_l1(y_hat: Tensor, y: Tensor, beta: float = 1.0) -> Tensor:
     """Mean of the C1 piecewise loss: 0.5 e^2/beta inside |e| < beta, |e| - beta/2 outside."""
     if beta <= 0:
@@ -45,13 +59,10 @@ def smooth_l1(y_hat: Tensor, y: Tensor, beta: float = 1.0) -> Tensor:
     if y_hat.shape != y.shape:
         raise ShapeMismatch("smooth_l1", y_hat.shape, y.shape)
     e = y_hat.data - y.data
-    inner = np.abs(e) < beta
-    vals = np.where(inner, 0.5 * e * e / beta, np.abs(e) - 0.5 * beta)
-    out_data = np.array([vals.mean()])
-    n = e.size
+    out_data = np.array([_smooth_l1_value(e, beta)])
 
-    def backward(g, y_hat=y_hat, y=y, e=e, inner=inner):
-        de = np.where(inner, e / beta, np.sign(e)) * (g[0] / n)
+    def backward(g, y_hat=y_hat, y=y, e=e):
+        de = _smooth_l1_grad(e, beta, g[0] / e.size)
         accumulate_grad(y_hat, de)
         accumulate_grad(y, -de)
 
@@ -93,33 +104,42 @@ def _magnitude_adjoint(spectrum: np.ndarray, coeff: np.ndarray, n: int) -> np.nd
     return np.fft.irfft(g, n=n, axis=-1) * n
 
 
+def _spectral_terms(y_hat: np.ndarray, y: np.ndarray):
+    """Both one-sided spectra, one row per segment, and the loss value."""
+    n = y_hat.shape[-1]
+    spec_hat = np.fft.rfft(y_hat.reshape(-1, n), axis=-1)
+    spec_ref = np.fft.rfft(y.reshape(-1, n), axis=-1)
+    per_segment = ((np.abs(spec_ref) - np.abs(spec_hat)) ** 2).sum(axis=-1) / spec_hat.shape[-1]
+    return spec_hat, spec_ref, per_segment.mean()
+
+
+def _spectral_grad(spec: np.ndarray, spec_other: np.ndarray, n: int, scale: float) -> np.ndarray:
+    """Gradient with respect to the rows behind `spec` of scale * the summed per-row error."""
+    k = n // 2 + 1
+    coeff = (2.0 / k) * (np.abs(spec) - np.abs(spec_other)) * scale
+    return _magnitude_adjoint(spec, coeff, n)
+
+
 def spectral_loss(y_hat: Tensor, y: Tensor) -> Tensor:
     """Mean over segments of the one-sided magnitude-spectrum squared error."""
     if y_hat.shape != y.shape:
         raise ShapeMismatch("spectral_loss", y_hat.shape, y.shape)
     n = y_hat.shape[-1]
-    k = n // 2 + 1
-    rows_hat = y_hat.data.reshape(-1, n)
-    rows_ref = y.data.reshape(-1, n)
-    m = rows_hat.shape[0]
+    spec_hat, spec_ref, value = _spectral_terms(y_hat.data, y.data)
+    out_data = np.array([value])
 
-    spec_hat = np.fft.rfft(rows_hat, axis=-1)
-    spec_ref = np.fft.rfft(rows_ref, axis=-1)
-    mag_hat = np.abs(spec_hat)
-    mag_ref = np.abs(spec_ref)
-    per_segment = ((mag_ref - mag_hat) ** 2).sum(axis=-1) / k
-    out_data = np.array([per_segment.mean()])
-
-    def backward(g, y_hat=y_hat, y=y, spec_hat=spec_hat, spec_ref=spec_ref,
-                 mag_hat=mag_hat, mag_ref=mag_ref):
-        scale = g[0] / m
-        coeff_hat = (2.0 / k) * (mag_hat - mag_ref) * scale
-        accumulate_grad(y_hat, _magnitude_adjoint(spec_hat, coeff_hat, n).reshape(y_hat.shape))
+    def backward(g, y_hat=y_hat, y=y, spec_hat=spec_hat, spec_ref=spec_ref):
+        scale = g[0] / spec_hat.shape[0]
+        accumulate_grad(y_hat, _spectral_grad(spec_hat, spec_ref, n, scale).reshape(y_hat.shape))
         if y.requires_grad:
-            coeff_ref = (2.0 / k) * (mag_ref - mag_hat) * scale
-            accumulate_grad(y, _magnitude_adjoint(spec_ref, coeff_ref, n).reshape(y.shape))
+            accumulate_grad(y, _spectral_grad(spec_ref, spec_hat, n, scale).reshape(y.shape))
 
     return apply_op(out_data, (y_hat, y), backward)
+
+
+def _report(time_loss: float, spectral_loss: float, config: LossConfig) -> LossReport:
+    total = time_loss * config.w_time + spectral_loss * config.w_spectral
+    return LossReport(time_loss=float(time_loss), spectral_loss=float(spectral_loss), total=float(total))
 
 
 def total_loss(y_hat: Tensor, y: Tensor, config: LossConfig) -> tuple[Tensor, LossReport]:
@@ -128,9 +148,22 @@ def total_loss(y_hat: Tensor, y: Tensor, config: LossConfig) -> tuple[Tensor, Lo
     time_term = smooth_l1(y_hat, y, config.beta)
     spectral_term = spectral_loss(y_hat, y)
     total = add(mul(time_term, config.w_time), mul(spectral_term, config.w_spectral))
-    report = LossReport(
-        time_loss=time_term.item(),
-        spectral_loss=spectral_term.item(),
-        total=total.item(),
-    )
-    return total, report
+    return total, _report(time_term.item(), spectral_term.item(), config)
+
+
+def loss_and_gradients(y_hat: np.ndarray, y: np.ndarray, config: LossConfig):
+    """`total_loss`'s report plus each weighted term's gradient with respect to y_hat.
+
+    Returns ``(report, time_grad, spectral_grad)``; ``spectral_grad`` is None
+    when the spectral weight is zero. Both spectra are computed once.
+    """
+    config.validate()
+    e = y_hat - y
+    spec_hat, spec_ref, spectral_value = _spectral_terms(y_hat, y)
+    report = _report(_smooth_l1_value(e, config.beta), spectral_value, config)
+    time_grad = _smooth_l1_grad(e, config.beta, config.w_time / e.size)
+    if config.w_spectral == 0:
+        return report, time_grad, None
+    scale = config.w_spectral / spec_hat.shape[0]
+    spectral_grad = _spectral_grad(spec_hat, spec_ref, y_hat.shape[-1], scale).reshape(y_hat.shape)
+    return report, time_grad, spectral_grad

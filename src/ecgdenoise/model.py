@@ -17,6 +17,7 @@ from .layers import (
     BatchNorm1d,
     Conv1d,
     ConvTranspose1d,
+    Module,
     TransformerEncoderLayer,
     maxpool1d,
     positional_encoding,
@@ -67,7 +68,7 @@ class ModelConfig:
             raise ConfigError("bottleneck dim must be even for the positional table")
 
 
-class DoubleConv:
+class DoubleConv(Module):
     """Two (conv k3 p1 -> batchnorm -> relu) stages."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
@@ -80,36 +81,18 @@ class DoubleConv:
         x = relu(self.bn1.forward(self.conv1.forward(x), training))
         return relu(self.bn2.forward(self.conv2.forward(x), training))
 
-    def parameters(self):
-        out = []
-        for prefix, sub in (("conv1", self.conv1), ("bn1", self.bn1),
-                            ("conv2", self.conv2), ("bn2", self.bn2)):
-            out.extend((f"{prefix}.{name}", t) for name, t in sub.parameters())
-        return out
 
-    def state_arrays(self):
-        return [(f"bn1.{n}", a) for n, a in self.bn1.state_arrays()] + [
-            (f"bn2.{n}", a) for n, a in self.bn2.state_arrays()
-        ]
-
-
-class Down:
+class Down(Module):
     """Halve the length, then double-conv to twice the channels."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         self.block = DoubleConv(in_channels, out_channels, rng=rng)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return self.block.forward(maxpool1d(x, 2), training)
-
-    def parameters(self):
-        return [(f"block.{n}", t) for n, t in self.block.parameters()]
-
-    def state_arrays(self):
-        return [(f"block.{n}", a) for n, a in self.block.state_arrays()]
+        return self.block.forward(maxpool1d(x), training)
 
 
-class Up:
+class Up(Module):
     """Double the length by transposed conv, concatenate the skip, double-conv."""
 
     def __init__(self, in_channels: int, *, rng: np.random.Generator):
@@ -120,16 +103,8 @@ class Up:
         up = self.tconv.forward(x)
         return self.block.forward(concat_channels(up, skip), training)
 
-    def parameters(self):
-        return [(f"tconv.{n}", t) for n, t in self.tconv.parameters()] + [
-            (f"block.{n}", t) for n, t in self.block.parameters()
-        ]
 
-    def state_arrays(self):
-        return [(f"block.{n}", a) for n, a in self.block.state_arrays()]
-
-
-class TransformerUNet1D:
+class TransformerUNet1D(Module):
     """Shape-preserving denoiser for (B, 1, input_len) segments."""
 
     def __init__(self, config: ModelConfig):
@@ -138,18 +113,19 @@ class TransformerUNet1D:
         rng = np.random.default_rng(config.seed)
         c = config.base_channels
 
+        # attribute names are the checkpoint name prefixes (inc., down1., enc1., up1., out.)
         self.inc = DoubleConv(config.in_channels, c, rng=rng)
-        self.downs = [
+        self.down = [
             Down(c * 2**i, c * 2 ** (i + 1), rng=rng) for i in range(config.depth)
         ]
         d = config.bottleneck_dim
         self.pos_table = Tensor(positional_encoding(config.token_count, d))
-        self.encoder_layers = [
+        self.enc = [
             TransformerEncoderLayer(d, config.heads, config.d_ff_ratio * d, rng=rng)
             for _ in range(config.transformer_layers)
         ]
-        self.ups = [Up(c * 2 ** (i + 1), rng=rng) for i in reversed(range(config.depth))]
-        self.out_conv = Conv1d(c, config.out_channels, 1, rng=rng)
+        self.up = [Up(c * 2 ** (i + 1), rng=rng) for i in reversed(range(config.depth))]
+        self.out = Conv1d(c, config.out_channels, 1, rng=rng)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         cfg = self.config
@@ -158,40 +134,19 @@ class TransformerUNet1D:
                 "model", x.shape, (x.shape[0] if x.ndim == 3 else -1, cfg.in_channels, cfg.input_len)
             )
         skips = [self.inc.forward(x, training)]
-        for down in self.downs:
+        for down in self.down:
             skips.append(down.forward(skips[-1], training))
 
         z = skips.pop()  # deepest features (B, d, T)
         tokens = transpose_last(z)  # token-major (B, T, d)
         tokens = add(tokens, self.pos_table)
-        for layer in self.encoder_layers:
+        for layer in self.enc:
             tokens = layer.forward(tokens)
         z = transpose_last(tokens)
 
-        for up in self.ups:
+        for up in self.up:
             z = up.forward(z, skips.pop(), training)
-        return self.out_conv.forward(z)
-
-    def parameters(self):
-        """Stable, deterministic (name, tensor) ordering; each exactly once."""
-        out = [(f"inc.{n}", t) for n, t in self.inc.parameters()]
-        for i, down in enumerate(self.downs, start=1):
-            out.extend((f"down{i}.{n}", t) for n, t in down.parameters())
-        for i, layer in enumerate(self.encoder_layers, start=1):
-            out.extend((f"enc{i}.{n}", t) for n, t in layer.parameters())
-        for i, up in enumerate(self.ups, start=1):
-            out.extend((f"up{i}.{n}", t) for n, t in up.parameters())
-        out.extend((f"out.{n}", t) for n, t in self.out_conv.parameters())
-        return out
-
-    def state_arrays(self):
-        """Batchnorm running statistics, in the same stable order."""
-        out = [(f"inc.{n}", a) for n, a in self.inc.state_arrays()]
-        for i, down in enumerate(self.downs, start=1):
-            out.extend((f"down{i}.{n}", a) for n, a in down.state_arrays())
-        for i, up in enumerate(self.ups, start=1):
-            out.extend((f"up{i}.{n}", a) for n, a in up.state_arrays())
-        return out
+        return self.out.forward(z)
 
     def num_parameters(self) -> int:
         return sum(t.size for _, t in self.parameters())

@@ -286,11 +286,10 @@ def mul(a, b) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
     a = _as_tensor(a)
-    mask = a.data > 0.0
     out_data = np.maximum(a.data, 0.0)
 
-    def backward(g, a=a, mask=mask):
-        accumulate_grad(a, g * mask)
+    def backward(g, a=a, out=out_data):
+        accumulate_grad(a, g * (out > 0.0))
 
     return apply_op(out_data, (a,), backward)
 

@@ -8,7 +8,8 @@ silently skipping corrupted batches would poison every later statistic.
 Both loss terms depend only on the model output, so each step forms their
 gradients with respect to the output directly and caps the weighted spectral
 gradient at the weighted time gradient's norm before backpropagating once
-(see `output_gradient`). The reported losses stay the plain weighted sum.
+(see `output_gradient`), from the same pass that yields the step's loss
+report. The reported losses stay the plain weighted sum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import load_split
-from .loss import _magnitude_adjoint, total_loss
+from .loss import loss_and_gradients, total_loss
 from .model import TransformerUNet1D, load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .tensor import Tape, Tensor, mul, sum_all
@@ -61,6 +62,16 @@ def _check_finite(value: float, context: str) -> None:
         raise NumericFailure(f"non-finite loss ({value}) during {context}")
 
 
+def _capped_sum(time_grad, spectral_grad, loss_cfg):
+    time_norm = float(np.linalg.norm(time_grad))
+    if spectral_grad is None:
+        return time_grad, time_norm, 0.0
+    spectral_norm = float(np.linalg.norm(spectral_grad))
+    if loss_cfg.w_time > 0 and spectral_norm > time_norm:
+        spectral_grad *= time_norm / spectral_norm
+    return time_grad + spectral_grad, time_norm, spectral_norm
+
+
 def output_gradient(y_hat: np.ndarray, y: np.ndarray, loss_cfg):
     """Training gradient of the dual loss with respect to the model output.
 
@@ -72,23 +83,8 @@ def output_gradient(y_hat: np.ndarray, y: np.ndarray, loss_cfg):
     the time term's and would otherwise drown the waveform (phase) signal.
     The norms are those before the cap.
     """
-    e = y_hat - y
-    grad = np.where(np.abs(e) < loss_cfg.beta, e / loss_cfg.beta, np.sign(e)) * (loss_cfg.w_time / e.size)
-    time_norm = float(np.linalg.norm(grad))
-    if loss_cfg.w_spectral == 0:
-        return grad, time_norm, 0.0
-
-    n = y_hat.shape[-1]
-    k = n // 2 + 1
-    spec_hat = np.fft.rfft(y_hat.reshape(-1, n), axis=-1)
-    spec_ref = np.fft.rfft(y.reshape(-1, n), axis=-1)
-    scale = loss_cfg.w_spectral / spec_hat.shape[0]
-    coeff = (2.0 / k) * (np.abs(spec_hat) - np.abs(spec_ref)) * scale
-    spectral = _magnitude_adjoint(spec_hat, coeff, n).reshape(y_hat.shape)
-    spectral_norm = float(np.linalg.norm(spectral))
-    if loss_cfg.w_time > 0 and spectral_norm > time_norm:
-        spectral *= time_norm / spectral_norm
-    return grad + spectral, time_norm, spectral_norm
+    _, time_grad, spectral_grad = loss_and_gradients(y_hat, y, loss_cfg)
+    return _capped_sum(time_grad, spectral_grad, loss_cfg)
 
 
 def train_step(model, optimizer, x, y, loss_cfg, context: str = "training"):
@@ -96,10 +92,9 @@ def train_step(model, optimizer, x, y, loss_cfg, context: str = "training"):
     optimizer.zero_grad()
     with Tape() as tape:
         out = model.forward(Tensor(x), training=True)
-        # scored on a constant: backprop starts at the output gradient, not the loss
-        _, report = total_loss(Tensor(out.data), Tensor(y), loss_cfg)
+        report, time_grad, spectral_grad = loss_and_gradients(out.data, y, loss_cfg)
         _check_finite(report.total, context)
-        grad, time_norm, spectral_norm = output_gradient(out.data, y, loss_cfg)
+        grad, time_norm, spectral_norm = _capped_sum(time_grad, spectral_grad, loss_cfg)
         tape.backward(sum_all(mul(out, Tensor(grad))))
     optimizer.step()
     return report, (time_norm, spectral_norm)
@@ -143,10 +138,6 @@ def _append_log(path, columns, row) -> None:
         if new:
             writer.writerow(columns)
         writer.writerow(row)
-
-
-def _optimizer_state(optimizer):
-    return list(optimizer.state_arrays())
 
 
 def _make_optimizer(model, cfg: RunConfig) -> AdamW:
@@ -214,7 +205,7 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
                             rng_state={"seed": cfg.seed, "epoch": epoch},
                             extra={"epoch": epoch, "val_total": val_total, "kind": "best"})
         save_checkpoint(str(out_dir / "last"), model,
-                        optimizer_arrays=_optimizer_state(optimizer),
+                        optimizer_arrays=optimizer.state_arrays(),
                         rng_state={"seed": cfg.seed, "epoch": epoch},
                         extra={"epoch": epoch, "optimizer_step": optimizer.t,
                                "best_val": best_val, "best_epoch": best_epoch,

@@ -154,11 +154,15 @@ def test_train_resume_matches_uninterrupted(dataset, tmp_path):
 
 
 def test_train_aborts_on_nan_loss(dataset, tmp_path, monkeypatch):
-    def poisoned(y_hat, y, cfg):
-        report = LossReport(time_loss=math.nan, spectral_loss=0.0, total=math.nan)
-        return y_hat, report
+    # the training step's own loss pass reports NaN; its gradients stay finite
+    real = ecgdenoise.training.loss_and_gradients
 
-    monkeypatch.setattr(ecgdenoise.training, "total_loss", poisoned)
+    def poisoned(y_hat, y, cfg):
+        _, time_grad, spectral_grad = real(y_hat, y, cfg)
+        report = LossReport(time_loss=math.nan, spectral_loss=0.0, total=math.nan)
+        return report, time_grad, spectral_grad
+
+    monkeypatch.setattr(ecgdenoise.training, "loss_and_gradients", poisoned)
     code = main([
         "train", "--data", str(dataset), "--out", str(tmp_path / "nan"), "--epochs", "1",
         "--quiet", *TINY_TRAIN,

@@ -157,6 +157,16 @@ def test_constant_window_skipped(caplog):
     assert "zero-variance" in caplog.text
 
 
+def test_flat_window_with_one_ulp_std_skipped(caplog):
+    # the computed std of 3600 samples at 2/3 is about 1e-16, not zero
+    samples = np.full(7200, 2.0 / 3.0)
+    assert samples[:3600].std() > 0.0
+    rec = SignalRecord("flat", 360.0, samples)
+    with caplog.at_level("WARNING"):
+        assert segment_and_normalize(rec, 3600, 3600) == []
+    assert caplog.text.count("zero-variance") == 2
+
+
 def test_window_statistics():
     rec = synth_ecg(30.0, seed=3)
     for offset, win, mean, std in segment_and_normalize(rec, 3600, 1800):

@@ -19,7 +19,7 @@ from ecgdenoise.layers import (
     maxpool1d,
     positional_encoding,
 )
-from ecgdenoise.tensor import ShapeMismatch, Tensor, mul, sum_all
+from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul, sum_all
 
 
 def ref_cross_correlation(x, w, b, stride, padding):
@@ -191,13 +191,13 @@ def test_conv_transpose_gradients_vs_fd():
 
 
 def test_maxpool_example():
-    out = maxpool1d(Tensor(np.array([[[1.0, 3.0, 2.0, 2.0]]])), window=2)
+    out = maxpool1d(Tensor(np.array([[[1.0, 3.0, 2.0, 2.0]]])))
     np.testing.assert_array_equal(out.data, [[[3.0, 2.0]]])
 
 
 def test_maxpool_tie_break_first_index():
     x = Tensor(np.full((1, 1, 6), 5.0), requires_grad=True)
-    with_grads = tape_grads(lambda: sum_all(maxpool1d(x, 2)), [x])
+    with_grads = tape_grads(lambda: sum_all(maxpool1d(x)), [x])
     np.testing.assert_array_equal(
         with_grads[0], [[[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]]]
     )
@@ -205,7 +205,7 @@ def test_maxpool_tie_break_first_index():
 
 def test_maxpool_rejects_odd_length():
     with pytest.raises(ShapeMismatch):
-        maxpool1d(Tensor(np.zeros((1, 1, 5))), window=2)
+        maxpool1d(Tensor(np.zeros((1, 1, 5))))
 
 
 def test_maxpool_gradient_vs_fd_away_from_ties():
@@ -214,8 +214,8 @@ def test_maxpool_gradient_vs_fd_away_from_ties():
     base = rng.permutation(24).astype(float).reshape(1, 2, 12)
     x = Tensor(base, requires_grad=True)
     probe = rng.standard_normal((1, 2, 6))
-    (g,) = tape_grads(lambda: sum_all(mul(maxpool1d(x, 2), Tensor(probe))), [x])
-    fd = fd_wrt(x, lambda: scalar_through(lambda: maxpool1d(x, 2), probe), eps=1e-4)
+    (g,) = tape_grads(lambda: sum_all(mul(maxpool1d(x), Tensor(probe))), [x])
+    fd = fd_wrt(x, lambda: scalar_through(lambda: maxpool1d(x), probe), eps=1e-4)
     assert rel_err(g, fd) < 1e-5
 
 
@@ -260,6 +260,16 @@ def test_batchnorm_eval_uses_running_stats():
     np.testing.assert_allclose(out, expected, atol=1e-12)
     # eval pass must not move running stats
     np.testing.assert_array_equal(bn.running_mean, rm)
+    # the folded affine map applies gamma and beta after normalizing
+    bn.gamma.data[:] = [1.7, -0.4]
+    bn.beta.data[:] = [0.3, -2.5]
+    z = rng.standard_normal((3, 2, 30)) * 3.0 - 1.0
+    with Tape() as tape:
+        out = bn.forward(Tensor(z), training=False).data
+    assert len(tape) == 0  # inference only: nothing is recorded
+    expected = (bn.gamma.data.reshape(1, -1, 1) * (z - rm.reshape(1, -1, 1))
+                / np.sqrt(rv.reshape(1, -1, 1) + bn.eps) + bn.beta.data.reshape(1, -1, 1))
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_batchnorm_rejects_single_element_training():
@@ -419,7 +429,7 @@ def test_shape_algebra_composition():
     rng = np.random.default_rng(36)
     x = Tensor(rng.standard_normal((1, 1, 16)))
     conv = Conv1d(1, 2, 3, padding=1, rng=rng)
-    down = maxpool1d(conv.forward(x), 2)
+    down = maxpool1d(conv.forward(x))
     assert down.shape == (1, 2, 8)
     up = ConvTranspose1d(2, 1, 2, stride=2, rng=rng)
     assert up.forward(down).shape == (1, 1, 16)

@@ -69,6 +69,34 @@ def test_parameter_count_matches_hand_enumeration():
     assert bigger.num_parameters() == expected_param_count(4, 2)
 
 
+_DOUBLE_CONV = ["conv1.weight", "conv1.bias", "bn1.gamma", "bn1.beta",
+                "conv2.weight", "conv2.bias", "bn2.gamma", "bn2.beta"]
+_BN_BUFFERS = ["bn1.running_mean", "bn1.running_var", "bn2.running_mean", "bn2.running_var"]
+_ENCODER = ["attn.w_q", "attn.w_k", "attn.w_v", "attn.w_o", "ff.lin1.weight", "ff.lin1.bias",
+            "ff.lin2.weight", "ff.lin2.bias", "norm1.gamma", "norm1.beta", "norm2.gamma", "norm2.beta"]
+
+
+def test_parameter_and_buffer_names_are_pinned():
+    """Checkpoint entry names and their order, as every earlier checkpoint wrote them."""
+    model = TransformerUNet1D(ModelConfig(base_channels=2, transformer_layers=1, heads=2, input_len=32))
+    levels = range(1, 5)
+    params = (
+        [f"inc.{n}" for n in _DOUBLE_CONV]
+        + [f"down{i}.block.{n}" for i in levels for n in _DOUBLE_CONV]
+        + [f"enc1.{n}" for n in _ENCODER]
+        + [f"up{i}.{n}" for i in levels for n in ["tconv.weight", "tconv.bias"]
+           + [f"block.{m}" for m in _DOUBLE_CONV]]
+        + ["out.weight", "out.bias"]
+    )
+    buffers = (
+        [f"inc.{n}" for n in _BN_BUFFERS]
+        + [f"down{i}.block.{n}" for i in levels for n in _BN_BUFFERS]
+        + [f"up{i}.block.{n}" for i in levels for n in _BN_BUFFERS]
+    )
+    assert [n for n, _ in model.parameters()] == params
+    assert [n for n, _ in model.state_arrays()] == buffers
+
+
 def test_parameters_unique_and_stable():
     model = TransformerUNet1D(ModelConfig(**TINY))
     names = [n for n, _ in model.parameters()]

@@ -91,3 +91,19 @@ def test_train_step_time_only_matches_total_loss_backprop():
     assert norms[1] == 0.0
     for got, (_, p) in zip(opt.grads, model.parameters()):
         assert np.array_equal(got, p.grad)
+
+
+def test_train_step_transforms_output_and_target_once(monkeypatch):
+    model = TransformerUNet1D(ModelConfig(base_channels=2, transformer_layers=1, heads=2,
+                                          input_len=64, seed=0))
+    x, y = _pair((2, 1, 64), 5)
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    train_step(model, _RecordingOptimizer(model.parameters()), x, y, LossConfig())
+    assert calls == [(2, 64), (2, 64)]  # the output's rows, then the target's
