@@ -373,9 +373,11 @@ def load_manifest(dataset_dir) -> dict:
         return json.load(fh)
 
 
-def load_pair(dataset_dir, entry: dict) -> SegmentPair:
+def load_pair(dataset_dir, entry: dict, window: int) -> SegmentPair:
+    """Read one pair file: `window` clean samples, then `window` noisy ones."""
     raw = np.fromfile(Path(dataset_dir) / entry["file"], dtype="<f8")
-    window = raw.size // 2
+    if raw.size != 2 * window:
+        raise DataError(f"{entry['file']}: {raw.size} samples, expected 2 x window = {2 * window}")
     return SegmentPair(
         clean=raw[:window],
         noisy=raw[window:],
@@ -393,7 +395,7 @@ def load_pair(dataset_dir, entry: dict) -> SegmentPair:
 def load_split(dataset_dir, split_name: str):
     manifest = load_manifest(dataset_dir)
     return [
-        load_pair(dataset_dir, e) for e in manifest["pairs"] if e["split"] == split_name
+        load_pair(dataset_dir, e, manifest["window"]) for e in manifest["pairs"] if e["split"] == split_name
     ]
 
 

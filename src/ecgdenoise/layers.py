@@ -2,8 +2,9 @@
 
 Convolutions use the cross-correlation convention (no kernel flip). conv1d is
 a short loop over kernel taps, each tap one batched BLAS matmul against a
-strided view of the padded input, accumulated into one output; no im2col
-buffer is built. The transposed convolution computes every tap in one matmul
+strided view of the unpadded input, accumulated into the outputs whose
+inputs lie inside the signal; neither a padded copy nor an im2col buffer is
+built. The transposed convolution computes every tap in one matmul
 and scatters the taps with strided adds; its backward gathers sliding windows
 of the upstream gradient. Training-mode batchnorm uses the closed-form
 gradient with in-place arithmetic on buffers it owns; eval-mode batchnorm is
@@ -93,28 +94,44 @@ def conv_out_len(length: int, kernel: int, stride: int, padding: int) -> int:
     return (length + 2 * padding - kernel) // stride + 1
 
 
-def _conv1d_forward(x, w, stride, padding):
-    c_out, _, kernel = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
-    out_len = conv_out_len(x.shape[2], kernel, stride, padding)
-    span = (out_len - 1) * stride + 1
-    # (C_out, C_in) @ (B, C_in, L') per tap, on a strided view of the input
-    out = np.matmul(w[:, :, 0], xp[:, :, 0:span:stride])
-    for t in range(1, kernel):
-        out += np.matmul(w[:, :, t], xp[:, :, t : t + span : stride])
-    return out, xp
-
-
-def _conv1d_grads(g, xp, w, stride, padding, in_len):
-    kernel = w.shape[2]
-    span = (g.shape[2] - 1) * stride + 1
-    gxp = np.zeros_like(xp)
-    gw = np.empty_like(w)
+def _tap_spans(in_len, out_len, kernel, stride, padding):
+    """Per tap t: (t, outputs, inputs), slices pairing the outputs whose tap-t
+    input lies inside the unpadded signal with those inputs. Every other
+    output would read padding there, which adds zero."""
     for t in range(kernel):
-        view = xp[:, :, t : t + span : stride]
-        gw[:, :, t] = np.matmul(g, view.transpose(0, 2, 1)).sum(0)
-        gxp[:, :, t : t + span : stride] += np.matmul(w[:, :, t].T, g)
-    gx = gxp[:, :, padding : padding + in_len] if padding else gxp
+        lo = max(0, -((t - padding) // stride))
+        hi = min(out_len, (in_len - 1 + padding - t) // stride + 1)
+        if hi > lo:
+            start = lo * stride + t - padding
+            yield t, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+def _conv1d_forward(x, w, stride, padding):
+    batch, _, in_len = x.shape
+    c_out, _, kernel = w.shape
+    out_len = conv_out_len(in_len, kernel, stride, padding)
+    taps = list(_tap_spans(in_len, out_len, kernel, stride, padding))
+    # (C_out, C_in) @ (B, C_in, n) per tap, on a strided view of the input. A tap that
+    # reaches every output (the centre tap of a padded k=3 conv) starts the sum in place
+    # of a zero fill; addition commutes, so for k=3 the bits match summing in tap order.
+    whole = next((tap for tap in taps if tap[1] == slice(0, out_len)), None)
+    if whole is None:
+        out = np.zeros((batch, c_out, out_len))
+    else:
+        taps.remove(whole)
+        out = np.matmul(w[:, :, whole[0]], x[:, :, whole[2]])
+    for t, outputs, inputs in taps:
+        out[:, :, outputs] += np.matmul(w[:, :, t], x[:, :, inputs])
+    return out
+
+
+def _conv1d_grads(g, x, w, stride, padding):
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)  # a tap that reads only padding has zero gradient
+    for t, outputs, inputs in _tap_spans(x.shape[2], g.shape[2], w.shape[2], stride, padding):
+        g_t = g[:, :, outputs]
+        gw[:, :, t] = np.matmul(g_t, x[:, :, inputs].transpose(0, 2, 1)).sum(0)
+        gx[:, :, inputs] += np.matmul(w[:, :, t].T, g_t)
     gb = g.sum(axis=(0, 2))
     return gx, gw, gb
 
@@ -129,12 +146,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     if x.shape[2] + 2 * padding < kernel:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="input shorter than kernel")
 
-    out_data, xp = _conv1d_forward(x.data, weight.data, stride, padding)
+    out_data = _conv1d_forward(x.data, weight.data, stride, padding)
     out_data += bias.data.reshape(1, -1, 1)
-    in_len = x.shape[2]
 
-    def backward(g, x=x, weight=weight, bias=bias, xp=xp):
-        gx, gw, gb = _conv1d_grads(g, xp, weight.data, stride, padding, in_len)
+    def backward(g, x=x, weight=weight, bias=bias):
+        gx, gw, gb = _conv1d_grads(g, x.data, weight.data, stride, padding)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         accumulate_grad(bias, gb)

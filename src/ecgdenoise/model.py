@@ -9,6 +9,7 @@ flipped back, and decoded with skip concatenations mirroring the encoder.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -108,9 +109,11 @@ class TransformerUNet1D(Module):
     """Shape-preserving denoiser for (B, 1, input_len) segments."""
 
     def __init__(self, config: ModelConfig):
+        self._build(config, np.random.default_rng(config.seed))
+
+    def _build(self, config: ModelConfig, rng) -> None:
         config.validate()
         self.config = config
-        rng = np.random.default_rng(config.seed)
         c = config.base_channels
 
         # attribute names are the checkpoint name prefixes (inc., down1., enc1., up1., out.)
@@ -159,9 +162,35 @@ class TransformerUNet1D(Module):
 # ---------------------------------------------------------------------------
 # checkpoints: <prefix>.manifest.json + <prefix>.params.bin
 
+FORMAT_VERSION = 1
+
 
 def _entry(name: str, kind: str, arr: np.ndarray, offset: int) -> dict:
     return {"name": name, "kind": kind, "shape": list(arr.shape), "offset": offset}
+
+
+class _NoDraw:
+    """Init source for a model whose every value a checkpoint overwrites: it
+    hands out uninitialized arrays instead of drawing random ones."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
+def _write_then_replace(path: str, chunks) -> None:
+    """Replace `path` by the concatenated byte chunks through a temporary
+    file, so a process that dies mid-write leaves the previous file whole."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_checkpoint(prefix: str, model: TransformerUNet1D, *, optimizer_arrays=None,
@@ -169,59 +198,72 @@ def save_checkpoint(prefix: str, model: TransformerUNet1D, *, optimizer_arrays=N
     """Write parameters (and optional optimizer arrays) as little-endian f64.
 
     `optimizer_arrays` is an iterable of (name, array); `extra` is any
-    JSON-serializable training metadata.
+    JSON-serializable training metadata. The parameter file is replaced
+    before the manifest, each through a temporary file, so a save that fails
+    part way leaves the previous checkpoint at `prefix` loadable.
     """
     entries = []
-    blobs = []
+    chunks = []
     offset = 0
-    for name, tensor in model.parameters():
-        entries.append(_entry(name, "param", tensor.data, offset))
-        blobs.append(tensor.data.astype("<f8").tobytes())
-        offset += tensor.data.size * 8
-    for name, arr in model.state_arrays():
-        entries.append(_entry(name, "buffer", arr, offset))
-        blobs.append(arr.astype("<f8").tobytes())
-        offset += arr.size * 8
-    for name, arr in optimizer_arrays or []:
-        entries.append(_entry(name, "optim", arr, offset))
-        blobs.append(arr.astype("<f8").tobytes())
-        offset += arr.size * 8
+    params = [(name, tensor.data) for name, tensor in model.parameters()]
+    for kind, named in (("param", params), ("buffer", model.state_arrays()),
+                        ("optim", optimizer_arrays or [])):
+        for name, arr in named:
+            entries.append(_entry(name, kind, arr, offset))
+            chunks.append(np.ascontiguousarray(arr, dtype="<f8"))
+            offset += arr.size * 8
 
     manifest = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
         "rng_state": rng_state,
         "extra": extra or {},
         "entries": entries,
     }
-    with open(f"{prefix}.manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(f"{prefix}.params.bin", "wb") as fh:
-        fh.write(b"".join(blobs))
+    _write_then_replace(f"{prefix}.params.bin", chunks)
+    _write_then_replace(f"{prefix}.manifest.json",
+                        [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def load_checkpoint(prefix: str):
-    """Rebuild the model from a checkpoint; returns (model, manifest, optim_arrays)."""
+    """Rebuild the model from a checkpoint; returns (model, manifest, optim_arrays).
+
+    Raises `ConfigError` unless the format version is known, the parameter
+    file holds exactly the bytes the manifest lists, and every parameter and
+    buffer of the model is present exactly once with its shape.
+    """
     with open(f"{prefix}.manifest.json") as fh:
         manifest = json.load(fh)
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise ConfigError(f"{prefix}: unknown checkpoint format_version {manifest.get('format_version')!r}")
+    entries = manifest["entries"]
+    listed = 8 * sum(int(np.prod(e["shape"])) for e in entries)
+    held = os.path.getsize(f"{prefix}.params.bin")
+    if held != listed:
+        raise ConfigError(f"{prefix}.params.bin holds {held} bytes; the manifest lists {listed}")
     raw = np.fromfile(f"{prefix}.params.bin", dtype="<f8")
 
-    model = TransformerUNet1D(ModelConfig(**manifest["config"]))
-    params = dict(model.parameters())
-    buffers = dict(model.state_arrays())
+    # every value is overwritten below, so the model draws no random init
+    model = TransformerUNet1D.__new__(TransformerUNet1D)
+    model._build(ModelConfig(**manifest["config"]), _NoDraw())
+    targets = {"param": {n: t.data for n, t in model.parameters()},
+               "buffer": dict(model.state_arrays())}
     optim_arrays = {}
-    for entry in manifest["entries"]:
+    for entry in entries:
         size = int(np.prod(entry["shape"]))
         start = entry["offset"] // 8
         arr = raw[start : start + size].reshape(entry["shape"])
-        if entry["kind"] == "param":
-            target = params[entry["name"]]
-            if list(target.shape) != entry["shape"]:
-                raise ConfigError(f"checkpoint shape mismatch for {entry['name']}")
-            target.data[...] = arr
-        elif entry["kind"] == "buffer":
-            buffers[entry["name"]][...] = arr
-        else:
-            optim_arrays[entry["name"]] = arr.copy()
+        kind, name = entry["kind"], entry["name"]
+        if kind not in targets:
+            optim_arrays[name] = arr.copy()
+            continue
+        target = targets[kind].pop(name, None)
+        if target is None:
+            raise ConfigError(f"{prefix}: {kind} {name!r} is unknown to the model or listed twice")
+        if list(target.shape) != entry["shape"]:
+            raise ConfigError(f"checkpoint shape mismatch for {name}")
+        target[...] = arr
+    missing = [n for names in targets.values() for n in names]
+    if missing:
+        raise ConfigError(f"{prefix}: checkpoint lacks {len(missing)} entries, first {missing[0]!r}")
     return model, manifest, optim_arrays

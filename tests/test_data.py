@@ -242,13 +242,27 @@ def test_pairs_hit_target_snr_and_reconstruct_noise(tmp_path):
         global_seed=21,
     )
     for entry in manifest["pairs"]:
-        pair = load_pair(tmp_path / "ds", entry)
+        pair = load_pair(tmp_path / "ds", entry, manifest["window"])
         assert abs(measured_snr_db(pair.clean, pair.noisy) - pair.target_snr_db) < 1e-9
         noise = _composite_noise(
             manifest["global_seed"], pair.record_id, pair.offset,
             pair.target_snr_db, pair.noise_mix, pair.clean.size, manifest["fs"],
         )
         np.testing.assert_allclose(pair.noisy - pair.clean, pair.scale * noise, atol=1e-12)
+
+
+def test_load_split_rejects_truncated_pair_file(tmp_path):
+    manifest = build_dataset(
+        small_records(),
+        split={"train": ["rec0"]},
+        snr_list=[0.0],
+        mixes=[("bw",)],
+        out_dir=tmp_path / "ds",
+    )
+    path = tmp_path / "ds" / manifest["pairs"][0]["file"]
+    path.write_bytes(path.read_bytes()[:-16])  # one sample short of each half
+    with pytest.raises(DataError):
+        load_split(tmp_path / "ds", "train")
 
 
 def test_segment_seed_stable_and_distinct():

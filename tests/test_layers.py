@@ -97,7 +97,7 @@ def test_conv1d_matches_oracle_random():
 
 def test_conv1d_gradients_vs_fd():
     rng = np.random.default_rng(4)
-    for stride, padding, kernel in [(1, 1, 3), (2, 1, 3), (3, 2, 3), (1, 0, 1)]:
+    for stride, padding, kernel in [(1, 1, 3), (2, 1, 3), (3, 2, 3), (1, 0, 1), (1, 2, 1)]:
         x = Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, kernel)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)

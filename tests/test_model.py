@@ -1,6 +1,11 @@
+import errno
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ecgdenoise.model as model_module
 from conftest import fd_wrt, rel_err, tape_grads
 from ecgdenoise.model import (
     ConfigError,
@@ -232,3 +237,100 @@ def test_checkpoint_with_optimizer_arrays(tmp_path):
     save_checkpoint(prefix, model, optimizer_arrays=extra_arrays)
     _, _, optim = load_checkpoint(prefix)
     np.testing.assert_array_equal(optim["m.inc.conv1.weight"], np.ones((2, 1, 3)))
+
+
+def _arrays(model):
+    return [t.data for _, t in model.parameters()] + [a for _, a in model.state_arrays()]
+
+
+def _saved_tiny(tmp_path):
+    model = TransformerUNet1D(ModelConfig(**TINY))
+    model.forward(Tensor(np.random.default_rng(3).standard_normal((2, 1, 32))), training=True)
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(prefix, model)
+    return model, prefix
+
+
+def _edit_manifest(prefix, edit):
+    path = f"{prefix}.manifest.json"
+    with open(path) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+def _missing_entry(prefix):  # a parameter relabelled as an optimizer array: bytes still add up
+    _edit_manifest(prefix, lambda m: m["entries"][0].update(kind="optim"))
+
+
+def _duplicate_entry(prefix):  # conv2's bias listed under conv1's bias name, same shape
+    def edit(m):
+        names = [e["name"] for e in m["entries"]]
+        m["entries"][names.index("inc.conv2.bias")]["name"] = "inc.conv1.bias"
+    _edit_manifest(prefix, edit)
+
+
+def _wrong_buffer_shape(prefix):  # same element count, so the byte total still matches
+    def edit(m):
+        buffer = next(e for e in m["entries"] if e["kind"] == "buffer")
+        buffer["shape"] = [1] + buffer["shape"]
+    _edit_manifest(prefix, edit)
+
+
+def _truncated_params(prefix):
+    path = Path(f"{prefix}.params.bin")
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _unknown_version(prefix):
+    _edit_manifest(prefix, lambda m: m.update(format_version=2))
+
+
+@pytest.mark.parametrize("corrupt", [_missing_entry, _duplicate_entry, _wrong_buffer_shape,
+                                     _truncated_params, _unknown_version])
+def test_load_checkpoint_rejects_bad_checkpoint(tmp_path, corrupt):
+    _, prefix = _saved_tiny(tmp_path)
+    load_checkpoint(prefix)  # whole before the damage
+    corrupt(prefix)
+    with pytest.raises(ConfigError):
+        load_checkpoint(prefix)
+
+
+def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch):
+    model, prefix = _saved_tiny(tmp_path)
+    model.forward(Tensor(np.random.default_rng(6).standard_normal((2, 1, 32))), training=True)
+    for _, t in model.parameters():
+        t.data += 1.0
+    previous = _arrays(load_checkpoint(prefix)[0])
+
+    class DiskFull:
+        """A file whose write stores half the bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+    def open_failing_params(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return DiskFull(fh) if ".params.bin" in str(path) and "w" in mode else fh
+
+    monkeypatch.setattr(model_module, "open", open_failing_params, raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(prefix, model)
+    monkeypatch.undo()
+
+    loaded = _arrays(load_checkpoint(prefix)[0])
+    assert len(loaded) == len(previous)
+    for got, want in zip(loaded, previous):
+        np.testing.assert_array_equal(got, want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.manifest.json", "ckpt.params.bin"]

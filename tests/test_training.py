@@ -1,8 +1,12 @@
+import ctypes
+
 import numpy as np
+import pytest
 
 from conftest import tape_grads
 from ecgdenoise.loss import LossConfig, total_loss
 from ecgdenoise.model import ModelConfig, TransformerUNet1D
+from ecgdenoise.optim import AdamW
 from ecgdenoise.tensor import Tape, Tensor
 from ecgdenoise.training import output_gradient, train_step
 
@@ -107,3 +111,26 @@ def test_train_step_transforms_output_and_target_once(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     train_step(model, _RecordingOptimizer(model.parameters()), x, y, LossConfig())
     assert calls == [(2, 64), (2, 64)]  # the output's rows, then the target's
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_train_step_reuses_freed_memory_without_page_faults():
+    resource = pytest.importorskip("resource")
+    model = TransformerUNet1D(ModelConfig(base_channels=4, transformer_layers=1, seed=0))
+    optimizer = AdamW(model.parameters(), lr=1e-3)
+    x, y = _pair((4, 1, 3600), 6)
+    for _ in range(2):  # the heap grows to the step's peak
+        train_step(model, optimizer, x, y, LossConfig())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        train_step(model, optimizer, x, y, LossConfig())
+    per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+    # a step that hands its freed buffers back to the OS faults them in again: ~12 k here
+    assert per_step < 100
