@@ -25,6 +25,7 @@ from .data import (
     synth_ecg,
 )
 from .gradcheck import run_all_checks
+from .heap import keep_freed_memory_in_heap
 from .metrics import MetricError, evaluate, write_segment_csv
 from .model import ConfigError, load_checkpoint
 from .tensor import Tensor
@@ -155,6 +156,7 @@ def _denoise_windows(model, windows: np.ndarray) -> np.ndarray:
 
 
 def cmd_denoise(args) -> int:
+    keep_freed_memory_in_heap()
     model, _, _ = load_checkpoint(args.checkpoint)
     window = model.config.input_len
     record = load_signal_file(args.input)

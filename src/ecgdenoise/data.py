@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -414,6 +415,9 @@ def load_signal_file(path) -> SignalRecord:
     if path.suffix == ".csv":
         samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
     elif path.suffix == ".f64":
+        size = path.stat().st_size
+        if size % 8:
+            raise DataError(f"{path}: {size} bytes is not a whole number of 8-byte samples")
         samples = np.fromfile(path, dtype="<f8")
     else:
         raise DataError(f"unsupported signal format {path.suffix!r} (use .csv or .f64)")
@@ -421,13 +425,21 @@ def load_signal_file(path) -> SignalRecord:
 
 
 def save_signal_file(path, record: SignalRecord) -> None:
+    """Write the samples through a temporary file that `os.replace` moves into
+    place, so a process that dies mid-write leaves the previous file whole."""
     path = Path(path)
-    if path.suffix == ".csv":
-        np.savetxt(path, record.samples, fmt="%.17g")
-    elif path.suffix == ".f64":
-        path.write_bytes(record.samples.astype("<f8").tobytes())
-    else:
+    if path.suffix not in (".csv", ".f64"):
         raise DataError(f"unsupported signal format {path.suffix!r} (use .csv or .f64)")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        if path.suffix == ".csv":
+            np.savetxt(tmp, record.samples, fmt="%.17g")
+        else:
+            np.ascontiguousarray(record.samples, dtype="<f8").tofile(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
         json.dump({"id": record.id, "fs": record.fs}, fh, sort_keys=True)
         fh.write("\n")

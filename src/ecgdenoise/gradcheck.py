@@ -96,19 +96,23 @@ def check_maxpool1d(rng) -> float:
 
 
 def check_batchnorm1d(rng) -> float:
+    """The fused conv -> batchnorm -> relu stage the model trains with."""
+    conv = layers.Conv1d(2, 3, 3, padding=1, rng=rng)
     bn = layers.BatchNorm1d(3)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
     bn.beta.data[:] = rng.standard_normal(3)
-    x = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 2, 6)), requires_grad=True)
     probe = rng.standard_normal((2, 3, 6))
     saved = [a.copy() for _, a in bn.state_arrays()]
 
     def forward():
         for (_, a), s in zip(bn.state_arrays(), saved):
             a[...] = s
-        return bn.forward(x, training=True)
+        return layers.conv_bn_relu(x, conv, bn, training=True)
 
-    return _worst_err(forward, [x, bn.gamma, bn.beta], probe)
+    # unit floor: the conv bias feeds batchnorm, so its gradient is exactly zero
+    return max(_worst_err(forward, [x, conv.weight, bn.gamma, bn.beta], probe),
+               _worst_err(forward, [conv.bias], probe, floor=1.0))
 
 
 def check_layernorm(rng) -> float:

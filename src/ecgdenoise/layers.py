@@ -6,17 +6,27 @@ strided view of the unpadded input, accumulated into the outputs whose
 inputs lie inside the signal; neither a padded copy nor an im2col buffer is
 built. The transposed convolution computes every tap in one matmul
 and scatters the taps with strided adds; its backward gathers sliding windows
-of the upstream gradient. Training-mode batchnorm uses the closed-form
-gradient with in-place arithmetic on buffers it owns; eval-mode batchnorm is
-one affine map that records nothing. Pooling is the pairwise maximum of even
-and odd samples (window 2); its backward rebuilds the tie rule from the input.
+of the upstream gradient. Pooling is the pairwise maximum of even and odd
+samples (window 2); its backward rebuilds the tie rule from the input.
+
+The network's conv -> batchnorm -> relu stages run as one op,
+`conv_bn_relu`. In training it normalizes the conv output in place with the
+batch statistics (that buffer becomes x_hat), writes the affine map into one
+output buffer and applies ReLU there in place; the tape keeps only the input,
+x_hat and the output. Its backward masks the upstream gradient with
+``out > 0``, applies the batchnorm closed form (built in x_hat's buffer), then
+the conv backward. In eval the running statistics fold into the conv weights
+and bias, ReLU runs in place, and nothing is recorded. `BatchNorm1d.forward`
+is the unfused reference the tests and the gradient checker compare against;
+it shares the statistics and the eval fold with the fused op.
 
 `Module` names parameters (trainable tensors) and buffers (ndarrays) by
 attribute, in assignment order: child module ``a`` adds the prefix ``a.``, the
 i-th module of list ``a`` adds ``a{i}.`` (from 1). Checkpoints use these names.
 
-Backward rules live in module-level ``_*_grads`` helpers so a verification
-harness can swap one out and confirm the gradient checker catches it.
+Backward rules live in module-level ``_*_grads`` helpers, looked up at call
+time, so a verification harness can swap one out and confirm the gradient
+checker catches it.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ __all__ = [
     "FeedForward",
     "TransformerEncoderLayer",
     "conv1d",
+    "conv_bn_relu",
     "conv_transpose1d",
     "maxpool1d",
     "layer_norm",
@@ -136,16 +147,18 @@ def _conv1d_grads(g, x, w, stride, padding):
     return gx, gw, gb
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate (B, C_in, L) with (C_out, C_in, k) weights."""
+def _check_conv1d(x: Tensor, weight: Tensor, padding: int) -> None:
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="expects rank-3 input and weight")
     if x.shape[1] != weight.shape[1]:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="channel counts differ")
-    kernel = weight.shape[2]
-    if x.shape[2] + 2 * padding < kernel:
+    if x.shape[2] + 2 * padding < weight.shape[2]:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="input shorter than kernel")
 
+
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlate (B, C_in, L) with (C_out, C_in, k) weights."""
+    _check_conv1d(x, weight, padding)
     out_data = _conv1d_forward(x.data, weight.data, stride, padding)
     out_data += bias.data.reshape(1, -1, 1)
 
@@ -224,15 +237,18 @@ def maxpool1d(x: Tensor) -> Tensor:
 
 
 def _batchnorm_grads(g, x_hat, inv_std, gamma):
-    """Closed form gx = gamma*inv_std*(g - sum(g)/m - x_hat*sum(g*x_hat)/m)."""
+    """Closed form gx = gamma*inv_std*(g - sum(g)/m - x_hat*sum(g*x_hat)/m).
+
+    gx is built in x_hat's buffer, which the caller owns and no longer needs.
+    """
     m = g.shape[0] * g.shape[2]
     gbeta = np.einsum("bcl->c", g)
     ggamma = np.einsum("bcl,bcl->c", g, x_hat)
-    gx = x_hat * (-ggamma / m)[:, None]
+    gx = np.multiply(x_hat, (-ggamma / m)[:, None], out=x_hat)
     gx += g
     gx -= (gbeta / m)[:, None]
     gx *= (gamma * inv_std)[:, None]
-    return gx, ggamma, gbeta, m
+    return gx, ggamma, gbeta
 
 
 class BatchNorm1d(Module):
@@ -241,7 +257,8 @@ class BatchNorm1d(Module):
     Training mode normalizes with biased batch statistics and updates the
     running estimates by exponential moving average. Eval mode is inference
     only: one per-channel affine map folded from the running estimates, gamma
-    and beta, recorded on no tape.
+    and beta, recorded on no tape. The network runs it fused with its conv
+    and ReLU (`conv_bn_relu`); `forward` is the unfused reference.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -252,36 +269,78 @@ class BatchNorm1d(Module):
         self.momentum = momentum
         self.eps = eps
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        if x.ndim != 3 or x.shape[1] != self.gamma.size:
-            raise ShapeMismatch("batchnorm1d", x.shape, (self.gamma.size,))
-        gamma, beta = self.gamma, self.beta
-        if not training:
-            scale = gamma.data / np.sqrt(self.running_var + self.eps)
-            shift = beta.data - self.running_mean * scale
-            return Tensor(x.data * scale[:, None] + shift[:, None])
-
-        if x.shape[0] * x.shape[2] < 2:
-            raise ShapeMismatch("batchnorm1d", x.shape, detail="need batch*length >= 2 to estimate statistics")
-        m = x.shape[0] * x.shape[2]
-        mean = np.einsum("bcl->c", x.data) / m
-        x_hat = x.data - mean[:, None]
+    def _normalize_batch(self, y: np.ndarray, out=None):
+        """x_hat of (B, C, L) `y` under its biased batch statistics, written to
+        `out` (`y` itself normalizes in place); moves the running estimates.
+        Returns (x_hat, inv_std)."""
+        m = y.shape[0] * y.shape[2]
+        if m < 2:
+            raise ShapeMismatch("batchnorm1d", y.shape, detail="need batch*length >= 2 to estimate statistics")
+        mean = np.einsum("bcl->c", y) / m
+        x_hat = np.subtract(y, mean[:, None], out=out)
         var = np.einsum("bcl,bcl->c", x_hat, x_hat) / m
         self.running_mean += self.momentum * (mean - self.running_mean)
         self.running_var += self.momentum * (var - self.running_var)
-
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat *= inv_std[:, None]  # the centred copy becomes x_hat in place
+        x_hat *= inv_std[:, None]
+        return x_hat, inv_std
+
+    def _eval_affine(self):
+        """Per-channel (scale, shift) of the eval-mode map x*scale + shift."""
+        scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
+        return scale, self.beta.data - self.running_mean * scale
+
+    def forward(self, x: Tensor, training: bool) -> Tensor:
+        if x.ndim != 3 or x.shape[1] != self.gamma.size:
+            raise ShapeMismatch("batchnorm1d", x.shape, (self.gamma.size,))
+        if not training:
+            scale, shift = self._eval_affine()
+            return Tensor(x.data * scale[:, None] + shift[:, None])
+
+        gamma, beta = self.gamma, self.beta
+        x_hat, inv_std = self._normalize_batch(x.data)
         out_data = x_hat * gamma.data[:, None]
         out_data += beta.data[:, None]
 
         def backward(g, x=x, x_hat=x_hat, inv_std=inv_std):
-            gx, ggamma, gbeta, _ = _batchnorm_grads(g, x_hat, inv_std, gamma.data)
+            gx, ggamma, gbeta = _batchnorm_grads(g, x_hat, inv_std, gamma.data)
             accumulate_grad(x, gx)
             accumulate_grad(gamma, ggamma)
             accumulate_grad(beta, gbeta)
 
         return apply_op(out_data, (x, gamma, beta), backward)
+
+
+def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Tensor:
+    """relu(bn.forward(conv.forward(x), training)) as one op (module docstring)."""
+    weight, bias, stride, padding = conv.weight, conv.bias, conv.stride, conv.padding
+    _check_conv1d(x, weight, padding)
+    if weight.shape[0] != bn.gamma.size:
+        raise ShapeMismatch("conv_bn_relu", weight.shape, (bn.gamma.size,))
+    if not training:
+        scale, shift = bn._eval_affine()
+        out = _conv1d_forward(x.data, weight.data * scale[:, None, None], stride, padding)
+        out += (bias.data * scale + shift)[:, None]
+        return Tensor(np.maximum(out, 0.0, out=out))
+
+    gamma, beta = bn.gamma, bn.beta
+    y = _conv1d_forward(x.data, weight.data, stride, padding)
+    y += bias.data.reshape(1, -1, 1)
+    x_hat, inv_std = bn._normalize_batch(y, out=y)
+    out = x_hat * gamma.data[:, None]
+    out += beta.data[:, None]
+    np.maximum(out, 0.0, out=out)
+
+    def backward(g, x=x, x_hat=x_hat, inv_std=inv_std, out=out):
+        g, ggamma, gbeta = _batchnorm_grads(g * (out > 0.0), x_hat, inv_std, gamma.data)
+        gx, gw, gb = _conv1d_grads(g, x.data, weight.data, stride, padding)
+        accumulate_grad(x, gx)
+        accumulate_grad(weight, gw)
+        accumulate_grad(bias, gb)
+        accumulate_grad(gamma, ggamma)
+        accumulate_grad(beta, gbeta)
+
+    return apply_op(out, (x, weight, bias, gamma, beta), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .heap import keep_freed_memory_in_heap
 from .tensor import Tensor
 
 __all__ = ["MetricReport", "snr_db", "prd_pct", "pcc", "mae", "evaluate", "write_segment_csv"]
@@ -109,6 +110,7 @@ def evaluate(model, pairs, batch_size: int = 16) -> MetricReport:
     """
     if not pairs:
         raise MetricError("evaluate: empty dataset")
+    keep_freed_memory_in_heap()
     report = MetricReport()
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start : start + batch_size]

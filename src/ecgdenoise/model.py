@@ -20,10 +20,11 @@ from .layers import (
     ConvTranspose1d,
     Module,
     TransformerEncoderLayer,
+    conv_bn_relu,
     maxpool1d,
     positional_encoding,
 )
-from .tensor import ShapeMismatch, Tensor, add, concat_channels, relu, transpose_last
+from .tensor import ShapeMismatch, Tensor, add, concat_channels, transpose_last
 
 __all__ = ["ModelConfig", "TransformerUNet1D", "save_checkpoint", "load_checkpoint"]
 
@@ -70,7 +71,7 @@ class ModelConfig:
 
 
 class DoubleConv(Module):
-    """Two (conv k3 p1 -> batchnorm -> relu) stages."""
+    """Two (conv k3 p1 -> batchnorm -> relu) stages, each one fused op."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         self.conv1 = Conv1d(in_channels, out_channels, 3, padding=1, rng=rng)
@@ -79,8 +80,8 @@ class DoubleConv(Module):
         self.bn2 = BatchNorm1d(out_channels)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        x = relu(self.bn1.forward(self.conv1.forward(x), training))
-        return relu(self.bn2.forward(self.conv2.forward(x), training))
+        x = conv_bn_relu(x, self.conv1, self.bn1, training)
+        return conv_bn_relu(x, self.conv2, self.bn2, training)
 
 
 class Down(Module):

@@ -33,11 +33,8 @@ __all__ = [
     "bmm",
     "transpose_last",
     "reshape",
-    "cat",
-    "narrow",
     "concat_channels",
     "sum_all",
-    "mean_all",
     "softmax_last",
     "apply_op",
     "accumulate_grad",
@@ -347,45 +344,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return apply_op(out_data, (a,), backward)
 
 
-def cat(tensors, axis: int) -> Tensor:
-    """Concatenate along `axis`; all other extents must agree."""
-    tensors = [_as_tensor(t) for t in tensors]
-    first = tensors[0]
-    for t in tensors[1:]:
-        if t.ndim != first.ndim or any(
-            i != axis % first.ndim and t.shape[i] != first.shape[i]
-            for i in range(first.ndim)
-        ):
-            raise ShapeMismatch("cat", first.shape, t.shape)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def backward(g, tensors=tensors, splits=splits, axis=axis):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            accumulate_grad(t, piece)
-
-    return apply_op(out_data, tuple(tensors), backward)
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice `length` entries from `start` along `axis`."""
-    a = _as_tensor(a)
-    if start < 0 or start + length > a.shape[axis]:
-        raise ShapeMismatch("narrow", a.shape, detail=f"[{start}:{start + length}] on axis {axis}")
-    idx = tuple(
-        slice(start, start + length) if i == axis % a.ndim else slice(None)
-        for i in range(a.ndim)
-    )
-    out_data = a.data[idx].copy()
-
-    def backward(g, a=a, idx=idx):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        accumulate_grad(a, full)
-
-    return apply_op(out_data, (a,), backward)
-
-
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Stack (B, C1, L) and (B, C2, L) into (B, C1+C2, L), a's channels first."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -393,7 +351,13 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="expects rank 3")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="batch/length differ")
-    return cat([a, b], axis=1)
+    split = a.shape[1]
+
+    def backward(g, a=a, b=b):
+        accumulate_grad(a, g[:, :split])
+        accumulate_grad(b, g[:, split:])
+
+    return apply_op(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -402,17 +366,6 @@ def sum_all(a: Tensor) -> Tensor:
 
     def backward(g, a=a):
         accumulate_grad(a, np.full_like(a.data, g[0]))
-
-    return apply_op(out_data, (a,), backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    n = a.size
-    out_data = np.array([a.data.mean()])
-
-    def backward(g, a=a, n=n):
-        accumulate_grad(a, np.full_like(a.data, g[0] / n))
 
     return apply_op(out_data, (a,), backward)
 

@@ -13,7 +13,7 @@ report. The reported losses stay the plain weighted sum.
 
 A step frees tens to hundreds of MB of activations and gradients and
 allocates the same sizes again on the next step. The first step pins glibc's
-allocator policy for the process (see `_keep_freed_memory_in_heap`), so those
+allocator policy for the process (`heap.keep_freed_memory_in_heap`), so those
 buffers stay in the heap instead of going back to the OS and being faulted in
 again, zero-filled, every step.
 """
@@ -21,8 +21,6 @@ again, zero-filled, every step.
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -32,6 +30,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import load_split
+from .heap import keep_freed_memory_in_heap
 from .loss import loss_and_gradients, total_loss
 from .model import TransformerUNet1D, load_checkpoint, save_checkpoint
 from .optim import AdamW
@@ -70,33 +69,6 @@ def _check_finite(value: float, context: str) -> None:
         raise NumericFailure(f"non-finite loss ({value}) during {context}")
 
 
-# glibc's mallopt parameters (malloc.h) and its ceiling for the dynamic mmap threshold
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
-
-
-@functools.cache
-def _keep_freed_memory_in_heap() -> None:
-    """Keep freed training buffers in the process heap, once per process.
-
-    By default glibc hands a large freed block back to the OS (heap trim, and
-    a dynamic mmap threshold), so the next step's allocation of the same size
-    page-faults it in again. Blocks up to 32 MiB now come from the heap, which
-    is never trimmed. Both values are set: a fixed trim threshold alone turns
-    off the dynamic mmap threshold and makes every block above 128 KiB an
-    mmap. Does nothing where libc has no `mallopt` (macOS, musl).
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to load by name
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-    mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
-
-
 def _capped_sum(time_grad, spectral_grad, loss_cfg):
     time_norm = float(np.linalg.norm(time_grad))
     if spectral_grad is None:
@@ -124,7 +96,7 @@ def output_gradient(y_hat: np.ndarray, y: np.ndarray, loss_cfg):
 
 def train_step(model, optimizer, x, y, loss_cfg, context: str = "training"):
     """One optimizer step on a batch; returns (loss report, pre-cap gradient norms)."""
-    _keep_freed_memory_in_heap()
+    keep_freed_memory_in_heap()
     optimizer.zero_grad()
     with Tape() as tape:
         out = model.forward(Tensor(x), training=True)

@@ -257,6 +257,15 @@ def test_denoise_constant_record_passes_through_bit_for_bit(run_dir, tmp_path):
     assert np.array_equal(np.fromfile(out), samples)
 
 
+def test_denoise_rejects_truncated_f64(run_dir, tmp_path):
+    src = tmp_path / "cut.f64"
+    src.write_bytes(np.arange(3600.0).tobytes()[:-4])
+    out = tmp_path / "cut_out.f64"
+    assert main(["denoise", "--checkpoint", str(run_dir / "best"),
+                 "--in", str(src), "--out", str(out), "--pad"]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -302,6 +304,30 @@ def test_signal_file_roundtrip(tmp_path, ext):
     assert back.id == "probe"
     assert back.fs == 250.0
     np.testing.assert_allclose(back.samples, rec.samples, atol=1e-15)
+
+
+def test_load_signal_rejects_truncated_f64(tmp_path):
+    path = tmp_path / "sig.f64"
+    path.write_bytes(np.arange(2.0).tobytes()[:12])  # one sample and half of the next
+    with pytest.raises(DataError, match="12 bytes"):
+        load_signal_file(path)
+
+
+@pytest.mark.parametrize("ext", [".csv", ".f64"])
+def test_failed_signal_save_leaves_previous_file(tmp_path, monkeypatch, ext):
+    path = tmp_path / f"sig{ext}"
+    save_signal_file(path, SignalRecord("old", 360.0, np.ones(5)))
+    before = path.read_bytes()
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    with pytest.raises(OSError):
+        save_signal_file(path, SignalRecord("new", 360.0, np.arange(7.0)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"sig{ext}", f"sig{ext}.json"]
 
 
 def test_load_signal_rejects_unknown_format(tmp_path):

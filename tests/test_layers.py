@@ -13,13 +13,14 @@ from ecgdenoise.layers import (
     MultiHeadSelfAttention,
     TransformerEncoderLayer,
     conv1d,
+    conv_bn_relu,
     conv_out_len,
     conv_transpose1d,
     layer_norm,
     maxpool1d,
     positional_encoding,
 )
-from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul, sum_all
+from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul, relu, sum_all
 
 
 def ref_cross_correlation(x, w, b, stride, padding):
@@ -295,6 +296,89 @@ def test_batchnorm_gradients_vs_fd():
         fd = fd_wrt(tensor, lambda: scalar_through(run, probe))
         bn.running_mean, bn.running_var = state
         assert rel_err(grad, fd) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# fused conv -> batchnorm -> relu
+
+
+def _stage(seed):
+    """A conv k3 p1 and batchnorm pair with non-trivial gamma, beta and running stats."""
+    rng = np.random.default_rng(seed)
+    conv = Conv1d(3, 4, 3, padding=1, rng=rng)
+    conv.bias.data[:] = rng.standard_normal(4)
+    bn = BatchNorm1d(4)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, 4)
+    bn.beta.data[:] = rng.standard_normal(4)
+    bn.running_mean[:] = rng.standard_normal(4)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, 4)
+    return conv, bn
+
+
+def _unfused(x, conv, bn, training):
+    return relu(bn.forward(conv.forward(x), training))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_conv_bn_relu_training_matches_unfused_bitwise():
+    rng = np.random.default_rng(31)
+    x0 = rng.standard_normal((2, 3, 40))
+    probe = rng.standard_normal((2, 4, 40))
+    runs = []
+    for op in (conv_bn_relu, _unfused):
+        conv, bn = _stage(7)
+        x = Tensor(x0.copy(), requires_grad=True)
+        tensors = [x, conv.weight, conv.bias, bn.gamma, bn.beta]
+        with Tape() as tape:
+            out = op(x, conv, bn, True)
+            tape.backward(sum_all(mul(out, Tensor(probe))))
+        runs.append([out.data, bn.running_mean, bn.running_var] + [t.grad for t in tensors])
+    assert 0 < (runs[0][0] == 0.0).mean() < 1  # ReLU clips some outputs, not all
+    for fused, reference in zip(*runs):
+        assert _same_bits(fused, reference)
+
+
+def test_conv_bn_relu_eval_folds_batchnorm_into_the_conv():
+    conv, bn = _stage(8)
+    x = Tensor(np.random.default_rng(32).standard_normal((3, 3, 50)), requires_grad=True)
+    with Tape() as tape:
+        out = conv_bn_relu(x, conv, bn, False)
+    assert len(tape) == 0  # inference only: nothing is recorded
+    assert not out.requires_grad
+    reference = _unfused(x, conv, bn, False).data
+    assert 0 < (reference == 0.0).mean() < 1
+    # the fold only reorders roundings: a few ulps of the largest output
+    assert np.max(np.abs(out.data - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+
+def test_conv_bn_relu_gradients_vs_fd():
+    conv, bn = _stage(9)
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
+    probe = rng.standard_normal((2, 4, 8))
+
+    def run():
+        return conv_bn_relu(x, conv, bn, True)
+
+    tensors = [x, conv.weight, conv.bias, bn.gamma, bn.beta]
+    grads = tape_grads(lambda: sum_all(mul(run(), Tensor(probe))), tensors)
+    for tensor, grad in zip(tensors, grads):
+        state = (bn.running_mean.copy(), bn.running_var.copy())
+        fd = fd_wrt(tensor, lambda: scalar_through(run, probe))
+        bn.running_mean, bn.running_var = state
+        if tensor is conv.bias:  # batchnorm removes any per-channel shift
+            assert np.max(np.abs(grad)) < 1e-12 and np.max(np.abs(fd)) < 1e-8
+        else:
+            assert rel_err(grad, fd) < 1e-5
+
+
+def test_conv_bn_relu_rejects_mismatched_batchnorm():
+    conv, _ = _stage(10)
+    with pytest.raises(ShapeMismatch):
+        conv_bn_relu(Tensor(np.zeros((1, 3, 8))), conv, BatchNorm1d(5), True)
 
 
 # ---------------------------------------------------------------------------

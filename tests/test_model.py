@@ -14,7 +14,10 @@ from ecgdenoise.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from ecgdenoise.tensor import ShapeMismatch, Tensor, mul, sum_all
+from ecgdenoise.loss import LossConfig
+from ecgdenoise.optim import AdamW
+from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul, relu, sum_all
+from ecgdenoise.training import train_step
 
 TINY = dict(base_channels=2, transformer_layers=1, heads=2, input_len=32, seed=5)
 
@@ -166,6 +169,42 @@ def test_eval_forward_is_pure_and_batch_independent():
     solo_b = model.forward(Tensor(b), training=False).data
     assert np.max(np.abs(both[0:1] - one)) < 1e-10
     assert np.max(np.abs(both[1:2] - solo_b)) < 1e-10
+
+
+def _unfused_stage(x, conv, bn, training):
+    return relu(bn.forward(conv.forward(x), training))
+
+
+def test_fused_stages_train_bitwise_like_the_unfused_reference(monkeypatch):
+    rng = np.random.default_rng(43)
+    y = rng.standard_normal((3, 1, 128))
+    x = y + 0.5 * rng.standard_normal(y.shape)
+    cfg = dict(base_channels=4, transformer_layers=1, heads=2, input_len=128, seed=2)
+    runs = []
+    for stage in (model_module.conv_bn_relu, _unfused_stage):
+        monkeypatch.setattr(model_module, "conv_bn_relu", stage)
+        model = TransformerUNet1D(ModelConfig(**cfg))
+        optimizer = AdamW(model.parameters(), lr=1e-3)
+        totals = [train_step(model, optimizer, x, y, LossConfig())[0].total for _ in range(3)]
+        arrays = [t.data for _, t in model.parameters()] + [a for _, a in model.state_arrays()]
+        eval_out = model.forward(Tensor(x), training=False).data
+        runs.append((totals, arrays, eval_out))
+    (totals, arrays, eval_out), (ref_totals, ref_arrays, ref_eval) = runs
+    assert totals == ref_totals
+    assert len(arrays) == len(ref_arrays)
+    for got, want in zip(arrays, ref_arrays):
+        assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(eval_out - ref_eval)) <= 1e-15 * np.max(np.abs(ref_eval))
+
+
+def test_training_forward_tape_node_count_is_pinned():
+    model = TransformerUNet1D(ModelConfig(**TINY))
+    with Tape() as tape:
+        model.forward(Tensor(np.zeros((2, 1, 32))), training=True)
+    # 18 fused conv-batchnorm-relu stages, 4 pools, 4 transposed convs, 4 skip
+    # concatenations, the output conv, 2 transposes, the positional add and
+    # 28 ops in the encoder layer
+    assert len(tape) == 62
 
 
 def test_end_to_end_gradients_vs_fd_sampled_params():
