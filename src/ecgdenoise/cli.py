@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,8 @@ from .data import (
     synth_ecg,
 )
 from .gradcheck import run_all_checks
-from .heap import keep_freed_memory_in_heap
 from .metrics import MetricError, evaluate, write_segment_csv
-from .model import ConfigError, load_checkpoint
-from .tensor import Tensor
+from .model import INFER_BATCH, ConfigError, load_checkpoint
 from .training import NumericFailure, run_overfit_one_batch, train_model
 
 __all__ = ["main"]
@@ -44,14 +43,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_snr_list(text: str):
+    """Comma-separated dB values; none (None) keeps the config's."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in text.split(",") if v.strip() != ""] or None
     except ValueError as exc:
         raise UsageError(f"bad --snr value {text!r}: {exc}") from None
 
 
 def _parse_mixes(text: str):
-    """Semicolons separate mixes, commas combine kinds: 'bw;em;bw,em,ma'."""
+    """Semicolons separate mixes, commas combine kinds: 'bw;em;bw,em,ma'; '' keeps the config's."""
+    if not text:
+        return None
     mixes = []
     for group in text.split(";"):
         kinds = [k.strip().lower() for k in group.split(",") if k.strip()]
@@ -63,24 +65,10 @@ def _parse_mixes(text: str):
 
 
 def _load_config(args) -> RunConfig:
+    """The --config file (or the defaults) with every flag given on the command line."""
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-    overrides = {}
-    for flag, key in [
-        ("seed", "seed"), ("epochs", "epochs"), ("batch_size", "batch_size"),
-        ("records", "records"), ("duration", "record_duration_s"),
-        ("stride", "stride"), ("lr", "lr"),
-        ("w_time", "w_time"), ("w_spectral", "w_spectral"),
-        ("base_channels", "base_channels"), ("transformer_layers", "transformer_layers"),
-        ("t_max", "t_max"), ("patience", "patience"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "snr", None):
-        overrides["snr_db"] = _parse_snr_list(args.snr)
-    if getattr(args, "noise", None):
-        overrides["noise_mixes"] = _parse_mixes(args.noise)
-    return cfg.override(**overrides)
+    names = {f.name for f in fields(RunConfig)}
+    return cfg.override(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def make_records(cfg: RunConfig):
@@ -129,8 +117,6 @@ def cmd_synth_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     if args.overfit_one_batch:
-        if args.overfit_steps is not None:
-            cfg = cfg.override(overfit_steps=args.overfit_steps)
         first, last = run_overfit_one_batch(cfg, args.data, args.out, quiet=args.quiet)
         ratio = first / last if last > 0 else float("inf")
         print(f"overfit-one-batch: first {first:.6f} last {last:.6f} ratio {ratio:.1f}x")
@@ -149,14 +135,12 @@ def _denoise_windows(model, windows: np.ndarray) -> np.ndarray:
     flat = windows.max(axis=1) == windows.min(axis=1)
     safe_stds = np.where(flat[:, None], 1.0, stds)
     normalized = (windows - means) / safe_stds
-    out = model.forward(Tensor(normalized[:, None, :]), training=False).data[:, 0, :]
-    restored = out * safe_stds + means
+    restored = model.predict(normalized) * safe_stds + means
     restored[flat] = windows[flat]  # constant windows pass through unchanged
     return restored
 
 
 def cmd_denoise(args) -> int:
-    keep_freed_memory_in_heap()
     model, _, _ = load_checkpoint(args.checkpoint)
     window = model.config.input_len
     record = load_signal_file(args.input)
@@ -170,8 +154,8 @@ def cmd_denoise(args) -> int:
     padded = np.concatenate([samples, np.full(window - remainder, samples[-1])]) if remainder else samples
     windows = padded.reshape(-1, window)
     denoised = np.concatenate([
-        _denoise_windows(model, windows[i : i + 16]).reshape(-1)
-        for i in range(0, windows.shape[0], 16)
+        _denoise_windows(model, windows[i : i + INFER_BATCH]).reshape(-1)
+        for i in range(0, windows.shape[0], INFER_BATCH)
     ])[:n]
     save_signal_file(args.out, SignalRecord(record.id + "-denoised", record.fs, denoised))
     print(f"denoised {n} samples ({windows.shape[0]} windows) -> {args.out}")
@@ -181,7 +165,7 @@ def cmd_denoise(args) -> int:
 class _IdentityModel:
     """Baseline that returns its input; SNRI is zero by construction."""
 
-    def forward(self, x, training=False):
+    def predict(self, x, batch_size=INFER_BATCH):
         return x
 
 
@@ -213,7 +197,7 @@ def cmd_evaluate(args) -> int:
         model = _IdentityModel()
     else:
         model, _, _ = load_checkpoint(args.checkpoint)
-    report = evaluate(model, pairs, batch_size=args.batch_size or 16)
+    report = evaluate(model, pairs, batch_size=args.batch_size or INFER_BATCH)
     _print_grouped(report)
     out_dir = Path(args.out) if args.out else Path(args.data)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,10 +237,12 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--records", type=int)
-    p.add_argument("--duration", type=float, help="seconds per record")
+    p.add_argument("--duration", dest="record_duration_s", type=float, help="seconds per record")
     p.add_argument("--stride", type=int)
-    p.add_argument("--snr", help="comma-separated dB targets, e.g. 0,5,10")
-    p.add_argument("--noise", help="mixes: commas combine, semicolons separate (bw;em;bw,em,ma)")
+    p.add_argument("--snr", dest="snr_db", type=_parse_snr_list,
+                   help="comma-separated dB targets, e.g. 0,5,10")
+    p.add_argument("--noise", dest="noise_mixes", type=_parse_mixes,
+                   help="mixes: commas combine, semicolons separate (bw;em;bw,em,ma)")
 
     p = sub.add_parser("train", help="train a model on a synthesized dataset")
     common(p)

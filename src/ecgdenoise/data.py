@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +87,6 @@ class NoiseSpec:
 
     kind: str
     seed: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -109,13 +108,13 @@ _BEAT_BUMPS = (
 
 
 def synth_ecg(duration_s: float, fs: float = 360.0, bpm: float = 60.0,
-              seed: int = 0, record_id: str | None = None,
-              amplitude_jitter: float = 0.2, width_jitter: float = 0.1) -> SignalRecord:
+              seed: int = 0, record_id: str | None = None) -> SignalRecord:
     """Gaussian-bump ECG: five bumps per beat, RR intervals jittered <= 2%.
 
-    Successive beats vary: each bump's amplitude and width wobble around the
-    template (like real beat-to-beat morphology drift), so a denoiser has to
-    read the waveform out of the observation instead of memorizing one cycle.
+    Successive beats vary: each bump's amplitude wobbles by up to 20% and its
+    width by up to 10% around the template (like real beat-to-beat morphology
+    drift), so a denoiser has to read the waveform out of the observation
+    instead of memorizing one cycle.
     """
     if duration_s <= 0:
         raise DataError(f"duration must be positive, got {duration_s}")
@@ -130,8 +129,8 @@ def synth_ecg(duration_s: float, fs: float = 360.0, bpm: float = 60.0,
     beat = 0.5 * period  # keep the first beat fully inside the record
     while beat < duration_s + 0.5 * period:
         for offset, width, amp in _BEAT_BUMPS:
-            amp = amp * (1.0 + rng.uniform(-amplitude_jitter, amplitude_jitter))
-            width = width * (1.0 + rng.uniform(-width_jitter, width_jitter))
+            amp = amp * (1.0 + rng.uniform(-0.2, 0.2))
+            width = width * (1.0 + rng.uniform(-0.1, 0.1))
             center = beat + offset
             lo = max(0, int((center - 5 * width) * fs))
             hi = min(n, int((center + 5 * width) * fs) + 1)
@@ -147,29 +146,28 @@ def synth_ecg(duration_s: float, fs: float = 360.0, bpm: float = 60.0,
 # noise generators
 
 
-def _gen_bw(rng, n, fs, params):
-    f_lo, f_hi = params.get("freq_range", (0.05, 0.5))
+def _gen_bw(rng, n, fs):
+    # three sinusoids of 0.05-0.5 Hz
     t = np.arange(n) / fs
     x = np.zeros(n)
     for _ in range(3):
-        freq = rng.uniform(f_lo, f_hi)
+        freq = rng.uniform(0.05, 0.5)
         amp = rng.uniform(0.5, 1.5)
         x += amp * np.sin(2.0 * np.pi * freq * t + rng.uniform(0.0, 2.0 * np.pi))
     return x
 
 
-def _gen_pli(rng, n, fs, params):
-    mains = params.get("mains_hz", 50.0)
-    depth = params.get("mod_depth", 0.1)
+def _gen_pli(rng, n, fs):
+    # 50 Hz mains, amplitude-modulated 10% deep at 0.5-2 Hz
     t = np.arange(n) / fs
-    carrier = np.sin(2.0 * np.pi * mains * t + rng.uniform(0.0, 2.0 * np.pi))
-    envelope = 1.0 + depth * np.sin(
+    carrier = np.sin(2.0 * np.pi * 50.0 * t + rng.uniform(0.0, 2.0 * np.pi))
+    envelope = 1.0 + 0.1 * np.sin(
         2.0 * np.pi * rng.uniform(0.5, 2.0) * t + rng.uniform(0.0, 2.0 * np.pi)
     )
     return envelope * carrier
 
 
-def _gen_ma(rng, n, fs, params):
+def _gen_ma(rng, n, fs):
     # moving difference suppresses the low band, a 2-tap average tames Nyquist;
     # band edges are recorded for provenance rather than sharpness
     white = rng.standard_normal(n + 2)
@@ -177,22 +175,20 @@ def _gen_ma(rng, n, fs, params):
     return 0.5 * (hp[1:] + hp[:-1])
 
 
-def _gen_em(rng, n, fs, params):
-    # fast decays overlap the QRS timescale, like real electrode pops
-    rate_hz = params.get("rate_hz", 1.0)
-    tau_lo, tau_hi = params.get("tau_range", (0.01, 0.15))
-    base = params.get("base_level", 0.15)
-    x = base * rng.standard_normal(n)
-    t_arrival = rng.exponential(1.0 / rate_hz)
+def _gen_em(rng, n, fs):
+    # fast decays overlap the QRS timescale, like real electrode pops: about
+    # one pop per second (1 s mean gap), decay 0.01-0.15 s, over a 0.15 floor
+    x = 0.15 * rng.standard_normal(n)
+    t_arrival = rng.exponential(1.0)
     duration = n / fs
     while t_arrival < duration:
         i = int(t_arrival * fs)
-        tau = rng.uniform(tau_lo, tau_hi)
+        tau = rng.uniform(0.01, 0.15)
         amp = rng.uniform(1.0, 3.0) * rng.choice((-1.0, 1.0))
         span = min(n - i, int(6.0 * tau * fs) + 1)
         decay = np.exp(-np.arange(span) / (tau * fs))
         x[i : i + span] += amp * decay
-        t_arrival += rng.exponential(1.0 / rate_hz)
+        t_arrival += rng.exponential(1.0)
     return x
 
 
@@ -204,7 +200,7 @@ def generate_noise(spec: NoiseSpec, n: int, fs: float) -> np.ndarray:
     if n < 1:
         raise DataError(f"noise length must be >= 1, got {n}")
     rng = np.random.default_rng(spec.seed)
-    x = _GENERATORS[spec.kind](rng, n, fs, spec.params)
+    x = _GENERATORS[spec.kind](rng, n, fs)
     x = x - x.mean()
     rms = np.sqrt(np.mean(x * x))
     if rms > 0:

@@ -6,7 +6,8 @@ after. By default glibc hands a large freed block back to the OS (heap trim,
 and a dynamic mmap threshold), so the next allocation of the same size
 page-faults it in again, zero-filled. `keep_freed_memory_in_heap` keeps those
 blocks in the process heap instead, at the cost of holding the process's
-peak heap until it exits.
+peak heap until it exits. Its one caller is `TransformerUNet1D.forward`, so
+every training step and every inference runs under the policy.
 """
 
 from __future__ import annotations

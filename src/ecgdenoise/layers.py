@@ -412,21 +412,18 @@ class ConvTranspose1d(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
         self.weight = Tensor(
             _uniform_init(rng, (in_features, out_features), in_features),
             requires_grad=True,
         )
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         orig_shape = x.shape
         if x.ndim == 3:
             x = reshape(x, (orig_shape[0] * orig_shape[1], orig_shape[2]))
-        y = matmul(x, self.weight)
-        if self.bias is not None:
-            y = add(y, self.bias)
+        y = add(matmul(x, self.weight), self.bias)
         if len(orig_shape) == 3:
             y = reshape(y, (orig_shape[0], orig_shape[1], self.weight.shape[1]))
         return y

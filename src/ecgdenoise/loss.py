@@ -53,7 +53,9 @@ def _smooth_l1_grad(e: np.ndarray, beta: float, scale: float) -> np.ndarray:
 
 
 def smooth_l1(y_hat: Tensor, y: Tensor, beta: float = 1.0) -> Tensor:
-    """Mean of the C1 piecewise loss: 0.5 e^2/beta inside |e| < beta, |e| - beta/2 outside."""
+    """Mean of the C1 piecewise loss: 0.5 e^2/beta inside |e| < beta, |e| - beta/2 outside.
+
+    Only `y_hat` receives a gradient; the target `y` is a constant."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if y_hat.shape != y.shape:
@@ -61,21 +63,18 @@ def smooth_l1(y_hat: Tensor, y: Tensor, beta: float = 1.0) -> Tensor:
     e = y_hat.data - y.data
     out_data = np.array([_smooth_l1_value(e, beta)])
 
-    def backward(g, y_hat=y_hat, y=y, e=e):
-        de = _smooth_l1_grad(e, beta, g[0] / e.size)
-        accumulate_grad(y_hat, de)
-        accumulate_grad(y, -de)
+    def backward(g, y_hat=y_hat, e=e):
+        accumulate_grad(y_hat, _smooth_l1_grad(e, beta, g[0] / e.size))
 
-    return apply_op(out_data, (y_hat, y), backward)
+    return apply_op(out_data, (y_hat,), backward)
 
 
-def dft(x: np.ndarray, onesided: bool = False) -> np.ndarray:
-    """Discrete Fourier transform of a real signal along the last axis.
+def dft(x: np.ndarray) -> np.ndarray:
+    """Two-sided discrete Fourier transform of a real signal along the last axis.
 
     Any length is supported (segment lengths here are not powers of two).
     """
-    x = np.asarray(x, dtype=np.float64)
-    return np.fft.rfft(x, axis=-1) if onesided else np.fft.fft(x, axis=-1)
+    return np.fft.fft(np.asarray(x, dtype=np.float64), axis=-1)
 
 
 def _halved_duplicate_bins(n: int) -> np.ndarray:
@@ -121,20 +120,19 @@ def _spectral_grad(spec: np.ndarray, spec_other: np.ndarray, n: int, scale: floa
 
 
 def spectral_loss(y_hat: Tensor, y: Tensor) -> Tensor:
-    """Mean over segments of the one-sided magnitude-spectrum squared error."""
+    """Mean over segments of the one-sided magnitude-spectrum squared error;
+    only `y_hat` receives a gradient, the target `y` is a constant."""
     if y_hat.shape != y.shape:
         raise ShapeMismatch("spectral_loss", y_hat.shape, y.shape)
     n = y_hat.shape[-1]
     spec_hat, spec_ref, value = _spectral_terms(y_hat.data, y.data)
     out_data = np.array([value])
 
-    def backward(g, y_hat=y_hat, y=y, spec_hat=spec_hat, spec_ref=spec_ref):
+    def backward(g, y_hat=y_hat, spec_hat=spec_hat, spec_ref=spec_ref):
         scale = g[0] / spec_hat.shape[0]
         accumulate_grad(y_hat, _spectral_grad(spec_hat, spec_ref, n, scale).reshape(y_hat.shape))
-        if y.requires_grad:
-            accumulate_grad(y, _spectral_grad(spec_ref, spec_hat, n, scale).reshape(y.shape))
 
-    return apply_op(out_data, (y_hat, y), backward)
+    return apply_op(out_data, (y_hat,), backward)
 
 
 def _report(time_loss: float, spectral_loss: float, config: LossConfig) -> LossReport:

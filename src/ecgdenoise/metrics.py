@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heap import keep_freed_memory_in_heap
-from .tensor import Tensor
+from .model import INFER_BATCH
 
 __all__ = ["MetricReport", "snr_db", "prd_pct", "pcc", "mae", "evaluate", "write_segment_csv"]
 
@@ -102,22 +101,17 @@ def _segment_row(segment_id, pair, denoised) -> dict:
     }
 
 
-def evaluate(model, pairs, batch_size: int = 16) -> MetricReport:
+def evaluate(model, pairs, batch_size: int = INFER_BATCH) -> MetricReport:
     """Run eval-mode inference over segment pairs and score each one.
 
-    `model` exposes forward(Tensor, training=False); pairs are scored in
-    their stored (normalized) domain.
+    `model` is any object with ``predict(noisy, batch_size)`` mapping an
+    (N, L) array to its (N, L) estimates (`TransformerUNet1D.predict`);
+    pairs are scored in their stored (normalized) domain.
     """
     if not pairs:
         raise MetricError("evaluate: empty dataset")
-    keep_freed_memory_in_heap()
-    report = MetricReport()
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start : start + batch_size]
-        x = np.stack([p.noisy for p in chunk])[:, None, :]
-        out = model.forward(Tensor(x), training=False).data[:, 0, :]
-        for i, pair in enumerate(chunk):
-            report.rows.append(_segment_row(start + i, pair, out[i]))
+    out = model.predict(np.stack([p.noisy for p in pairs]), batch_size)
+    report = MetricReport(rows=[_segment_row(i, pair, out[i]) for i, pair in enumerate(pairs)])
 
     report.n_segments = len(report.rows)
     finite = [r for r in report.rows if math.isfinite(r["snr_out"])]

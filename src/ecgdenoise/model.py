@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .heap import keep_freed_memory_in_heap
 from .layers import (
     BatchNorm1d,
     Conv1d,
@@ -26,7 +27,10 @@ from .layers import (
 )
 from .tensor import ShapeMismatch, Tensor, add, concat_channels, transpose_last
 
-__all__ = ["ModelConfig", "TransformerUNet1D", "save_checkpoint", "load_checkpoint"]
+__all__ = ["INFER_BATCH", "ModelConfig", "TransformerUNet1D", "save_checkpoint", "load_checkpoint"]
+
+# segments per eval-mode forward when a caller names no batch size
+INFER_BATCH = 16
 
 
 class ConfigError(ValueError):
@@ -107,7 +111,12 @@ class Up(Module):
 
 
 class TransformerUNet1D(Module):
-    """Shape-preserving denoiser for (B, 1, input_len) segments."""
+    """Shape-preserving denoiser for (B, 1, input_len) segments.
+
+    Every inference caller (validation, `evaluate`, `denoise`) goes through
+    `predict`, and every forward pins the process's allocator policy first
+    (`heap.keep_freed_memory_in_heap`).
+    """
 
     def __init__(self, config: ModelConfig):
         self._build(config, np.random.default_rng(config.seed))
@@ -132,6 +141,7 @@ class TransformerUNet1D(Module):
         self.out = Conv1d(c, config.out_channels, 1, rng=rng)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
+        keep_freed_memory_in_heap()  # once per process, before the first activations
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.input_len:
             raise ShapeMismatch(
@@ -151,6 +161,14 @@ class TransformerUNet1D(Module):
         for up in self.up:
             z = up.forward(z, skips.pop(), training)
         return self.out.forward(z)
+
+    def predict(self, x: np.ndarray, batch_size: int = INFER_BATCH) -> np.ndarray:
+        """Eval-mode outputs for an (N, input_len) array, `batch_size` segments per forward."""
+        out = np.empty(x.shape)
+        for start in range(0, len(x), batch_size):
+            batch = Tensor(x[start : start + batch_size, None, :])
+            out[start : start + batch_size] = self.forward(batch, training=False).data[:, 0]
+        return out
 
     def num_parameters(self) -> int:
         return sum(t.size for _, t in self.parameters())
@@ -229,16 +247,21 @@ def save_checkpoint(prefix: str, model: TransformerUNet1D, *, optimizer_arrays=N
 def load_checkpoint(prefix: str):
     """Rebuild the model from a checkpoint; returns (model, manifest, optim_arrays).
 
-    Raises `ConfigError` unless the format version is known, the parameter
-    file holds exactly the bytes the manifest lists, and every parameter and
-    buffer of the model is present exactly once with its shape.
+    Raises `ConfigError` unless the format version is known, the manifest
+    has a valid `config` and every entry a kind, name, shape and offset, the
+    parameter file holds exactly the bytes the manifest lists, and every
+    parameter and buffer of the model is present exactly once with its shape.
     """
     with open(f"{prefix}.manifest.json") as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"{prefix}: unknown checkpoint format_version {manifest.get('format_version')!r}")
-    entries = manifest["entries"]
-    listed = 8 * sum(int(np.prod(e["shape"])) for e in entries)
+    try:
+        config = ModelConfig(**manifest["config"])
+        entries = [(e["kind"], e["name"], e["shape"], e["offset"] // 8) for e in manifest["entries"]]
+        listed = 8 * sum(int(np.prod(shape)) for _, _, shape, _ in entries)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{prefix}: malformed checkpoint manifest ({exc!r})") from None
     held = os.path.getsize(f"{prefix}.params.bin")
     if held != listed:
         raise ConfigError(f"{prefix}.params.bin holds {held} bytes; the manifest lists {listed}")
@@ -246,22 +269,19 @@ def load_checkpoint(prefix: str):
 
     # every value is overwritten below, so the model draws no random init
     model = TransformerUNet1D.__new__(TransformerUNet1D)
-    model._build(ModelConfig(**manifest["config"]), _NoDraw())
+    model._build(config, _NoDraw())
     targets = {"param": {n: t.data for n, t in model.parameters()},
                "buffer": dict(model.state_arrays())}
     optim_arrays = {}
-    for entry in entries:
-        size = int(np.prod(entry["shape"]))
-        start = entry["offset"] // 8
-        arr = raw[start : start + size].reshape(entry["shape"])
-        kind, name = entry["kind"], entry["name"]
+    for kind, name, shape, start in entries:
+        arr = raw[start : start + int(np.prod(shape))].reshape(shape)
         if kind not in targets:
             optim_arrays[name] = arr.copy()
             continue
         target = targets[kind].pop(name, None)
         if target is None:
             raise ConfigError(f"{prefix}: {kind} {name!r} is unknown to the model or listed twice")
-        if list(target.shape) != entry["shape"]:
+        if list(target.shape) != shape:
             raise ConfigError(f"checkpoint shape mismatch for {name}")
         target[...] = arr
     missing = [n for names in targets.values() for n in names]

@@ -12,9 +12,9 @@ upstream buffer or the same array another input received, and adds later
 contributions out of place. No code writes into a `.grad` array; the
 optimizer only reads them.
 
-Broadcasting is deliberately limited to the patterns the network actually uses:
-scalar, per-channel bias on (B, C, L), trailing feature bias on (N, D), and a
-full trailing-shape broadcast over the leading (batch) axis.
+Broadcasting is deliberately limited to the one pattern the network uses: a
+trailing-shape operand broadcast over the leading (batch) axis (the feature
+bias on (N, D), the positional table on (B, T, D)).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "Tape",
     "ShapeMismatch",
     "add",
-    "sub",
     "mul",
     "relu",
     "matmul",
@@ -102,40 +101,11 @@ class Tensor:
             raise ShapeMismatch("item", self.shape, detail="not a scalar")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        """Backpropagate from this scalar through the tape that recorded it."""
-        if self._tape is None:
-            raise TapeError("backward: tensor was not recorded on a tape")
-        self._tape.backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants are treated as non-differentiable
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -221,17 +191,13 @@ def _align(op: str, a: Tensor, b: Tensor):
     """
     if b.shape == a.shape:
         return b.data, lambda g: g
-    if b.size == 1:
-        return b.data.reshape((1,) * a.ndim), lambda g: g.sum().reshape(1)
     if b.ndim == a.ndim - 1 and b.shape == a.shape[1:]:
         return b.data[None], lambda g: g.sum(axis=0)
-    if a.ndim == 3 and b.ndim == 1 and b.shape[0] == a.shape[1]:
-        return b.data.reshape(1, -1, 1), lambda g: g.sum(axis=(0, 2))
     raise ShapeMismatch(op, a.shape, b.shape)
 
 
 def _binary(op: str, a: Tensor, b, fwd, dfa, dfb) -> Tensor:
-    """Shared body of add/sub/mul. dfa/dfb map upstream to operand grads."""
+    """Shared body of add/mul. dfa/dfb map upstream to operand grads."""
     a = _as_tensor(a)
     if isinstance(b, (int, float)):
         c = float(b)
@@ -259,15 +225,6 @@ def add(a, b) -> Tensor:
         fwd=lambda x, y: x + y,
         dfa=lambda g, x, y: g,
         dfb=lambda g, x, y: g,
-    )
-
-
-def sub(a, b) -> Tensor:
-    return _binary(
-        "sub", a, b,
-        fwd=lambda x, y: x - y,
-        dfa=lambda g, x, y: g,
-        dfb=lambda g, x, y: -g,
     )
 
 

@@ -11,11 +11,9 @@ gradient at the weighted time gradient's norm before backpropagating once
 (see `output_gradient`), from the same pass that yields the step's loss
 report. The reported losses stay the plain weighted sum.
 
-A step frees tens to hundreds of MB of activations and gradients and
-allocates the same sizes again on the next step. The first step pins glibc's
-allocator policy for the process (`heap.keep_freed_memory_in_heap`), so those
-buffers stay in the heap instead of going back to the OS and being faulted in
-again, zero-filled, every step.
+Validation runs the model's eval-mode `predict`. The model's forward pins the
+allocator policy (`heap.keep_freed_memory_in_heap`) that keeps each step's
+freed activations in the heap for the next step.
 """
 
 from __future__ import annotations
@@ -30,9 +28,8 @@ import numpy as np
 
 from .config import RunConfig
 from .data import load_split
-from .heap import keep_freed_memory_in_heap
 from .loss import loss_and_gradients, total_loss
-from .model import TransformerUNet1D, load_checkpoint, save_checkpoint
+from .model import INFER_BATCH, TransformerUNet1D, load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .tensor import Tape, Tensor, mul, sum_all
 
@@ -96,7 +93,6 @@ def output_gradient(y_hat: np.ndarray, y: np.ndarray, loss_cfg):
 
 def train_step(model, optimizer, x, y, loss_cfg, context: str = "training"):
     """One optimizer step on a batch; returns (loss report, pre-cap gradient norms)."""
-    keep_freed_memory_in_heap()
     optimizer.zero_grad()
     with Tape() as tape:
         out = model.forward(Tensor(x), training=True)
@@ -126,17 +122,11 @@ def _train_epoch(model, pairs, optimizer, loss_cfg, rng, batch_size):
             float(norm_means[0]), float(norm_means[1]))
 
 
-def validation_loss(model, pairs, loss_cfg, batch_size: int = 16):
-    """Eval-mode loss components over a pair list: (time, spectral, total)."""
-    sums = np.zeros(3)
-    for start in range(0, len(pairs), batch_size):
-        idx = range(start, min(start + batch_size, len(pairs)))
-        x, y = _stack(pairs, idx)
-        out = model.forward(Tensor(x), training=False)
-        _, report = total_loss(out, Tensor(y), loss_cfg)
-        sums += len(idx) * np.array([report.time_loss, report.spectral_loss, report.total])
-    means = sums / len(pairs)
-    return float(means[0]), float(means[1]), float(means[2])
+def validation_loss(model, pairs, loss_cfg, batch_size: int = INFER_BATCH):
+    """Eval-mode loss components, one loss over the whole pair list: (time, spectral, total)."""
+    out = model.predict(np.stack([p.noisy for p in pairs]), batch_size)
+    _, report = total_loss(Tensor(out), Tensor(np.stack([p.clean for p in pairs])), loss_cfg)
+    return report.time_loss, report.spectral_loss, report.total
 
 
 def _append_log(path, columns, row) -> None:

