@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -170,18 +169,10 @@ class _IdentityModel:
 
 
 def _print_grouped(report) -> None:
-    groups = {}
-    for row in report.rows:
-        groups.setdefault((row["noise_mix"], row["target_snr"]), []).append(row)
-    header = f"{'mix':>12} {'snr':>6} {'n':>4} {'MAE':>9} {'PCC':>8} {'SNRI':>8} {'PRD':>9}"
-    print(header)
-    for (mix, snr), rows in sorted(groups.items()):
-        # infinite-SNR rows are left out of the means, as in the aggregates
-        finite = [r for r in rows if math.isfinite(r["snr_out"])]
-        mae_m, pcc_m, snri_m, prd_m = (
-            np.mean([r[m] for r in finite]) if finite else math.nan for m in ("mae", "pcc", "snri", "prd")
-        )
-        print(f"{mix:>12} {snr:>6g} {len(rows):>4d} {mae_m:>9.4f} {pcc_m:>8.4f} {snri_m:>8.2f} {prd_m:>9.2f}")
+    print(f"{'mix':>12} {'snr':>6} {'n':>4} {'MAE':>9} {'PCC':>8} {'SNRI':>8} {'PRD':>9}")
+    for g in report.groups:
+        print(f"{g['noise_mix']:>12} {g['target_snr']:>6g} {g['n']:>4d} {g['mae']:>9.4f} "
+              f"{g['pcc']:>8.4f} {g['snri']:>8.2f} {g['prd']:>9.2f}")
     agg = report.aggregates
     print(f"{'overall':>12} {'-':>6} {report.n_segments:>4d} {agg['mae'][0]:>9.4f} "
           f"{agg['pcc'][0]:>8.4f} {agg['snri'][0]:>8.2f} {agg['prd'][0]:>9.2f}")
@@ -203,9 +194,8 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"metrics_{args.split}.csv"
     write_segment_csv(csv_path, report)
-    summary = {m: list(v) for m, v in report.aggregates.items()}
     with open(out_dir / f"metrics_{args.split}.json", "w") as fh:
-        json.dump({"aggregates": summary, "n_segments": report.n_segments,
+        json.dump({"aggregates": report.aggregates, "groups": report.groups, "n_segments": report.n_segments,
                    "n_excluded_inf": report.n_excluded_inf}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"per-segment metrics -> {csv_path}")

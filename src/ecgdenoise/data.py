@@ -39,6 +39,7 @@ __all__ = [
     "save_signal_file",
     "segment_seed",
     "stable_seed",
+    "write_atomically",
 ]
 
 log = logging.getLogger(__name__)
@@ -420,22 +421,28 @@ def load_signal_file(path) -> SignalRecord:
     return SignalRecord(meta.get("id", path.stem), float(meta.get("fs", 360.0)), samples)
 
 
+def write_atomically(path, write) -> None:
+    """Call `write(fh)` on a temporary binary file beside `path`, then
+    `os.replace` it onto `path`: a write that fails or dies part way leaves
+    the previous file whole."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def save_signal_file(path, record: SignalRecord) -> None:
-    """Write the samples through a temporary file that `os.replace` moves into
-    place, so a process that dies mid-write leaves the previous file whole."""
+    """Write the samples and then the JSON sidecar, each with `write_atomically`."""
     path = Path(path)
     if path.suffix not in (".csv", ".f64"):
         raise DataError(f"unsupported signal format {path.suffix!r} (use .csv or .f64)")
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        if path.suffix == ".csv":
-            np.savetxt(tmp, record.samples, fmt="%.17g")
-        else:
-            np.ascontiguousarray(record.samples, dtype="<f8").tofile(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-        json.dump({"id": record.id, "fs": record.fs}, fh, sort_keys=True)
-        fh.write("\n")
+    if path.suffix == ".csv":
+        write_atomically(path, lambda fh: np.savetxt(fh, record.samples, fmt="%.17g"))
+    else:
+        write_atomically(path, np.ascontiguousarray(record.samples, dtype="<f8").tofile)
+    sidecar = json.dumps({"id": record.id, "fs": record.fs}, sort_keys=True) + "\n"
+    write_atomically(path.with_suffix(path.suffix + ".json"), lambda fh: fh.write(sidecar.encode()))

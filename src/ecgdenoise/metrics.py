@@ -77,6 +77,7 @@ class MetricReport:
     aggregates: dict = field(default_factory=dict)
     n_segments: int = 0
     n_excluded_inf: int = 0
+    groups: list = field(default_factory=list)  # per (mix, SNR): `n` and finite-row means
 
     def mean(self, metric: str) -> float:
         return self.aggregates[metric][0]
@@ -101,43 +102,45 @@ def _segment_row(segment_id, pair, denoised) -> dict:
     }
 
 
+def _finite_stats(rows) -> dict:
+    """(mean, std) of each metric over the rows whose output SNR is finite."""
+    finite = [r for r in rows if math.isfinite(r["snr_out"])]
+    stats = {}
+    for metric in _AGG_METRICS:
+        vals = np.array([r[metric] for r in finite], dtype=np.float64)
+        stats[metric] = (float(vals.mean()), float(vals.std())) if finite else (math.nan, math.nan)
+    return stats
+
+
 def evaluate(model, pairs, batch_size: int = INFER_BATCH) -> MetricReport:
     """Run eval-mode inference over segment pairs and score each one.
 
     `model` is any object with ``predict(noisy, batch_size)`` mapping an
     (N, L) array to its (N, L) estimates (`TransformerUNet1D.predict`);
-    pairs are scored in their stored (normalized) domain.
+    pairs are scored in their stored (normalized) domain, `batch_size` at a
+    time, so memory follows the batch and not the split.
     """
     if not pairs:
         raise MetricError("evaluate: empty dataset")
-    out = model.predict(np.stack([p.noisy for p in pairs]), batch_size)
-    report = MetricReport(rows=[_segment_row(i, pair, out[i]) for i, pair in enumerate(pairs)])
+    rows = []
+    for start in range(0, len(pairs), batch_size):
+        chunk = pairs[start : start + batch_size]
+        out = model.predict(np.stack([p.noisy for p in chunk]), batch_size)
+        rows += [_segment_row(start + i, pair, out[i]) for i, pair in enumerate(chunk)]
 
-    report.n_segments = len(report.rows)
-    finite = [r for r in report.rows if math.isfinite(r["snr_out"])]
-    report.n_excluded_inf = report.n_segments - len(finite)
-    for metric in _AGG_METRICS:
-        vals = np.array([r[metric] for r in finite], dtype=np.float64)
-        if vals.size:
-            report.aggregates[metric] = (float(vals.mean()), float(vals.std()))
-        else:
-            report.aggregates[metric] = (math.nan, math.nan)
-    return report
+    by_group = {}
+    for row in rows:
+        by_group.setdefault((row["noise_mix"], row["target_snr"]), []).append(row)
+    groups = [{"noise_mix": mix, "target_snr": snr, "n": len(members),
+               **{metric: m for metric, (m, _) in _finite_stats(members).items()}}
+              for (mix, snr), members in sorted(by_group.items())]
+    return MetricReport(rows=rows, aggregates=_finite_stats(rows), n_segments=len(rows),
+                        n_excluded_inf=sum(not math.isfinite(r["snr_out"]) for r in rows), groups=groups)
 
 
 def write_segment_csv(path, report: MetricReport) -> None:
+    """One row per segment; `csv` writes each float as its shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in report.rows:
-            writer.writerow({
-                "segment_id": row["segment_id"],
-                "noise_mix": row["noise_mix"],
-                "target_snr": row["target_snr"],
-                "snr_in": repr(row["snr_in"]),
-                "snr_out": repr(row["snr_out"]),
-                "snri": repr(row["snri"]),
-                "prd": repr(row["prd"]),
-                "pcc": repr(row["pcc"]),
-                "mae": repr(row["mae"]),
-            })
+        writer.writerows(report.rows)

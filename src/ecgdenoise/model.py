@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import write_atomically
 from .heap import keep_freed_memory_in_heap
 from .layers import (
     BatchNorm1d,
@@ -179,13 +180,10 @@ class TransformerUNet1D(Module):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: <prefix>.manifest.json + <prefix>.params.bin
+# checkpoints: <prefix>.ckpt holds the JSON header's length as 8 little-endian
+# bytes, the header, then every entry's array as little-endian f64 in entry order
 
-FORMAT_VERSION = 1
-
-
-def _entry(name: str, kind: str, arr: np.ndarray, offset: int) -> dict:
-    return {"name": name, "kind": kind, "shape": list(arr.shape), "offset": offset}
+FORMAT_VERSION = 2
 
 
 class _NoDraw:
@@ -197,75 +195,73 @@ class _NoDraw:
         return np.empty(size)
 
 
-def _write_then_replace(path: str, chunks) -> None:
-    """Replace `path` by the concatenated byte chunks through a temporary
-    file, so a process that dies mid-write leaves the previous file whole."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def save_checkpoint(prefix: str, model: TransformerUNet1D, *, optimizer_arrays=None,
-                    rng_state=None, extra=None) -> None:
-    """Write parameters (and optional optimizer arrays) as little-endian f64.
-
-    `optimizer_arrays` is an iterable of (name, array); `extra` is any
-    JSON-serializable training metadata. The parameter file is replaced
-    before the manifest, each through a temporary file, so a save that fails
-    part way leaves the previous checkpoint at `prefix` loadable.
-    """
-    entries = []
-    chunks = []
-    offset = 0
-    params = [(name, tensor.data) for name, tensor in model.parameters()]
-    for kind, named in (("param", params), ("buffer", model.state_arrays()),
-                        ("optim", optimizer_arrays or [])):
-        for name, arr in named:
-            entries.append(_entry(name, kind, arr, offset))
-            chunks.append(np.ascontiguousarray(arr, dtype="<f8"))
-            offset += arr.size * 8
-
-    manifest = {
+def save_checkpoint(prefix: str, model: TransformerUNet1D, *, optimizer_arrays=None, extra=None) -> None:
+    """Write parameters, buffers and optional optimizer arrays, an iterable of
+    (name, array), to `<prefix>.ckpt` with `write_atomically`. `extra` is
+    any JSON-serializable training metadata."""
+    named = [("param", name, tensor.data) for name, tensor in model.parameters()]
+    named += [("buffer", name, arr) for name, arr in model.state_arrays()]
+    named += [("optim", name, arr) for name, arr in optimizer_arrays or []]
+    header = json.dumps({
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
-        "rng_state": rng_state,
         "extra": extra or {},
-        "entries": entries,
-    }
-    _write_then_replace(f"{prefix}.params.bin", chunks)
-    _write_then_replace(f"{prefix}.manifest.json",
-                        [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
+        "entries": [{"name": name, "kind": kind, "shape": list(arr.shape)} for kind, name, arr in named],
+    }, sort_keys=True).encode()
+
+    def write(fh):
+        fh.write(len(header).to_bytes(8, "little"))
+        fh.write(header)
+        for _, _, arr in named:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+
+    write_atomically(f"{prefix}.ckpt", write)
+
+
+def _open_checkpoint(prefix: str):
+    """(file at its first array byte, header bytes, format version) of the
+    checkpoint at `prefix`: its `.ckpt`, else a format-1 pair, whose header
+    is `.manifest.json` and whose arrays fill `.params.bin`."""
+    if os.path.exists(f"{prefix}.ckpt") or not os.path.exists(f"{prefix}.manifest.json"):
+        fh = open(f"{prefix}.ckpt", "rb")
+        length = int.from_bytes(fh.read(8), "little")
+        header = fh.read(min(length, os.fstat(fh.fileno()).st_size))
+        if len(header) == length:
+            return fh, header, FORMAT_VERSION
+        fh.close()
+        raise ConfigError(f"{prefix}.ckpt: its {length}-byte header is cut short at {len(header)}")
+    with open(f"{prefix}.manifest.json", "rb") as fh:
+        header = fh.read()
+    return open(f"{prefix}.params.bin", "rb"), header, 1
 
 
 def load_checkpoint(prefix: str):
-    """Rebuild the model from a checkpoint; returns (model, manifest, optim_arrays).
+    """Rebuild the model from a checkpoint; returns (model, header, optim_arrays).
 
-    Raises `ConfigError` unless the format version is known, the manifest
-    has a valid `config` and every entry a kind, name, shape and offset, the
-    parameter file holds exactly the bytes the manifest lists, and every
+    Raises `ConfigError` unless the header is JSON naming the format version
+    of its file, it has a valid `config` and every entry a kind, name and
+    shape of non-negative integers, the file holds exactly the array bytes the entries list, and every
     parameter and buffer of the model is present exactly once with its shape.
+    Header and arrays come through one open file, so a save that replaces
+    the checkpoint meanwhile cannot mix two of them.
     """
-    with open(f"{prefix}.manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"{prefix}: unknown checkpoint format_version {manifest.get('format_version')!r}")
-    try:
-        config = ModelConfig(**manifest["config"])
-        entries = [(e["kind"], e["name"], e["shape"], e["offset"] // 8) for e in manifest["entries"]]
-        listed = 8 * sum(int(np.prod(shape)) for _, _, shape, _ in entries)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{prefix}: malformed checkpoint manifest ({exc!r})") from None
-    held = os.path.getsize(f"{prefix}.params.bin")
-    if held != listed:
-        raise ConfigError(f"{prefix}.params.bin holds {held} bytes; the manifest lists {listed}")
-    raw = np.fromfile(f"{prefix}.params.bin", dtype="<f8")
+    fh, header_bytes, version = _open_checkpoint(prefix)
+    with fh:
+        try:
+            header = json.loads(header_bytes)
+            if header.get("format_version") != version:
+                raise ConfigError(f"{prefix}: unknown format_version {header.get('format_version')!r}")
+            config = ModelConfig(**header["config"])
+            entries = [(e["kind"], e["name"], e["shape"], int(np.prod(e["shape"]))) for e in header["entries"]]
+            if any(type(d) is not int or d < 0 for _, _, shape, _ in entries for d in shape):
+                raise ConfigError(f"{prefix}: an entry's shape is not a list of non-negative integers")
+        except (AttributeError, KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{prefix}: malformed checkpoint header ({exc!r})") from None
+        listed = 8 * sum(size for *_, size in entries)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != listed:
+            raise ConfigError(f"{prefix}: the checkpoint holds {held} array bytes; its header lists {listed}")
+        raw = np.fromfile(fh, dtype="<f8")
 
     # every value is overwritten below, so the model draws no random init
     model = TransformerUNet1D.__new__(TransformerUNet1D)
@@ -273,8 +269,10 @@ def load_checkpoint(prefix: str):
     targets = {"param": {n: t.data for n, t in model.parameters()},
                "buffer": dict(model.state_arrays())}
     optim_arrays = {}
-    for kind, name, shape, start in entries:
-        arr = raw[start : start + int(np.prod(shape))].reshape(shape)
+    start = 0
+    for kind, name, shape, size in entries:
+        arr = raw[start : start + size].reshape(shape)
+        start += size
         if kind not in targets:
             optim_arrays[name] = arr.copy()
             continue
@@ -287,4 +285,4 @@ def load_checkpoint(prefix: str):
     missing = [n for names in targets.values() for n in names]
     if missing:
         raise ConfigError(f"{prefix}: checkpoint lacks {len(missing)} entries, first {missing[0]!r}")
-    return model, manifest, optim_arrays
+    return model, header, optim_arrays

@@ -123,10 +123,15 @@ def _train_epoch(model, pairs, optimizer, loss_cfg, rng, batch_size):
 
 
 def validation_loss(model, pairs, loss_cfg, batch_size: int = INFER_BATCH):
-    """Eval-mode loss components, one loss over the whole pair list: (time, spectral, total)."""
-    out = model.predict(np.stack([p.noisy for p in pairs]), batch_size)
-    _, report = total_loss(Tensor(out), Tensor(np.stack([p.clean for p in pairs])), loss_cfg)
-    return report.time_loss, report.spectral_loss, report.total
+    """Eval-mode loss components over the pair list, taken `batch_size` pairs at
+    a time and weighted by segment count: (time, spectral, total)."""
+    sums = np.zeros(3)
+    for start in range(0, len(pairs), batch_size):
+        chunk = pairs[start : start + batch_size]
+        out = model.predict(np.stack([p.noisy for p in chunk]), batch_size)
+        _, report = total_loss(Tensor(out), Tensor(np.stack([p.clean for p in chunk])), loss_cfg)
+        sums += len(chunk) * np.array([report.time_loss, report.spectral_loss, report.total])
+    return tuple(float(v) for v in sums / len(pairs))
 
 
 def _append_log(path, columns, row) -> None:
@@ -200,11 +205,9 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
             best_val = val_total
             best_epoch = epoch
             save_checkpoint(str(out_dir / "best"), model,
-                            rng_state={"seed": cfg.seed, "epoch": epoch},
                             extra={"epoch": epoch, "val_total": val_total, "kind": "best"})
         save_checkpoint(str(out_dir / "last"), model,
                         optimizer_arrays=optimizer.state_arrays(),
-                        rng_state={"seed": cfg.seed, "epoch": epoch},
                         extra={"epoch": epoch, "optimizer_step": optimizer.t,
                                "best_val": best_val, "best_epoch": best_epoch,
                                "kind": "last"})
@@ -253,7 +256,5 @@ def run_overfit_one_batch(cfg: RunConfig, dataset_dir, out_dir, quiet: bool = Fa
         _append_log(log_path, STEP_LOG_COLUMNS, [step, repr(optimizer.lr), repr(report.total)])
         if not quiet and step % 50 == 0:
             print(f"step {step:4d} total {report.total:.6f}", flush=True)
-    save_checkpoint(str(out_dir / "best"), model,
-                    rng_state={"seed": cfg.seed},
-                    extra={"kind": "overfit", "steps": cfg.overfit_steps})
+    save_checkpoint(str(out_dir / "best"), model, extra={"kind": "overfit", "steps": cfg.overfit_steps})
     return first, last

@@ -4,6 +4,9 @@ The finite-difference code here only ever calls forward passes, so it stays
 independent of every backward rule it is used to check.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from ecgdenoise.tensor import Tape
@@ -62,3 +65,15 @@ def fd_wrt(tensor, scalar_fn, eps: float = 1e-5) -> np.ndarray:
     g = central_diff(f, base.copy(), eps)
     tensor.data[...] = base
     return g
+
+
+def edit_checkpoint_header(prefix, edit) -> None:
+    """Apply `edit` to the parsed JSON header of `<prefix>.ckpt` and write the
+    file back with the new header's length, the array bytes unchanged."""
+    path = Path(f"{prefix}.ckpt")
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[:8], "little")
+    header = json.loads(blob[8 : 8 + length])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(len(new).to_bytes(8, "little") + new + blob[8 + length :])

@@ -10,6 +10,7 @@ import pytest
 import ecgdenoise.cli
 import ecgdenoise.layers
 import ecgdenoise.training
+from conftest import edit_checkpoint_header
 from ecgdenoise.cli import main
 from ecgdenoise.config import RunConfig
 from ecgdenoise.data import SignalRecord, load_manifest, load_split, save_signal_file, synth_ecg
@@ -102,8 +103,9 @@ def test_train_log_columns_and_schedule(run_dir):
     ]
     assert float(rows[0]["lr"]) == 1e-3  # epoch 0 runs at the schedule peak
     assert (run_dir / "resolved_config.json").exists()
-    assert (run_dir / "best.manifest.json").exists()
-    assert (run_dir / "last.params.bin").exists()
+    assert (run_dir / "best.ckpt").exists()
+    assert (run_dir / "last.ckpt").exists()
+    assert not list(run_dir.glob("*.manifest.json")) and not list(run_dir.glob("*.params.bin"))
 
 
 def test_train_lr_reaches_floor_at_t_max(dataset, tmp_path):
@@ -267,24 +269,20 @@ def test_denoise_rejects_truncated_f64(run_dir, tmp_path):
     assert not out.exists()
 
 
-def _drop_entries(manifest):
-    del manifest["entries"]
+def _drop_entries(header):
+    del header["entries"]
 
 
-def _drop_first_offset(manifest):
-    del manifest["entries"][0]["offset"]
+def _drop_first_shape(header):
+    del header["entries"][0]["shape"]
 
 
-@pytest.mark.parametrize("edit", [lambda m: m["config"].update(kernel_size=5), _drop_entries,
-                                  _drop_first_offset],
-                         ids=["unknown_config_key", "no_entries", "entry_without_offset"])
+@pytest.mark.parametrize("edit", [lambda h: h["config"].update(kernel_size=5), _drop_entries,
+                                  _drop_first_shape],
+                         ids=["unknown_config_key", "no_entries", "entry_without_shape"])
 def test_denoise_rejects_malformed_manifest(run_dir, tmp_path, edit):
-    for suffix in (".manifest.json", ".params.bin"):
-        shutil.copy(run_dir / f"best{suffix}", tmp_path / f"ckpt{suffix}")
-    manifest_path = tmp_path / "ckpt.manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    edit(manifest)
-    manifest_path.write_text(json.dumps(manifest))
+    shutil.copy(run_dir / "best.ckpt", tmp_path / "ckpt.ckpt")
+    edit_checkpoint_header(tmp_path / "ckpt", edit)
     src = tmp_path / "in.f64"
     src.write_bytes(np.arange(3600.0).tobytes())
     assert main(["denoise", "--checkpoint", str(tmp_path / "ckpt"),
@@ -312,6 +310,11 @@ def test_evaluate_grouping_matches_manifest(run_dir, dataset, tmp_path, capsys):
     with open(tmp_path / "metrics_test.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {(r["noise_mix"], float(r["target_snr"])) for r in rows} == combos
+    groups = json.loads((tmp_path / "metrics_test.json").read_text())["groups"]
+    assert {(g["noise_mix"], g["target_snr"]) for g in groups} == combos
+    for g in groups:  # the printed table is the JSON one, rounded
+        assert (f"{g['noise_mix']:>12} {g['target_snr']:>6g} {g['n']:>4d} {g['mae']:>9.4f} "
+                f"{g['pcc']:>8.4f} {g['snri']:>8.2f} {g['prd']:>9.2f}") in printed.splitlines()
 
 
 def test_evaluate_group_means_exclude_infinite_snr(dataset, tmp_path, capsys, monkeypatch):

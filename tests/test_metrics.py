@@ -8,6 +8,7 @@ from ecgdenoise.data import make_pair, segment_and_normalize, synth_ecg
 from ecgdenoise.metrics import (
     CSV_COLUMNS,
     MetricError,
+    MetricReport,
     evaluate,
     mae,
     pcc,
@@ -157,7 +158,7 @@ def test_evaluate_needs_only_predict():
             return x
 
     report = evaluate(PredictOnly(), pairs, batch_size=3)
-    assert calls == [((5, 3600), 3)]
+    assert calls == [((3, 3600), 3), ((2, 3600), 3)]  # one call per batch
     assert [r["snri"] for r in report.rows] == [0.0] * 5
 
 
@@ -203,3 +204,24 @@ def test_segment_csv_columns(tmp_path):
     assert list(rows[0].keys()) == CSV_COLUMNS
     assert len(rows) == 3
     assert rows[0]["noise_mix"] == "bw+em"
+
+
+def test_evaluate_groups_hold_finite_means_per_mix_and_snr():
+    pairs = sample_pairs(4) + sample_pairs(3, snr=5.0)
+    report = evaluate(IdentityModel(), pairs, batch_size=3)
+    assert [(g["noise_mix"], g["target_snr"], g["n"]) for g in report.groups] == [
+        ("bw+em", 0.0, 4), ("bw+em", 5.0, 3)]
+    for group, rows in zip(report.groups, (report.rows[:4], report.rows[4:])):
+        for metric in ("mae", "pcc", "prd", "snr_in"):
+            assert group[metric] == np.mean([r[metric] for r in rows])
+        assert group["snri"] == 0.0
+
+
+def test_segment_csv_writes_every_float_as_its_repr(tmp_path):
+    values = [math.inf, 5e-324, 0.1 + 0.2, -0.0, 1e22, math.nan]
+    row = {"segment_id": 0, "noise_mix": "bw", "target_snr": 0.1 + 0.2}
+    report = MetricReport(rows=[{**row, **dict(zip(CSV_COLUMNS[3:], values))}])
+    path = tmp_path / "segments.csv"
+    write_segment_csv(path, report)
+    assert path.read_text().splitlines()[1] == ",".join(
+        ["0", "bw", repr(0.1 + 0.2)] + [repr(v) for v in values])

@@ -1,12 +1,18 @@
 import errno
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecgdenoise.data as data_module
 import ecgdenoise.model as model_module
-from conftest import fd_wrt, rel_err, tape_grads
+from conftest import edit_checkpoint_header, fd_wrt, rel_err, tape_grads
 from ecgdenoise.model import (
     ConfigError,
     ModelConfig,
@@ -260,7 +266,7 @@ def test_checkpoint_roundtrip(tmp_path):
     # perturb BN buffers so the roundtrip is non-trivial
     model.forward(Tensor(np.random.default_rng(3).standard_normal((2, 1, 32))), training=True)
     prefix = str(tmp_path / "ckpt")
-    save_checkpoint(prefix, model, rng_state={"note": 1}, extra={"epoch": 4})
+    save_checkpoint(prefix, model, extra={"epoch": 4})
 
     loaded, manifest, optim = load_checkpoint(prefix)
     assert manifest["extra"]["epoch"] == 4
@@ -298,44 +304,68 @@ def _saved_tiny(tmp_path):
     return model, prefix
 
 
-def _edit_manifest(prefix, edit):
-    path = f"{prefix}.manifest.json"
-    with open(path) as fh:
-        manifest = json.load(fh)
-    edit(manifest)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh)
-
-
 def _missing_entry(prefix):  # a parameter relabelled as an optimizer array: bytes still add up
-    _edit_manifest(prefix, lambda m: m["entries"][0].update(kind="optim"))
+    edit_checkpoint_header(prefix, lambda h: h["entries"][0].update(kind="optim"))
 
 
 def _duplicate_entry(prefix):  # conv2's bias listed under conv1's bias name, same shape
-    def edit(m):
-        names = [e["name"] for e in m["entries"]]
-        m["entries"][names.index("inc.conv2.bias")]["name"] = "inc.conv1.bias"
-    _edit_manifest(prefix, edit)
+    def edit(h):
+        names = [e["name"] for e in h["entries"]]
+        h["entries"][names.index("inc.conv2.bias")]["name"] = "inc.conv1.bias"
+    edit_checkpoint_header(prefix, edit)
 
 
 def _wrong_buffer_shape(prefix):  # same element count, so the byte total still matches
-    def edit(m):
-        buffer = next(e for e in m["entries"] if e["kind"] == "buffer")
+    def edit(h):
+        buffer = next(e for e in h["entries"] if e["kind"] == "buffer")
         buffer["shape"] = [1] + buffer["shape"]
-    _edit_manifest(prefix, edit)
+    edit_checkpoint_header(prefix, edit)
+
+
+def _rewrite(prefix, make):  # replace the .ckpt by make(its bytes, its header length)
+    path = Path(f"{prefix}.ckpt")
+    blob = path.read_bytes()
+    path.write_bytes(make(blob, int.from_bytes(blob[:8], "little")))
+
+
+def _non_integer_shape(prefix):  # same element count, so the byte total still matches
+    def edit(h):
+        h["entries"][0]["shape"] = [float(d) for d in h["entries"][0]["shape"]]
+    edit_checkpoint_header(prefix, edit)
 
 
 def _truncated_params(prefix):
-    path = Path(f"{prefix}.params.bin")
-    path.write_bytes(path.read_bytes()[:-8])
+    _rewrite(prefix, lambda blob, n: blob[:-8])
 
 
 def _unknown_version(prefix):
-    _edit_manifest(prefix, lambda m: m.update(format_version=2))
+    edit_checkpoint_header(prefix, lambda h: h.update(format_version=3))
+
+
+def _truncated_length_field(prefix):
+    _rewrite(prefix, lambda blob, n: blob[:5])
+
+
+def _truncated_header(prefix):
+    _rewrite(prefix, lambda blob, n: blob[: 8 + n // 2])
+
+
+def _header_length_past_eof(prefix):
+    _rewrite(prefix, lambda blob, n: (2**64 - 1).to_bytes(8, "little") + blob[8:])
+
+
+def _non_json_header(prefix):
+    _rewrite(prefix, lambda blob, n: blob[:8] + b"\xff" * n + blob[8 + n :])
+
+
+def _header_not_an_object(prefix):
+    _rewrite(prefix, lambda blob, n: blob[:8] + b"[" + b" " * (n - 2) + b"]" + blob[8 + n :])
 
 
 @pytest.mark.parametrize("corrupt", [_missing_entry, _duplicate_entry, _wrong_buffer_shape,
-                                     _truncated_params, _unknown_version])
+                                     _truncated_params, _unknown_version, _truncated_length_field,
+                                     _truncated_header, _header_length_past_eof, _non_json_header,
+                                     _header_not_an_object, _non_integer_shape])
 def test_load_checkpoint_rejects_bad_checkpoint(tmp_path, corrupt):
     _, prefix = _saved_tiny(tmp_path)
     load_checkpoint(prefix)  # whole before the damage
@@ -367,11 +397,11 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch):
             self.fh.write(data[: len(data) // 2])
             raise OSError(errno.ENOSPC, "no space left on device")
 
-    def open_failing_params(path, mode="r", *args, **kwargs):
+    def open_failing_checkpoint(path, mode="r", *args, **kwargs):
         fh = open(path, mode, *args, **kwargs)
-        return DiskFull(fh) if ".params.bin" in str(path) and "w" in mode else fh
+        return DiskFull(fh) if ".ckpt" in str(path) and "w" in mode else fh
 
-    monkeypatch.setattr(model_module, "open", open_failing_params, raising=False)
+    monkeypatch.setattr(data_module, "open", open_failing_checkpoint, raising=False)
     with pytest.raises(OSError):
         save_checkpoint(prefix, model)
     monkeypatch.undo()
@@ -380,4 +410,81 @@ def test_failed_save_leaves_previous_checkpoint_loadable(tmp_path, monkeypatch):
     assert len(loaded) == len(previous)
     for got, want in zip(loaded, previous):
         np.testing.assert_array_equal(got, want)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.manifest.json", "ckpt.params.bin"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ckpt"]
+
+
+# A fresh process saves a checkpoint at epoch 1, shifts every weight and
+# optimizer array by one, and saves again at epoch 2, with `os.replace`
+# exiting the process right after its call number argv[2].
+_KILLED_SECOND_SAVE = textwrap.dedent("""
+    import os, sys
+    import numpy as np
+    from ecgdenoise.model import ModelConfig, TransformerUNet1D, save_checkpoint
+
+    prefix, kill_after = sys.argv[1], int(sys.argv[2])
+    model = TransformerUNet1D(ModelConfig(**{tiny!r}))
+    moments = [("m.inc.conv1.weight", np.zeros((2, 1, 3)))]
+    save_checkpoint(prefix, model, optimizer_arrays=moments, extra={{"epoch": 1}})
+    for _, t in model.parameters():
+        t.data += 1.0
+    moments[0][1][...] += 1.0
+
+    replace, calls = os.replace, []
+    def replace_then_die(src, dst):
+        replace(src, dst)
+        calls.append(dst)
+        if len(calls) == kill_after:
+            os._exit(0)
+    os.replace = replace_then_die
+    save_checkpoint(prefix, model, optimizer_arrays=moments, extra={{"epoch": 2}})
+""").format(tiny=TINY)
+
+
+@pytest.mark.parametrize("kill_after", [1, 2])
+def test_save_killed_after_a_rename_leaves_one_whole_checkpoint(tmp_path, kill_after):
+    src = str(Path(model_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    prefix = str(tmp_path / "ckpt")
+    subprocess.run([sys.executable, "-c", _KILLED_SECOND_SAVE, prefix, str(kill_after)],
+                   env=env, capture_output=True, timeout=120, check=True)
+    model, header, optim = load_checkpoint(prefix)
+    shift = header["extra"]["epoch"] - 1  # 0 for the first save, 1 for the second
+    fresh = TransformerUNet1D(ModelConfig(**TINY))
+    for (name, got), (_, want) in zip(model.parameters(), fresh.parameters()):
+        np.testing.assert_array_equal(got.data, want.data + shift, err_msg=name)
+    np.testing.assert_array_equal(optim["m.inc.conv1.weight"], np.full((2, 1, 3), float(shift)))
+    assert shift == 1  # every kill comes after the rename that publishes the second save
+
+
+def test_format_1_checkpoint_loads_bitwise_and_a_ckpt_takes_precedence(tmp_path):
+    """Format 1: `.manifest.json` (entries with byte offsets) plus `.params.bin`."""
+    model = TransformerUNet1D(ModelConfig(**TINY))
+    model.forward(Tensor(np.random.default_rng(3).standard_normal((2, 1, 32))), training=True)
+    moments = np.random.default_rng(7).standard_normal((2, 1, 3))
+    named = ([("param", n, t.data) for n, t in model.parameters()]
+             + [("buffer", n, a) for n, a in model.state_arrays()]
+             + [("optim", "m.inc.conv1.weight", moments)])
+    entries, offset = [], 0
+    for kind, name, arr in named:
+        entries.append({"kind": kind, "name": name, "shape": list(arr.shape), "offset": offset})
+        offset += 8 * arr.size
+    manifest = {"format_version": 1, "config": asdict(model.config),
+                "rng_state": {"seed": 5, "epoch": 0}, "extra": {"epoch": 0}, "entries": entries}
+    prefix = tmp_path / "v1"
+    Path(f"{prefix}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    Path(f"{prefix}.params.bin").write_bytes(b"".join(a.astype("<f8").tobytes() for *_, a in named))
+
+    loaded, header, optim = load_checkpoint(str(prefix))
+    assert header["extra"] == {"epoch": 0}
+    assert optim["m.inc.conv1.weight"].tobytes() == moments.tobytes()
+    for got, want in zip(_arrays(loaded), _arrays(model)):
+        assert got.tobytes() == want.tobytes()
+
+    for _, t in model.parameters():
+        t.data += 1.0
+    save_checkpoint(str(prefix), model, extra={"epoch": 1})  # beside the format-1 pair
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v1.ckpt", "v1.manifest.json", "v1.params.bin"]
+    loaded, header, _ = load_checkpoint(str(prefix))
+    assert header["extra"] == {"epoch": 1}
+    for got, want in zip(_arrays(loaded), _arrays(model)):
+        assert got.tobytes() == want.tobytes()

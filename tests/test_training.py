@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -190,3 +192,25 @@ def test_standalone_inference_reuses_freed_memory_without_page_faults(command, t
     faults = int(proc.stdout.split()[-1])
     # unpinned, the second run faults its freed buffers in again: ~2 k (denoise), ~6 k (evaluate)
     assert faults < 200
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validation"])
+def test_inference_memory_follows_the_batch_not_the_split(command):
+    from ecgdenoise.metrics import evaluate
+    from ecgdenoise.training import validation_loss
+
+    model = TransformerUNet1D(ModelConfig(base_channels=2, transformer_layers=1, seed=0))
+    rng = np.random.default_rng(0)
+    pairs = [types.SimpleNamespace(clean=c, noisy=c + rng.standard_normal(c.size),
+                                   noise_mix=("ma",), target_snr_db=0.0)
+             for c in rng.standard_normal((256, 3600))]
+    run = {"evaluate": lambda p: evaluate(model, p),
+           "validation": lambda p: validation_loss(model, p, LossConfig())}[command]
+    peaks = []
+    for n in (64, 256):
+        tracemalloc.start()
+        run(pairs[:n])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # holding the whole split adds ~11 MB from 64 to 256 segments
+    assert peaks[1] - peaks[0] < 2e6
