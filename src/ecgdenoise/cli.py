@@ -164,7 +164,7 @@ def cmd_denoise(args) -> int:
 class _IdentityModel:
     """Baseline that returns its input; SNRI is zero by construction."""
 
-    def predict(self, x, batch_size=INFER_BATCH):
+    def predict(self, x):
         return x
 
 
@@ -188,7 +188,7 @@ def cmd_evaluate(args) -> int:
         model = _IdentityModel()
     else:
         model, _, _ = load_checkpoint(args.checkpoint)
-    report = evaluate(model, pairs, batch_size=args.batch_size or INFER_BATCH)
+    report = evaluate(model, pairs, INFER_BATCH if args.batch_size is None else args.batch_size)
     _print_grouped(report)
     out_dir = Path(args.out) if args.out else Path(args.data)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -59,6 +59,10 @@ class RunConfig:
     # global
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in fields(cls)}

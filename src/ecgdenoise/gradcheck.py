@@ -73,7 +73,7 @@ def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5,
 
 
 def check_conv1d(rng) -> float:
-    conv = layers.Conv1d(2, 3, 3, padding=1, rng=rng)
+    conv = layers.Conv1d(2, 3, 3, rng=rng)
     x = Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
     probe = rng.standard_normal((2, 3, 8))
     tensors = [x, conv.weight, conv.bias]
@@ -81,7 +81,7 @@ def check_conv1d(rng) -> float:
 
 
 def check_conv_transpose1d(rng) -> float:
-    tconv = layers.ConvTranspose1d(2, 3, 2, stride=2, rng=rng)
+    tconv = layers.ConvTranspose1d(2, 3, rng=rng)
     x = Tensor(rng.standard_normal((2, 2, 5)), requires_grad=True)
     probe = rng.standard_normal((2, 3, 10))
     tensors = [x, tconv.weight, tconv.bias]
@@ -97,7 +97,7 @@ def check_maxpool1d(rng) -> float:
 
 def check_batchnorm1d(rng) -> float:
     """The fused conv -> batchnorm -> relu stage the model trains with."""
-    conv = layers.Conv1d(2, 3, 3, padding=1, rng=rng)
+    conv = layers.Conv1d(2, 3, 3, rng=rng)
     bn = layers.BatchNorm1d(3)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
     bn.beta.data[:] = rng.standard_normal(3)

@@ -1,13 +1,16 @@
 """Parameterized 1D layers: conv, transposed conv, pooling, norms, attention.
 
-Convolutions use the cross-correlation convention (no kernel flip). conv1d is
-a short loop over kernel taps, each tap one batched BLAS matmul against a
-strided view of the unpadded input, accumulated into the outputs whose
-inputs lie inside the signal; neither a padded copy nor an im2col buffer is
-built. The transposed convolution computes every tap in one matmul
-and scatters the taps with strided adds; its backward gathers sliding windows
-of the upstream gradient. Pooling is the pairwise maximum of even and odd
-samples (window 2); its backward rebuilds the tie rule from the input.
+Convolutions use the cross-correlation convention (no kernel flip) and take
+only the shapes the network builds. conv1d is length-preserving: odd kernel
+k, stride 1, zero padding k // 2. It is a short loop over kernel taps, each
+tap one batched BLAS matmul against a view of the unpadded input, accumulated
+into the outputs whose inputs lie inside the signal; the centre tap starts
+the sum, and neither a padded copy nor an im2col buffer is built. The
+transposed convolution up-samples 2x (kernel 2, stride 2) as pooling
+down-samples with window 2: one matmul computes both taps, written
+interleaved into the output. Pooling is the pairwise maximum of even and odd
+samples; its backward rebuilds the tie rule from the input. The norms'
+momentum and eps are module constants.
 
 The network's conv -> batchnorm -> relu stages run as one op,
 `conv_bn_relu`. In training it normalizes the conv output in place with the
@@ -34,7 +37,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (
     ShapeMismatch,
@@ -101,45 +103,33 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 # convolution
 
 
-def conv_out_len(length: int, kernel: int, stride: int, padding: int) -> int:
-    return (length + 2 * padding - kernel) // stride + 1
-
-
-def _tap_spans(in_len, out_len, kernel, stride, padding):
+def _tap_spans(length, kernel):
     """Per tap t: (t, outputs, inputs), slices pairing the outputs whose tap-t
-    input lies inside the unpadded signal with those inputs. Every other
-    output would read padding there, which adds zero."""
+    input, t - kernel//2 samples away, lies inside the signal with those
+    inputs. Every other output would read padding there, which adds zero."""
     for t in range(kernel):
-        lo = max(0, -((t - padding) // stride))
-        hi = min(out_len, (in_len - 1 + padding - t) // stride + 1)
-        if hi > lo:
-            start = lo * stride + t - padding
-            yield t, slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+        shift = t - kernel // 2
+        n = length - abs(shift)  # not positive when the tap reads only padding
+        if n > 0:
+            out0, in0 = max(0, -shift), max(0, shift)
+            yield t, slice(out0, out0 + n), slice(in0, in0 + n)
 
 
-def _conv1d_forward(x, w, stride, padding):
-    batch, _, in_len = x.shape
-    c_out, _, kernel = w.shape
-    out_len = conv_out_len(in_len, kernel, stride, padding)
-    taps = list(_tap_spans(in_len, out_len, kernel, stride, padding))
-    # (C_out, C_in) @ (B, C_in, n) per tap, on a strided view of the input. A tap that
-    # reaches every output (the centre tap of a padded k=3 conv) starts the sum in place
-    # of a zero fill; addition commutes, so for k=3 the bits match summing in tap order.
-    whole = next((tap for tap in taps if tap[1] == slice(0, out_len)), None)
-    if whole is None:
-        out = np.zeros((batch, c_out, out_len))
-    else:
-        taps.remove(whole)
-        out = np.matmul(w[:, :, whole[0]], x[:, :, whole[2]])
-    for t, outputs, inputs in taps:
-        out[:, :, outputs] += np.matmul(w[:, :, t], x[:, :, inputs])
+def _conv1d_forward(x, w):
+    # (C_out, C_in) @ (B, C_in, L) per tap, on a view of the input. The centre tap
+    # reaches every output, so it starts the sum in place of a zero fill.
+    centre = w.shape[2] // 2
+    out = np.matmul(w[:, :, centre], x)
+    for t, outputs, inputs in _tap_spans(x.shape[2], w.shape[2]):
+        if t != centre:
+            out[:, :, outputs] += np.matmul(w[:, :, t], x[:, :, inputs])
     return out
 
 
-def _conv1d_grads(g, x, w, stride, padding):
+def _conv1d_grads(g, x, w):
     gx = np.zeros_like(x)
     gw = np.zeros_like(w)  # a tap that reads only padding has zero gradient
-    for t, outputs, inputs in _tap_spans(x.shape[2], g.shape[2], w.shape[2], stride, padding):
+    for t, outputs, inputs in _tap_spans(x.shape[2], w.shape[2]):
         g_t = g[:, :, outputs]
         gw[:, :, t] = np.matmul(g_t, x[:, :, inputs].transpose(0, 2, 1)).sum(0)
         gx[:, :, inputs] += np.matmul(w[:, :, t].T, g_t)
@@ -147,23 +137,24 @@ def _conv1d_grads(g, x, w, stride, padding):
     return gx, gw, gb
 
 
-def _check_conv1d(x: Tensor, weight: Tensor, padding: int) -> None:
+def _check_conv1d(x: Tensor, weight: Tensor) -> None:
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="expects rank-3 input and weight")
     if x.shape[1] != weight.shape[1]:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="channel counts differ")
-    if x.shape[2] + 2 * padding < weight.shape[2]:
-        raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="input shorter than kernel")
+    if weight.shape[2] % 2 == 0:
+        raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="kernel length must be odd")
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate (B, C_in, L) with (C_out, C_in, k) weights."""
-    _check_conv1d(x, weight, padding)
-    out_data = _conv1d_forward(x.data, weight.data, stride, padding)
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Cross-correlate (B, C_in, L) with (C_out, C_in, k) weights, k odd, zero
+    padding k // 2 on each side: the output keeps the length L."""
+    _check_conv1d(x, weight)
+    out_data = _conv1d_forward(x.data, weight.data)
     out_data += bias.data.reshape(1, -1, 1)
 
     def backward(g, x=x, weight=weight, bias=bias):
-        gx, gw, gb = _conv1d_grads(g, x.data, weight.data, stride, padding)
+        gx, gw, gb = _conv1d_grads(g, x.data, weight.data)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         accumulate_grad(bias, gb)
@@ -171,42 +162,41 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     return apply_op(out_data, (x, weight, bias), backward)
 
 
-def _conv_transpose1d_forward(x, w, stride):
+def _conv_transpose1d_forward(x, w):
     batch, c_in, length = x.shape
-    _, c_out, kernel = w.shape
-    # every tap's contribution at once: (C_out*k, C_in) @ (B, C_in, L)
-    taps = np.matmul(w.reshape(c_in, c_out * kernel).T, x).reshape(batch, c_out, kernel, length)
-    out = np.zeros((batch, c_out, (length - 1) * stride + kernel))
-    span = (length - 1) * stride + 1
-    for t in range(kernel):
-        out[:, :, t : t + span : stride] += taps[:, :, t]
-    return out
+    c_out = w.shape[1]
+    # both taps at once: (C_out*2, C_in) @ (B, C_in, L); tap t lands on samples 2i + t
+    taps = np.matmul(w.reshape(c_in, c_out * 2).T, x).reshape(batch, c_out, 2, length)
+    out = np.empty((batch, c_out, length, 2))
+    out[..., 0], out[..., 1] = taps[:, :, 0], taps[:, :, 1]
+    return out.reshape(batch, c_out, 2 * length)
 
 
-def _conv_transpose1d_grads(g, x, w, stride):
-    c_in, c_out, kernel = w.shape
+def _conv_transpose1d_grads(g, x, w):
+    c_in, c_out, _ = w.shape
     batch, _, length = x.shape
-    # windows[b, o, i, t] = g[b, o, i*stride + t], gathered as (B, C_out*k, L)
-    windows = sliding_window_view(g, kernel, axis=2)[:, :, ::stride]
-    cols = windows.transpose(0, 1, 3, 2).reshape(batch, c_out * kernel, length)
-    gx = np.matmul(w.reshape(c_in, c_out * kernel), cols)
+    # cols[b, o*2 + t, i] = g[b, o, 2i + t]
+    cols = g.reshape(batch, c_out, length, 2).transpose(0, 1, 3, 2).reshape(batch, c_out * 2, length)
+    gx = np.matmul(w.reshape(c_in, c_out * 2), cols)
     gw = np.matmul(x, cols.transpose(0, 2, 1)).sum(0).reshape(w.shape)
     gb = g.sum(axis=(0, 2))
     return gx, gw, gb
 
 
-def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int) -> Tensor:
-    """Adjoint of a stride-s conv: (B, C_in, L) -> (B, C_out, (L-1)*s + k)."""
+def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Adjoint of a kernel-2, stride-2 conv: (B, C_in, L) -> (B, C_out, 2L)."""
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape)
     if x.shape[1] != weight.shape[0]:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="channel counts differ")
+    if weight.shape[2] != 2:
+        raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="kernel length must be 2")
 
-    out_data = _conv_transpose1d_forward(x.data, weight.data, stride)
+    out_data = _conv_transpose1d_forward(x.data, weight.data)
     out_data += bias.data.reshape(1, -1, 1)
 
     def backward(g, x=x, weight=weight, bias=bias):
-        gx, gw, gb = _conv_transpose1d_grads(g, x.data, weight.data, stride)
+        gx, gw, gb = _conv_transpose1d_grads(g, x.data, weight.data)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         accumulate_grad(bias, gb)
@@ -235,6 +225,9 @@ def maxpool1d(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
+BN_MOMENTUM = 0.1  # weight of each training batch in batchnorm's running estimates
+NORM_EPS = 1e-5  # added to every variance before its square root
+
 
 def _batchnorm_grads(g, x_hat, inv_std, gamma):
     """Closed form gx = gamma*inv_std*(g - sum(g)/m - x_hat*sum(g*x_hat)/m).
@@ -261,13 +254,11 @@ class BatchNorm1d(Module):
     and ReLU (`conv_bn_relu`); `forward` is the unfused reference.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
 
     def _normalize_batch(self, y: np.ndarray, out=None):
         """x_hat of (B, C, L) `y` under its biased batch statistics, written to
@@ -279,15 +270,15 @@ class BatchNorm1d(Module):
         mean = np.einsum("bcl->c", y) / m
         x_hat = np.subtract(y, mean[:, None], out=out)
         var = np.einsum("bcl,bcl->c", x_hat, x_hat) / m
-        self.running_mean += self.momentum * (mean - self.running_mean)
-        self.running_var += self.momentum * (var - self.running_var)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+        self.running_var += BN_MOMENTUM * (var - self.running_var)
+        inv_std = 1.0 / np.sqrt(var + NORM_EPS)
         x_hat *= inv_std[:, None]
         return x_hat, inv_std
 
     def _eval_affine(self):
         """Per-channel (scale, shift) of the eval-mode map x*scale + shift."""
-        scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
+        scale = self.gamma.data / np.sqrt(self.running_var + NORM_EPS)
         return scale, self.beta.data - self.running_mean * scale
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
@@ -313,18 +304,18 @@ class BatchNorm1d(Module):
 
 def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Tensor:
     """relu(bn.forward(conv.forward(x), training)) as one op (module docstring)."""
-    weight, bias, stride, padding = conv.weight, conv.bias, conv.stride, conv.padding
-    _check_conv1d(x, weight, padding)
+    weight, bias = conv.weight, conv.bias
+    _check_conv1d(x, weight)
     if weight.shape[0] != bn.gamma.size:
         raise ShapeMismatch("conv_bn_relu", weight.shape, (bn.gamma.size,))
     if not training:
         scale, shift = bn._eval_affine()
-        out = _conv1d_forward(x.data, weight.data * scale[:, None, None], stride, padding)
+        out = _conv1d_forward(x.data, weight.data * scale[:, None, None])
         out += (bias.data * scale + shift)[:, None]
         return Tensor(np.maximum(out, 0.0, out=out))
 
     gamma, beta = bn.gamma, bn.beta
-    y = _conv1d_forward(x.data, weight.data, stride, padding)
+    y = _conv1d_forward(x.data, weight.data)
     y += bias.data.reshape(1, -1, 1)
     x_hat, inv_std = bn._normalize_batch(y, out=y)
     out = x_hat * gamma.data[:, None]
@@ -333,7 +324,7 @@ def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Te
 
     def backward(g, x=x, x_hat=x_hat, inv_std=inv_std, out=out):
         g, ggamma, gbeta = _batchnorm_grads(g * (out > 0.0), x_hat, inv_std, gamma.data)
-        gx, gw, gb = _conv1d_grads(g, x.data, weight.data, stride, padding)
+        gx, gw, gb = _conv1d_grads(g, x.data, weight.data)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         accumulate_grad(bias, gb)
@@ -343,13 +334,13 @@ def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Te
     return apply_op(out, (x, weight, bias, gamma, beta), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last (feature) axis, one token at a time."""
     if x.shape[-1] != gamma.size:
         raise ShapeMismatch("layer_norm", x.shape, gamma.shape)
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     x_hat = (x.data - mean) * inv_std
     gshape = (1,) * (x.ndim - 1) + (gamma.size,)
     out_data = gamma.data.reshape(gshape) * x_hat + beta.data.reshape(gshape)
@@ -367,13 +358,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -381,34 +371,32 @@ class LayerNorm(Module):
 
 
 class Conv1d(Module):
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, *, rng: np.random.Generator):
+    """Length-preserving conv (`conv1d`) with an odd `kernel_size`."""
+
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *, rng: np.random.Generator):
         fan_in = in_channels * kernel_size
         self.weight = Tensor(
             _uniform_init(rng, (out_channels, in_channels, kernel_size), fan_in),
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
-        self.stride = stride
-        self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.weight, self.bias, self.stride, self.padding)
+        return conv1d(x, self.weight, self.bias)
 
 
 class ConvTranspose1d(Module):
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int, *, rng: np.random.Generator):
-        fan_in = in_channels * kernel_size
+    """2x up-sampling transposed conv (`conv_transpose1d`): kernel 2, stride 2."""
+
+    def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         self.weight = Tensor(
-            _uniform_init(rng, (in_channels, out_channels, kernel_size), fan_in),
+            _uniform_init(rng, (in_channels, out_channels, 2), in_channels * 2),
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
-        self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv_transpose1d(x, self.weight, self.bias, self.stride)
+        return conv_transpose1d(x, self.weight, self.bias)
 
 
 class Linear(Module):

@@ -115,17 +115,19 @@ def _finite_stats(rows) -> dict:
 def evaluate(model, pairs, batch_size: int = INFER_BATCH) -> MetricReport:
     """Run eval-mode inference over segment pairs and score each one.
 
-    `model` is any object with ``predict(noisy, batch_size)`` mapping an
-    (N, L) array to its (N, L) estimates (`TransformerUNet1D.predict`);
-    pairs are scored in their stored (normalized) domain, `batch_size` at a
-    time, so memory follows the batch and not the split.
+    `model` is any object with ``predict(noisy)`` mapping an (N, L) array to
+    its (N, L) estimates (`TransformerUNet1D.predict`); pairs are scored in
+    their stored (normalized) domain, `batch_size` at a time, so memory
+    follows the batch and not the split.
     """
     if not pairs:
         raise MetricError("evaluate: empty dataset")
+    if batch_size < 1:
+        raise MetricError(f"evaluate: batch_size must be >= 1, got {batch_size}")
     rows = []
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start : start + batch_size]
-        out = model.predict(np.stack([p.noisy for p in chunk]), batch_size)
+        out = model.predict(np.stack([p.noisy for p in chunk]))
         rows += [_segment_row(start + i, pair, out[i]) for i, pair in enumerate(chunk)]
 
     by_group = {}

@@ -30,7 +30,8 @@ from .tensor import ShapeMismatch, Tensor, add, concat_channels, transpose_last
 
 __all__ = ["INFER_BATCH", "ModelConfig", "TransformerUNet1D", "save_checkpoint", "load_checkpoint"]
 
-# segments per eval-mode forward when a caller names no batch size
+# segments per eval-mode forward in `denoise`, and in evaluation and validation
+# when the caller names no batch size
 INFER_BATCH = 16
 
 
@@ -76,12 +77,12 @@ class ModelConfig:
 
 
 class DoubleConv(Module):
-    """Two (conv k3 p1 -> batchnorm -> relu) stages, each one fused op."""
+    """Two (length-preserving conv k3 -> batchnorm -> relu) stages, each one fused op."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
-        self.conv1 = Conv1d(in_channels, out_channels, 3, padding=1, rng=rng)
+        self.conv1 = Conv1d(in_channels, out_channels, 3, rng=rng)
         self.bn1 = BatchNorm1d(out_channels)
-        self.conv2 = Conv1d(out_channels, out_channels, 3, padding=1, rng=rng)
+        self.conv2 = Conv1d(out_channels, out_channels, 3, rng=rng)
         self.bn2 = BatchNorm1d(out_channels)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
@@ -103,7 +104,7 @@ class Up(Module):
     """Double the length by transposed conv, concatenate the skip, double-conv."""
 
     def __init__(self, in_channels: int, *, rng: np.random.Generator):
-        self.tconv = ConvTranspose1d(in_channels, in_channels // 2, 2, stride=2, rng=rng)
+        self.tconv = ConvTranspose1d(in_channels, in_channels // 2, rng=rng)
         self.block = DoubleConv(in_channels, in_channels // 2, rng=rng)
 
     def forward(self, x: Tensor, skip: Tensor, training: bool) -> Tensor:
@@ -163,13 +164,10 @@ class TransformerUNet1D(Module):
             z = up.forward(z, skips.pop(), training)
         return self.out.forward(z)
 
-    def predict(self, x: np.ndarray, batch_size: int = INFER_BATCH) -> np.ndarray:
-        """Eval-mode outputs for an (N, input_len) array, `batch_size` segments per forward."""
-        out = np.empty(x.shape)
-        for start in range(0, len(x), batch_size):
-            batch = Tensor(x[start : start + batch_size, None, :])
-            out[start : start + batch_size] = self.forward(batch, training=False).data[:, 0]
-        return out
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode outputs for an (N, input_len) array, in one forward; the
+        caller picks N, which bounds the activation memory."""
+        return self.forward(Tensor(x[:, None, :]), training=False).data[:, 0]
 
     def num_parameters(self) -> int:
         return sum(t.size for _, t in self.parameters())

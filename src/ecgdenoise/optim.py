@@ -25,6 +25,8 @@ class CosineSchedule:
     def __post_init__(self):
         if self.eta_min > self.eta_max:
             raise ValueError("eta_min must not exceed eta_max")
+        if self.t_max < 1:
+            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
 
     def lr_at(self, epoch: int) -> float:
         if epoch < 0:

@@ -128,7 +128,7 @@ def validation_loss(model, pairs, loss_cfg, batch_size: int = INFER_BATCH):
     sums = np.zeros(3)
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start : start + batch_size]
-        out = model.predict(np.stack([p.noisy for p in chunk]), batch_size)
+        out = model.predict(np.stack([p.noisy for p in chunk]))
         _, report = total_loss(Tensor(out), Tensor(np.stack([p.clean for p in chunk])), loss_cfg)
         sums += len(chunk) * np.array([report.time_loss, report.spectral_loss, report.total])
     return tuple(float(v) for v in sums / len(pairs))

@@ -323,7 +323,7 @@ def test_evaluate_group_means_exclude_infinite_snr(dataset, tmp_path, capsys, mo
     class _OnePerfect:
         """Identity, except that one segment comes back as its clean target."""
 
-        def predict(self, x, batch_size=16):
+        def predict(self, x):
             out = x.copy()
             for row in out:
                 if np.array_equal(row, perfect.noisy):
@@ -414,6 +414,21 @@ def test_empty_snr_and_noise_flags_keep_config_values(tmp_path):
 
 def test_bad_snr_flag_is_usage_error(tmp_path):
     assert main(["synth-data", "--out", str(tmp_path / "x"), "--snr", "abc"]) == 1
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["train", "--batch-size", "-1"], "batch_size"),
+    (["train", "--batch-size", "0"], "batch_size"),
+    (["train", "--t-max", "0"], "t_max"),
+    (["evaluate", "--baseline", "identity", "--batch-size", "-2"], "batch_size"),
+    (["evaluate", "--baseline", "identity", "--batch-size", "0"], "batch_size"),
+])
+def test_non_positive_batch_size_and_t_max_are_rejected(dataset, tmp_path, capsys, argv, field):
+    if argv[0] == "train":
+        argv = [*argv[:1], *TINY_TRAIN, *argv[1:], "--epochs", "1", "--quiet"]
+    assert main([*argv, "--data", str(dataset), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.glob("metrics_*")) and not list(tmp_path.glob("*.ckpt"))
 
 
 def test_missing_dataset_is_data_error(tmp_path):

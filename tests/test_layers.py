@@ -5,6 +5,8 @@ import pytest
 
 from conftest import fd_wrt, rel_err, tape_grads
 from ecgdenoise.layers import (
+    BN_MOMENTUM,
+    NORM_EPS,
     BatchNorm1d,
     Conv1d,
     ConvTranspose1d,
@@ -14,7 +16,6 @@ from ecgdenoise.layers import (
     TransformerEncoderLayer,
     conv1d,
     conv_bn_relu,
-    conv_out_len,
     conv_transpose1d,
     layer_norm,
     maxpool1d,
@@ -68,7 +69,7 @@ def test_conv1d_edge_detector_example():
     x = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
     w = Tensor(np.array([[[1.0, 0.0, -1.0]]]))
     b = Tensor(np.zeros(1))
-    out = conv1d(x, w, b, stride=1, padding=1)
+    out = conv1d(x, w, b)
     expected = ref_cross_correlation(x.data, w.data, b.data, 1, 1)
     np.testing.assert_array_equal(out.data, expected)
     np.testing.assert_array_equal(out.data, [[[-2.0, -2.0, 2.0]]])
@@ -87,30 +88,29 @@ def test_conv1d_identity_kernel():
 def test_conv1d_matches_oracle_random():
     rng = np.random.default_rng(21)
     x = rng.standard_normal((2, 2, 9))
-    w = rng.standard_normal((4, 2, 3))
     b = rng.standard_normal(4)
-    for stride, padding in [(1, 0), (1, 1), (2, 1), (3, 2)]:
-        out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
-        ref = ref_cross_correlation(x, w, b, stride, padding)
-        assert out.shape[2] == conv_out_len(9, 3, stride, padding)
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
+    for kernel in (1, 3, 5, 7):
+        w = rng.standard_normal((4, 2, kernel))
+        out = conv1d(Tensor(x), Tensor(w), Tensor(b))
+        assert out.shape == (2, 4, 9)  # length-preserving
+        np.testing.assert_allclose(out.data, ref_cross_correlation(x, w, b, 1, kernel // 2), atol=1e-12)
 
 
 def test_conv1d_gradients_vs_fd():
     rng = np.random.default_rng(4)
-    for stride, padding, kernel in [(1, 1, 3), (2, 1, 3), (3, 2, 3), (1, 0, 1), (1, 2, 1)]:
-        x = Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
+    for kernel, length in [(3, 8), (1, 8), (5, 8), (5, 2)]:
+        x = Tensor(rng.standard_normal((2, 2, length)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, kernel)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
-        probe = rng.standard_normal((2, 3, conv_out_len(8, kernel, stride, padding)))
+        probe = rng.standard_normal((2, 3, length))
 
         def run():
-            return conv1d(x, w, b, stride, padding)
+            return conv1d(x, w, b)
 
         grads = tape_grads(lambda: sum_all(mul(run(), Tensor(probe))), [x, w, b])
         for tensor, grad in zip([x, w, b], grads):
             fd = fd_wrt(tensor, lambda: scalar_through(run, probe))
-            assert rel_err(grad, fd) < 1e-5, (stride, padding, kernel)
+            assert rel_err(grad, fd) < 1e-5, (kernel, length)
 
 
 def test_conv1d_channel_mismatch():
@@ -119,8 +119,18 @@ def test_conv1d_channel_mismatch():
 
 
 def test_conv1d_too_short():
+    # the outer taps read only padding; at L=2, k=7 a tap's unclamped slice stop wraps to -1
+    rng = np.random.default_rng(23)
+    for length, kernel in [(2, 5), (1, 7), (2, 7), (3, 7)]:
+        x, w, b = (rng.standard_normal((2, 3, length)), rng.standard_normal((4, 3, kernel)),
+                   rng.standard_normal(4))
+        out = conv1d(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(out.data, ref_cross_correlation(x, w, b, 1, kernel // 2), atol=1e-12)
+
+
+def test_conv1d_rejects_even_kernel():
     with pytest.raises(ShapeMismatch):
-        conv1d(Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 1, 5))), Tensor(np.zeros(1)))
+        conv1d(Tensor(np.zeros((1, 1, 6))), Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +141,36 @@ def test_conv_transpose_scatter_example():
     x = Tensor(np.array([[[1.0, 2.0]]]))
     w = Tensor(np.array([[[1.0, 1.0]]]))
     b = Tensor(np.zeros(1))
-    out = conv_transpose1d(x, w, b, stride=2)
+    out = conv_transpose1d(x, w, b)
     np.testing.assert_array_equal(out.data, [[[1.0, 1.0, 2.0, 2.0]]])
     np.testing.assert_array_equal(out.data, ref_scatter_transpose(x.data, w.data, b.data, 2))
 
 
 def test_conv_transpose_identity():
+    # unit taps on the channel diagonal repeat every sample twice
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((2, 1, 6)))
-    out = conv_transpose1d(x, Tensor(np.ones((1, 1, 1))), Tensor(np.zeros(1)), stride=1)
-    np.testing.assert_array_equal(out.data, x.data)
+    x = Tensor(rng.standard_normal((2, 3, 6)))
+    w = np.zeros((3, 3, 2))
+    for c in range(3):
+        w[c, c] = 1.0
+    out = conv_transpose1d(x, Tensor(w), Tensor(np.zeros(3)))
+    np.testing.assert_array_equal(out.data, np.repeat(x.data, 2, axis=2))
+
+
+def test_conv_transpose_rejects_kernel_other_than_2():
+    for kernel in (1, 3):
+        with pytest.raises(ShapeMismatch):
+            conv_transpose1d(Tensor(np.zeros((1, 1, 4))), Tensor(np.zeros((1, 1, kernel))), Tensor(np.zeros(1)))
 
 
 def test_conv_transpose_matches_oracle_random():
     rng = np.random.default_rng(22)
-    x = rng.standard_normal((2, 3, 5))
     w = rng.standard_normal((3, 2, 2))
     b = rng.standard_normal(2)
-    for stride in (1, 2, 3):
-        out = conv_transpose1d(Tensor(x), Tensor(w), Tensor(b), stride)
-        np.testing.assert_allclose(out.data, ref_scatter_transpose(x, w, b, stride), atol=1e-12)
+    for length in (1, 5):
+        x = rng.standard_normal((2, 3, length))
+        out = conv_transpose1d(Tensor(x), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(out.data, ref_scatter_transpose(x, w, b, 2), atol=1e-12)
 
 
 def test_conv_transpose_is_adjoint_of_conv():
@@ -159,32 +179,30 @@ def test_conv_transpose_is_adjoint_of_conv():
     c_in, c_out, k, stride, length = 3, 4, 2, 2, 8
     w_conv = rng.standard_normal((c_out, c_in, k))
     x = rng.standard_normal((2, c_in, length))
-    out_len = conv_out_len(length, k, stride, 0)
-    y = rng.standard_normal((2, c_out, out_len))
+    y = rng.standard_normal((2, c_out, length // stride))
 
-    fwd = conv1d(Tensor(x), Tensor(w_conv), Tensor(np.zeros(c_out)), stride, 0)
+    fwd = ref_cross_correlation(x, w_conv, np.zeros(c_out), stride, 0)
     # conv's (C_out, C_in, k) weight is already the transpose's (C_in, C_out, k)
-    back = conv_transpose1d(Tensor(y), Tensor(w_conv), Tensor(np.zeros(c_in)), stride)
-    lhs = float((fwd.data * y).sum())
-    rhs = float((x * back.data[:, :, :length]).sum())
+    back = conv_transpose1d(Tensor(y), Tensor(w_conv), Tensor(np.zeros(c_in)))
+    lhs = float((fwd * y).sum())
+    rhs = float((x * back.data).sum())
     assert abs(lhs - rhs) < 1e-10
 
 
 def test_conv_transpose_gradients_vs_fd():
     rng = np.random.default_rng(6)
-    for stride in (1, 2, 3):
-        x = Tensor(rng.standard_normal((2, 2, 5)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
-        b = Tensor(rng.standard_normal(3), requires_grad=True)
-        probe = rng.standard_normal((2, 3, 4 * stride + 2))
+    x = Tensor(rng.standard_normal((2, 2, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    probe = rng.standard_normal((2, 3, 10))
 
-        def run():
-            return conv_transpose1d(x, w, b, stride)
+    def run():
+        return conv_transpose1d(x, w, b)
 
-        grads = tape_grads(lambda: sum_all(mul(run(), Tensor(probe))), [x, w, b])
-        for tensor, grad in zip([x, w, b], grads):
-            fd = fd_wrt(tensor, lambda: scalar_through(run, probe))
-            assert rel_err(grad, fd) < 1e-5, stride
+    grads = tape_grads(lambda: sum_all(mul(run(), Tensor(probe))), [x, w, b])
+    for tensor, grad in zip([x, w, b], grads):
+        fd = fd_wrt(tensor, lambda: scalar_through(run, probe))
+        assert rel_err(grad, fd) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +246,7 @@ def test_batchnorm_identity_on_standardized_input():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 2, 50))
     x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
-    bn = BatchNorm1d(2, eps=1e-5)
+    bn = BatchNorm1d(2)
     out = bn.forward(Tensor(x), training=True)
     np.testing.assert_allclose(out.data, x, atol=1e-4)
 
@@ -251,13 +269,16 @@ def test_batchnorm_train_statistics():
 
 def test_batchnorm_eval_uses_running_stats():
     rng = np.random.default_rng(14)
-    bn = BatchNorm1d(2, momentum=0.5)
+    bn = BatchNorm1d(2)
     x = rng.standard_normal((4, 2, 30)) * 2.0 + 1.0
     bn.forward(Tensor(x), training=True)
     rm, rv = bn.running_mean.copy(), bn.running_var.copy()
+    # one batch moves the estimates from (0, 1) a fraction BN_MOMENTUM of the way
+    np.testing.assert_allclose(rm, BN_MOMENTUM * x.mean(axis=(0, 2)), atol=1e-15)
+    np.testing.assert_allclose(rv, 1.0 + BN_MOMENTUM * (x.var(axis=(0, 2)) - 1.0), atol=1e-14)
     y = rng.standard_normal((1, 2, 30))
     out = bn.forward(Tensor(y), training=False).data
-    expected = (y - rm.reshape(1, -1, 1)) / np.sqrt(rv.reshape(1, -1, 1) + bn.eps)
+    expected = (y - rm.reshape(1, -1, 1)) / np.sqrt(rv.reshape(1, -1, 1) + NORM_EPS)
     np.testing.assert_allclose(out, expected, atol=1e-12)
     # eval pass must not move running stats
     np.testing.assert_array_equal(bn.running_mean, rm)
@@ -269,7 +290,7 @@ def test_batchnorm_eval_uses_running_stats():
         out = bn.forward(Tensor(z), training=False).data
     assert len(tape) == 0  # inference only: nothing is recorded
     expected = (bn.gamma.data.reshape(1, -1, 1) * (z - rm.reshape(1, -1, 1))
-                / np.sqrt(rv.reshape(1, -1, 1) + bn.eps) + bn.beta.data.reshape(1, -1, 1))
+                / np.sqrt(rv.reshape(1, -1, 1) + NORM_EPS) + bn.beta.data.reshape(1, -1, 1))
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -303,9 +324,9 @@ def test_batchnorm_gradients_vs_fd():
 
 
 def _stage(seed):
-    """A conv k3 p1 and batchnorm pair with non-trivial gamma, beta and running stats."""
+    """A conv k3 and batchnorm pair with non-trivial gamma, beta and running stats."""
     rng = np.random.default_rng(seed)
-    conv = Conv1d(3, 4, 3, padding=1, rng=rng)
+    conv = Conv1d(3, 4, 3, rng=rng)
     conv.bias.data[:] = rng.standard_normal(4)
     bn = BatchNorm1d(4)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, 4)
@@ -504,16 +525,15 @@ def test_transformer_layer_fd():
 
 
 def test_shape_algebra_composition():
-    # kernel 3 / pad 1 / stride 1 preserves, pool halves, transpose k2 s2 doubles
-    assert conv_out_len(3600, 3, 1, 1) == 3600
+    # conv preserves the length, pool halves it, the transposed conv doubles it
     length = 3600
     for _ in range(4):
         length //= 2
     assert length == 225
     rng = np.random.default_rng(36)
     x = Tensor(rng.standard_normal((1, 1, 16)))
-    conv = Conv1d(1, 2, 3, padding=1, rng=rng)
+    conv = Conv1d(1, 2, 3, rng=rng)
     down = maxpool1d(conv.forward(x))
     assert down.shape == (1, 2, 8)
-    up = ConvTranspose1d(2, 1, 2, stride=2, rng=rng)
+    up = ConvTranspose1d(2, 1, rng=rng)
     assert up.forward(down).shape == (1, 1, 16)

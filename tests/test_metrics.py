@@ -43,7 +43,7 @@ def brute_mae(a, b):
 
 
 class IdentityModel:
-    def predict(self, x, batch_size=16):
+    def predict(self, x):
         return x
 
 
@@ -54,7 +54,7 @@ class OracleModel:
         self.pairs = pairs
         self.cursor = 0
 
-    def predict(self, x, batch_size=16):
+    def predict(self, x):
         batch = x.shape[0]
         out = np.stack([p.clean for p in self.pairs[self.cursor : self.cursor + batch]])
         self.cursor += batch
@@ -153,12 +153,12 @@ def test_evaluate_needs_only_predict():
     calls = []
 
     class PredictOnly:
-        def predict(self, x, batch_size):
-            calls.append((x.shape, batch_size))
+        def predict(self, x):
+            calls.append(x.shape)
             return x
 
     report = evaluate(PredictOnly(), pairs, batch_size=3)
-    assert calls == [((3, 3600), 3), ((2, 3600), 3)]  # one call per batch
+    assert calls == [(3, 3600), (2, 3600)]  # one call per batch
     assert [r["snri"] for r in report.rows] == [0.0] * 5
 
 
