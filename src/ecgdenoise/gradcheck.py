@@ -2,8 +2,9 @@
 
 Each check builds a tiny seeded instance of one layer type, compares tape
 gradients against central differences for every parameter and the input, and
-reports the worst relative error. The end-to-end check samples parameters of
-a small full model under the combined training loss.
+reports the worst relative error. Conv, pool and batchnorm inputs are
+channel-major (C, B, L), as the model feeds them. The end-to-end check
+samples parameters of a small full model under the combined training loss.
 
 Only forward evaluations feed the finite differences, so the checks stay
 independent of the backward implementations they judge.
@@ -75,7 +76,7 @@ def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5,
 def check_conv1d(rng) -> float:
     conv = layers.Conv1d(2, 3, 3, rng=rng)
     x = Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 8))
+    probe = rng.standard_normal((3, 2, 8))
     tensors = [x, conv.weight, conv.bias]
     return _worst_err(lambda: conv.forward(x), tensors, probe)
 
@@ -83,15 +84,15 @@ def check_conv1d(rng) -> float:
 def check_conv_transpose1d(rng) -> float:
     tconv = layers.ConvTranspose1d(2, 3, rng=rng)
     x = Tensor(rng.standard_normal((2, 2, 5)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 10))
+    probe = rng.standard_normal((3, 2, 10))
     tensors = [x, tconv.weight, tconv.bias]
     return _worst_err(lambda: tconv.forward(x), tensors, probe)
 
 
 def check_maxpool1d(rng) -> float:
     # a permutation guarantees every window is far from a tie
-    x = Tensor(rng.permutation(24).astype(float).reshape(1, 2, 12), requires_grad=True)
-    probe = rng.standard_normal((1, 2, 6))
+    x = Tensor(rng.permutation(24).astype(float).reshape(2, 1, 12), requires_grad=True)
+    probe = rng.standard_normal((2, 1, 6))
     return _worst_err(lambda: layers.maxpool1d(x), [x], probe)
 
 
@@ -102,7 +103,7 @@ def check_batchnorm1d(rng) -> float:
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
     bn.beta.data[:] = rng.standard_normal(3)
     x = Tensor(rng.standard_normal((2, 2, 6)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 6))
+    probe = rng.standard_normal((3, 2, 6))
     saved = [a.copy() for _, a in bn.state_arrays()]
 
     def forward():

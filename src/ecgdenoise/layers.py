@@ -1,16 +1,26 @@
 """Parameterized 1D layers: conv, transposed conv, pooling, norms, attention.
 
+Activations inside the U-Net are channel-major: (C, B, L) arrays whose memory
+is contiguous (C, B*L) rows, every segment of the batch one run of L samples
+in each channel's row. A conv tap, a transposed conv or a per-channel map then
+works on all B*L columns at once: one 2-D GEMM or one broadcast over rows, in
+place of a loop of small per-segment products. Only the shifts of a conv's
+outer taps, and the pairing of samples in pooling, are taken inside each
+segment, so no sample reaches into its neighbour. The transformer layers take
+token-major (B, T, d) input.
+
 Convolutions use the cross-correlation convention (no kernel flip) and take
 only the shapes the network builds. conv1d is length-preserving: odd kernel
 k, stride 1, zero padding k // 2. It is a short loop over kernel taps, each
-tap one batched BLAS matmul against a view of the unpadded input, accumulated
-into the outputs whose inputs lie inside the signal; the centre tap starts
-the sum, and neither a padded copy nor an im2col buffer is built. The
-transposed convolution up-samples 2x (kernel 2, stride 2) as pooling
-down-samples with window 2: one matmul computes both taps, written
-interleaved into the output. Pooling is the pairwise maximum of even and odd
-samples; its backward rebuilds the tie rule from the input. The norms'
-momentum and eps are module constants.
+tap one GEMM of its weights against the unpadded rows, added shifted into the
+outputs whose inputs lie inside their segment; the centre tap starts the sum,
+and neither a padded copy nor an im2col buffer is built. Its input gradient
+is the same loop over the upstream gradient, with the weights' channel axes
+swapped and their taps reversed. The transposed convolution up-samples 2x
+(kernel 2, stride 2) as pooling down-samples with window 2: one GEMM computes
+both taps, written interleaved into the output. Pooling is the pairwise
+maximum of even and odd samples; its backward rebuilds the tie rule from the
+input. The norms' momentum and eps are module constants.
 
 The network's conv -> batchnorm -> relu stages run as one op,
 `conv_bn_relu`. In training it normalizes the conv output in place with the
@@ -103,10 +113,15 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 # convolution
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A (C, B, L) array as its (C, B*L) rows: a view when `a` is C-contiguous."""
+    return a.reshape(a.shape[0], -1)
+
+
 def _tap_spans(length, kernel):
-    """Per tap t: (t, outputs, inputs), slices pairing the outputs whose tap-t
-    input, t - kernel//2 samples away, lies inside the signal with those
-    inputs. Every other output would read padding there, which adds zero."""
+    """Per tap t: (t, outputs, inputs), slices of a segment pairing the outputs
+    whose tap-t input, t - kernel//2 samples away, lies inside the segment with
+    those inputs. Every other output would read padding there, which adds zero."""
     for t in range(kernel):
         shift = t - kernel // 2
         n = length - abs(shift)  # not positive when the tap reads only padding
@@ -116,42 +131,56 @@ def _tap_spans(length, kernel):
 
 
 def _conv1d_forward(x, w):
-    # (C_out, C_in) @ (B, C_in, L) per tap, on a view of the input. The centre tap
-    # reaches every output, so it starts the sum in place of a zero fill.
+    # (C_out, C_in) @ (C_in, B*L) per tap. The centre tap reaches every output,
+    # so it starts the sum in place of a zero fill; an outer tap's product is
+    # added shifted within each segment, through one reused buffer.
     centre = w.shape[2] // 2
-    out = np.matmul(w[:, :, centre], x)
+    x2 = _rows(x)
+    out = (w[:, :, centre] @ x2).reshape(-1, *x.shape[1:])
+    tap = None
     for t, outputs, inputs in _tap_spans(x.shape[2], w.shape[2]):
         if t != centre:
-            out[:, :, outputs] += np.matmul(w[:, :, t], x[:, :, inputs])
+            tap = np.matmul(w[:, :, t], x2, out=tap)
+            out[:, :, outputs] += tap.reshape(out.shape)[:, :, inputs]
+    return out
+
+
+def _segment_products(a, b, shift):
+    """sum over segments s and samples i of a[:, s, i] b[:, s, i + shift]^T, a
+    (C_a, C_b) array, for 0 <= shift < L: one GEMM over the flattened rows,
+    less the products it also formed across each boundary between segments."""
+    a2, b2 = _rows(a), _rows(b)
+    out = a2[:, : a2.shape[1] - shift] @ b2[:, shift:].T
+    out -= _rows(a[:, :-1, a.shape[2] - shift :]) @ _rows(b[:, 1:, :shift]).T
     return out
 
 
 def _conv1d_grads(g, x, w):
-    gx = np.zeros_like(x)
+    # gx is the conv of g with the channel-swapped, tap-reversed weights
+    gx = _conv1d_forward(g, w.transpose(1, 0, 2)[:, :, ::-1])
     gw = np.zeros_like(w)  # a tap that reads only padding has zero gradient
-    for t, outputs, inputs in _tap_spans(x.shape[2], w.shape[2]):
-        g_t = g[:, :, outputs]
-        gw[:, :, t] = np.matmul(g_t, x[:, :, inputs].transpose(0, 2, 1)).sum(0)
-        gx[:, :, inputs] += np.matmul(w[:, :, t].T, g_t)
-    gb = g.sum(axis=(0, 2))
+    for t, _, _ in _tap_spans(x.shape[2], w.shape[2]):
+        shift = t - w.shape[2] // 2
+        gw[:, :, t] = _segment_products(g, x, shift) if shift >= 0 else _segment_products(x, g, -shift).T
+    gb = np.einsum("cbl->c", g)
     return gx, gw, gb
 
 
 def _check_conv1d(x: Tensor, weight: Tensor) -> None:
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="expects rank-3 input and weight")
-    if x.shape[1] != weight.shape[1]:
+    if x.shape[0] != weight.shape[1]:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="channel counts differ")
     if weight.shape[2] % 2 == 0:
         raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="kernel length must be odd")
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Cross-correlate (B, C_in, L) with (C_out, C_in, k) weights, k odd, zero
-    padding k // 2 on each side: the output keeps the length L."""
+    """Cross-correlate channel-major (C_in, B, L) with (C_out, C_in, k) weights,
+    k odd, zero padding k // 2 at each end of every segment: (C_out, B, L)."""
     _check_conv1d(x, weight)
     out_data = _conv1d_forward(x.data, weight.data)
-    out_data += bias.data.reshape(1, -1, 1)
+    out_data += bias.data[:, None, None]
 
     def backward(g, x=x, weight=weight, bias=bias):
         gx, gw, gb = _conv1d_grads(g, x.data, weight.data)
@@ -163,37 +192,37 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def _conv_transpose1d_forward(x, w):
-    batch, c_in, length = x.shape
+    c_in, batch, length = x.shape
     c_out = w.shape[1]
-    # both taps at once: (C_out*2, C_in) @ (B, C_in, L); tap t lands on samples 2i + t
-    taps = np.matmul(w.reshape(c_in, c_out * 2).T, x).reshape(batch, c_out, 2, length)
-    out = np.empty((batch, c_out, length, 2))
-    out[..., 0], out[..., 1] = taps[:, :, 0], taps[:, :, 1]
-    return out.reshape(batch, c_out, 2 * length)
+    # both taps at once: (C_out*2, C_in) @ (C_in, B*L); tap t lands on samples 2i + t
+    taps = (w.reshape(c_in, c_out * 2).T @ _rows(x)).reshape(c_out, 2, batch, length)
+    out = np.empty((c_out, batch, length, 2))
+    out[..., 0], out[..., 1] = taps[:, 0], taps[:, 1]
+    return out.reshape(c_out, batch, 2 * length)
 
 
 def _conv_transpose1d_grads(g, x, w):
     c_in, c_out, _ = w.shape
-    batch, _, length = x.shape
-    # cols[b, o*2 + t, i] = g[b, o, 2i + t]
-    cols = g.reshape(batch, c_out, length, 2).transpose(0, 1, 3, 2).reshape(batch, c_out * 2, length)
-    gx = np.matmul(w.reshape(c_in, c_out * 2), cols)
-    gw = np.matmul(x, cols.transpose(0, 2, 1)).sum(0).reshape(w.shape)
-    gb = g.sum(axis=(0, 2))
+    _, batch, length = x.shape
+    # cols[o*2 + t, s*L + i] = g[o, s, 2i + t]
+    cols = g.reshape(c_out, batch, length, 2).transpose(0, 3, 1, 2).reshape(c_out * 2, batch * length)
+    gx = (w.reshape(c_in, c_out * 2) @ cols).reshape(x.shape)
+    gw = (_rows(x) @ cols.T).reshape(w.shape)
+    gb = np.einsum("cbl->c", g)
     return gx, gw, gb
 
 
 def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Adjoint of a kernel-2, stride-2 conv: (B, C_in, L) -> (B, C_out, 2L)."""
+    """Adjoint of a kernel-2, stride-2 conv: channel-major (C_in, B, L) -> (C_out, B, 2L)."""
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape)
-    if x.shape[1] != weight.shape[0]:
+    if x.shape[0] != weight.shape[0]:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="channel counts differ")
     if weight.shape[2] != 2:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="kernel length must be 2")
 
     out_data = _conv_transpose1d_forward(x.data, weight.data)
-    out_data += bias.data.reshape(1, -1, 1)
+    out_data += bias.data[:, None, None]
 
     def backward(g, x=x, weight=weight, bias=bias):
         gx, gw, gb = _conv_transpose1d_grads(g, x.data, weight.data)
@@ -205,7 +234,8 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def maxpool1d(x: Tensor) -> Tensor:
-    """Maxima of non-overlapping sample pairs; a tie routes gradient to the first."""
+    """Maxima of non-overlapping sample pairs within each segment of a
+    channel-major (C, B, L) input; a tie routes gradient to the first."""
     if x.ndim != 3:
         raise ShapeMismatch("maxpool1d", x.shape, detail="expects rank 3")
     if x.shape[2] % 2 != 0:
@@ -229,29 +259,36 @@ BN_MOMENTUM = 0.1  # weight of each training batch in batchnorm's running estima
 NORM_EPS = 1e-5  # added to every variance before its square root
 
 
+def _channel_dots(a, b):
+    """Per-channel sums of a*b over batch and length: one dot per channel row."""
+    return np.matmul(_rows(a)[:, None, :], _rows(b)[:, :, None]).reshape(-1)
+
+
 def _batchnorm_grads(g, x_hat, inv_std, gamma):
-    """Closed form gx = gamma*inv_std*(g - sum(g)/m - x_hat*sum(g*x_hat)/m).
+    """Closed form gx = gamma*inv_std*(g - sum(g)/m - x_hat*sum(g*x_hat)/m),
+    each sum over one channel of the (C, B, L) arrays.
 
     gx is built in x_hat's buffer, which the caller owns and no longer needs.
     """
-    m = g.shape[0] * g.shape[2]
-    gbeta = np.einsum("bcl->c", g)
-    ggamma = np.einsum("bcl,bcl->c", g, x_hat)
-    gx = np.multiply(x_hat, (-ggamma / m)[:, None], out=x_hat)
+    m = g.shape[1] * g.shape[2]
+    gbeta = np.einsum("cbl->c", g)
+    ggamma = _channel_dots(g, x_hat)
+    gx = np.multiply(x_hat, (-ggamma / m)[:, None, None], out=x_hat)
     gx += g
-    gx -= (gbeta / m)[:, None]
-    gx *= (gamma * inv_std)[:, None]
+    gx -= (gbeta / m)[:, None, None]
+    gx *= (gamma * inv_std)[:, None, None]
     return gx, ggamma, gbeta
 
 
 class BatchNorm1d(Module):
     """Per-channel normalization over (batch, length) with running statistics.
 
-    Training mode normalizes with biased batch statistics and updates the
-    running estimates by exponential moving average. Eval mode is inference
-    only: one per-channel affine map folded from the running estimates, gamma
-    and beta, recorded on no tape. The network runs it fused with its conv
-    and ReLU (`conv_bn_relu`); `forward` is the unfused reference.
+    Takes channel-major (C, B, L) input. Training mode normalizes with biased
+    batch statistics and updates the running estimates by exponential moving
+    average. Eval mode is inference only: one per-channel affine map folded
+    from the running estimates, gamma and beta, recorded on no tape. The
+    network runs it fused with its conv and ReLU (`conv_bn_relu`); `forward`
+    is the unfused reference.
     """
 
     def __init__(self, channels: int):
@@ -261,19 +298,19 @@ class BatchNorm1d(Module):
         self.running_var = np.ones(channels)
 
     def _normalize_batch(self, y: np.ndarray, out=None):
-        """x_hat of (B, C, L) `y` under its biased batch statistics, written to
+        """x_hat of (C, B, L) `y` under its biased batch statistics, written to
         `out` (`y` itself normalizes in place); moves the running estimates.
         Returns (x_hat, inv_std)."""
-        m = y.shape[0] * y.shape[2]
+        m = y.shape[1] * y.shape[2]
         if m < 2:
             raise ShapeMismatch("batchnorm1d", y.shape, detail="need batch*length >= 2 to estimate statistics")
-        mean = np.einsum("bcl->c", y) / m
-        x_hat = np.subtract(y, mean[:, None], out=out)
-        var = np.einsum("bcl,bcl->c", x_hat, x_hat) / m
+        mean = np.einsum("cbl->c", y) / m
+        x_hat = np.subtract(y, mean[:, None, None], out=out)
+        var = _channel_dots(x_hat, x_hat) / m
         self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
         self.running_var += BN_MOMENTUM * (var - self.running_var)
         inv_std = 1.0 / np.sqrt(var + NORM_EPS)
-        x_hat *= inv_std[:, None]
+        x_hat *= inv_std[:, None, None]
         return x_hat, inv_std
 
     def _eval_affine(self):
@@ -282,16 +319,16 @@ class BatchNorm1d(Module):
         return scale, self.beta.data - self.running_mean * scale
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        if x.ndim != 3 or x.shape[1] != self.gamma.size:
+        if x.ndim != 3 or x.shape[0] != self.gamma.size:
             raise ShapeMismatch("batchnorm1d", x.shape, (self.gamma.size,))
         if not training:
             scale, shift = self._eval_affine()
-            return Tensor(x.data * scale[:, None] + shift[:, None])
+            return Tensor(x.data * scale[:, None, None] + shift[:, None, None])
 
         gamma, beta = self.gamma, self.beta
         x_hat, inv_std = self._normalize_batch(x.data)
-        out_data = x_hat * gamma.data[:, None]
-        out_data += beta.data[:, None]
+        out_data = x_hat * gamma.data[:, None, None]
+        out_data += beta.data[:, None, None]
 
         def backward(g, x=x, x_hat=x_hat, inv_std=inv_std):
             gx, ggamma, gbeta = _batchnorm_grads(g, x_hat, inv_std, gamma.data)
@@ -311,15 +348,15 @@ def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Te
     if not training:
         scale, shift = bn._eval_affine()
         out = _conv1d_forward(x.data, weight.data * scale[:, None, None])
-        out += (bias.data * scale + shift)[:, None]
+        out += (bias.data * scale + shift)[:, None, None]
         return Tensor(np.maximum(out, 0.0, out=out))
 
     gamma, beta = bn.gamma, bn.beta
     y = _conv1d_forward(x.data, weight.data)
-    y += bias.data.reshape(1, -1, 1)
+    y += bias.data[:, None, None]
     x_hat, inv_std = bn._normalize_batch(y, out=y)
-    out = x_hat * gamma.data[:, None]
-    out += beta.data[:, None]
+    out = x_hat * gamma.data[:, None, None]
+    out += beta.data[:, None, None]
     np.maximum(out, 0.0, out=out)
 
     def backward(g, x=x, x_hat=x_hat, inv_std=inv_std, out=out):

@@ -1,9 +1,13 @@
 """The denoising network: U-Net encoder/decoder around a transformer bottleneck.
 
-Channel plan doubles per level from ``base_channels`` (c, 2c, 4c, 8c, 16c);
-the deepest feature map is flipped to token-major layout, enriched with a
+Channel plan doubles per level from ``base_channels`` (c, 2c, 4c, 8c, 16c).
+Inside the U-Net the activations are channel-major (C, B, L), the layout the
+layers take (see `layers`); the (B, 1, L) input and output of `forward` change
+layout by moving the unit channel axis, which copies nothing. The deepest feature
+map (d, B, T) is flipped to token-major (B, T, d) layout, enriched with a
 fixed sinusoidal positional table, run through the transformer encoder stack,
-flipped back, and decoded with skip concatenations mirroring the encoder.
+flipped back to channel-major, and decoded with skip concatenations mirroring
+the encoder.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .layers import (
     maxpool1d,
     positional_encoding,
 )
-from .tensor import ShapeMismatch, Tensor, add, concat_channels, transpose_last
+from .tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op, concat_channels
 
 __all__ = ["INFER_BATCH", "ModelConfig", "TransformerUNet1D", "save_checkpoint", "load_checkpoint"]
 
@@ -76,6 +80,20 @@ class ModelConfig:
             raise ConfigError("bottleneck dim must be even for the positional table")
 
 
+def _permute(a: Tensor, axes, table=None) -> Tensor:
+    """A view of `a` with its axes in the order `axes`, or that view plus the
+    constant `table` if one is given (the positional table, which so enters
+    with the flip to token-major). A layer that needs `a` as contiguous rows
+    copies the view; moving a unit axis leaves them contiguous."""
+    moved = a.data.transpose(axes)
+    back = np.argsort(axes)
+
+    def backward(g, a=a):
+        accumulate_grad(a, g.transpose(back))
+
+    return apply_op(moved if table is None else moved + table, (a,), backward)
+
+
 class DoubleConv(Module):
     """Two (length-preserving conv k3 -> batchnorm -> relu) stages, each one fused op."""
 
@@ -113,7 +131,8 @@ class Up(Module):
 
 
 class TransformerUNet1D(Module):
-    """Shape-preserving denoiser for (B, 1, input_len) segments.
+    """Shape-preserving denoiser for (B, 1, input_len) segments; channel-major
+    (C, B, L) activations inside (module docstring).
 
     Every inference caller (validation, `evaluate`, `denoise`) goes through
     `predict`, and every forward pins the process's allocator policy first
@@ -149,20 +168,19 @@ class TransformerUNet1D(Module):
             raise ShapeMismatch(
                 "model", x.shape, (x.shape[0] if x.ndim == 3 else -1, cfg.in_channels, cfg.input_len)
             )
-        skips = [self.inc.forward(x, training)]
+        skips = [self.inc.forward(_permute(x, (1, 0, 2)), training)]
         for down in self.down:
             skips.append(down.forward(skips[-1], training))
 
-        z = skips.pop()  # deepest features (B, d, T)
-        tokens = transpose_last(z)  # token-major (B, T, d)
-        tokens = add(tokens, self.pos_table)
+        # the deepest features (d, B, T) run through the transformer as (B, T, d)
+        tokens = _permute(skips.pop(), (1, 2, 0), self.pos_table.data)
         for layer in self.enc:
             tokens = layer.forward(tokens)
-        z = transpose_last(tokens)
+        z = _permute(tokens, (2, 0, 1))
 
         for up in self.up:
             z = up.forward(z, skips.pop(), training)
-        return self.out.forward(z)
+        return _permute(self.out.forward(z), (1, 0, 2))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode outputs for an (N, input_len) array, in one forward; the

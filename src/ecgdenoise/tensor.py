@@ -14,7 +14,7 @@ optimizer only reads them.
 
 Broadcasting is deliberately limited to the one pattern the network uses: a
 trailing-shape operand broadcast over the leading (batch) axis (the feature
-bias on (N, D), the positional table on (B, T, D)).
+bias on (N, D)).
 """
 
 from __future__ import annotations
@@ -302,19 +302,20 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Stack (B, C1, L) and (B, C2, L) into (B, C1+C2, L), a's channels first."""
+    """Stack channel-major (C1, B, L) and (C2, B, L) into (C1+C2, B, L), a's
+    channels first: two contiguous blocks one after the other."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 3 or b.ndim != 3:
         raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="expects rank 3")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
+    if a.shape[1:] != b.shape[1:]:
         raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="batch/length differ")
-    split = a.shape[1]
+    split = a.shape[0]
 
     def backward(g, a=a, b=b):
-        accumulate_grad(a, g[:, :split])
-        accumulate_grad(b, g[:, split:])
+        accumulate_grad(a, g[:split])
+        accumulate_grad(b, g[split:])
 
-    return apply_op(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
+    return apply_op(np.concatenate([a.data, b.data]), (a, b), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -143,6 +143,16 @@ def _append_log(path, columns, row) -> None:
         writer.writerow(row)
 
 
+def _checked_config(cfg: RunConfig):
+    """The run's loss config and learning-rate schedule, with the model config
+    validated too, so a config that cannot train is rejected before the run
+    directory is made."""
+    loss_cfg = cfg.loss_config()
+    loss_cfg.validate()
+    cfg.model_config().validate()
+    return loss_cfg, cfg.schedule()
+
+
 def _make_optimizer(model, cfg: RunConfig) -> AdamW:
     return AdamW(model.parameters(), lr=cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
                  eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
@@ -150,10 +160,7 @@ def _make_optimizer(model, cfg: RunConfig) -> AdamW:
 
 def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
                 quiet: bool = False) -> TrainResult:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.to_json(out_dir / "resolved_config.json")
-
+    loss_cfg, schedule = _checked_config(cfg)
     train_pairs = load_split(dataset_dir, "train")
     val_pairs = load_split(dataset_dir, "val")
     if not train_pairs:
@@ -161,8 +168,9 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
     if not val_pairs:
         raise ValueError(f"no validation pairs under {dataset_dir}")
 
-    loss_cfg = cfg.loss_config()
-    schedule = cfg.schedule()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.to_json(out_dir / "resolved_config.json")
 
     start_epoch = 0
     best_val = math.inf
@@ -233,18 +241,18 @@ def run_overfit_one_batch(cfg: RunConfig, dataset_dir, out_dir, quiet: bool = Fa
     A sanity harness: a working model/loss/optimizer stack must be able to
     collapse the loss on a single memorized batch.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.to_json(out_dir / "resolved_config.json")
-
+    loss_cfg, _ = _checked_config(cfg)
     pairs = load_split(dataset_dir, "train")
     if not pairs:
         raise ValueError(f"no training pairs under {dataset_dir}")
     x, y = _stack(pairs, range(min(cfg.batch_size, len(pairs))))
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg.to_json(out_dir / "resolved_config.json")
+
     model = TransformerUNet1D(cfg.model_config())
     optimizer = _make_optimizer(model, cfg)
-    loss_cfg = cfg.loss_config()
     log_path = out_dir / "log.csv"
 
     first = last = math.nan

@@ -431,6 +431,20 @@ def test_non_positive_batch_size_and_t_max_are_rejected(dataset, tmp_path, capsy
     assert not list(tmp_path.glob("metrics_*")) and not list(tmp_path.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("mode", [[], ["--overfit-one-batch"]])
+@pytest.mark.parametrize("flags", [
+    ["--t-max", "0"],
+    ["--w-time", "-1"],
+    ["--base-channels", "0"],
+    ["--lr", "-1"],  # below eta_min
+])
+def test_rejected_train_config_leaves_no_run_directory(dataset, tmp_path, flags, mode):
+    out = tmp_path / "D"
+    assert main(["train", "--data", str(dataset), "--out", str(out), *TINY_TRAIN, "--epochs", "1",
+                 "--overfit-steps", "1", "--quiet", *mode, *flags]) == 2
+    assert not out.exists()
+
+
 def test_missing_dataset_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "missing"), "--out",
                  str(tmp_path / "out"), "--epochs", "1", "--quiet"]) == 2

@@ -61,6 +61,11 @@ def scalar_through(layer_forward, weights):
     return float((layer_forward().data * weights).sum())
 
 
+def flip(a):
+    """Swap the first two axes: (B, C, L) oracle layout <-> the layers' channel-major (C, B, L)."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # conv1d
 
@@ -77,7 +82,7 @@ def test_conv1d_edge_detector_example():
 
 def test_conv1d_identity_kernel():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((2, 3, 7)))
+    x = Tensor(rng.standard_normal((3, 2, 7)))
     w = np.zeros((3, 3, 1))
     for c in range(3):
         w[c, c, 0] = 1.0
@@ -91,9 +96,9 @@ def test_conv1d_matches_oracle_random():
     b = rng.standard_normal(4)
     for kernel in (1, 3, 5, 7):
         w = rng.standard_normal((4, 2, kernel))
-        out = conv1d(Tensor(x), Tensor(w), Tensor(b))
-        assert out.shape == (2, 4, 9)  # length-preserving
-        np.testing.assert_allclose(out.data, ref_cross_correlation(x, w, b, 1, kernel // 2), atol=1e-12)
+        out = conv1d(Tensor(flip(x)), Tensor(w), Tensor(b))
+        assert out.shape == (4, 2, 9)  # length-preserving
+        np.testing.assert_allclose(flip(out.data), ref_cross_correlation(x, w, b, 1, kernel // 2), atol=1e-12)
 
 
 def test_conv1d_gradients_vs_fd():
@@ -102,7 +107,7 @@ def test_conv1d_gradients_vs_fd():
         x = Tensor(rng.standard_normal((2, 2, length)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 2, kernel)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
-        probe = rng.standard_normal((2, 3, length))
+        probe = rng.standard_normal((3, 2, length))
 
         def run():
             return conv1d(x, w, b)
@@ -115,7 +120,7 @@ def test_conv1d_gradients_vs_fd():
 
 def test_conv1d_channel_mismatch():
     with pytest.raises(ShapeMismatch):
-        conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 3, 3))), Tensor(np.zeros(1)))
+        conv1d(Tensor(np.zeros((2, 1, 5))), Tensor(np.zeros((1, 3, 3))), Tensor(np.zeros(1)))
 
 
 def test_conv1d_too_short():
@@ -124,8 +129,8 @@ def test_conv1d_too_short():
     for length, kernel in [(2, 5), (1, 7), (2, 7), (3, 7)]:
         x, w, b = (rng.standard_normal((2, 3, length)), rng.standard_normal((4, 3, kernel)),
                    rng.standard_normal(4))
-        out = conv1d(Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(out.data, ref_cross_correlation(x, w, b, 1, kernel // 2), atol=1e-12)
+        out = conv1d(Tensor(flip(x)), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(flip(out.data), ref_cross_correlation(x, w, b, 1, kernel // 2), atol=1e-12)
 
 
 def test_conv1d_rejects_even_kernel():
@@ -149,7 +154,7 @@ def test_conv_transpose_scatter_example():
 def test_conv_transpose_identity():
     # unit taps on the channel diagonal repeat every sample twice
     rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((2, 3, 6)))
+    x = Tensor(rng.standard_normal((3, 2, 6)))
     w = np.zeros((3, 3, 2))
     for c in range(3):
         w[c, c] = 1.0
@@ -169,8 +174,8 @@ def test_conv_transpose_matches_oracle_random():
     b = rng.standard_normal(2)
     for length in (1, 5):
         x = rng.standard_normal((2, 3, length))
-        out = conv_transpose1d(Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(out.data, ref_scatter_transpose(x, w, b, 2), atol=1e-12)
+        out = conv_transpose1d(Tensor(flip(x)), Tensor(w), Tensor(b))
+        np.testing.assert_allclose(flip(out.data), ref_scatter_transpose(x, w, b, 2), atol=1e-12)
 
 
 def test_conv_transpose_is_adjoint_of_conv():
@@ -183,9 +188,9 @@ def test_conv_transpose_is_adjoint_of_conv():
 
     fwd = ref_cross_correlation(x, w_conv, np.zeros(c_out), stride, 0)
     # conv's (C_out, C_in, k) weight is already the transpose's (C_in, C_out, k)
-    back = conv_transpose1d(Tensor(y), Tensor(w_conv), Tensor(np.zeros(c_in)))
+    back = conv_transpose1d(Tensor(flip(y)), Tensor(w_conv), Tensor(np.zeros(c_in)))
     lhs = float((fwd * y).sum())
-    rhs = float((x * back.data).sum())
+    rhs = float((x * flip(back.data)).sum())
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -194,7 +199,7 @@ def test_conv_transpose_gradients_vs_fd():
     x = Tensor(rng.standard_normal((2, 2, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 10))
+    probe = rng.standard_normal((3, 2, 10))
 
     def run():
         return conv_transpose1d(x, w, b)
@@ -247,14 +252,14 @@ def test_batchnorm_identity_on_standardized_input():
     x = rng.standard_normal((4, 2, 50))
     x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
     bn = BatchNorm1d(2)
-    out = bn.forward(Tensor(x), training=True)
-    np.testing.assert_allclose(out.data, x, atol=1e-4)
+    out = bn.forward(Tensor(flip(x)), training=True)
+    np.testing.assert_allclose(flip(out.data), x, atol=1e-4)
 
 
 def test_batchnorm_constant_channel_gives_beta():
     bn = BatchNorm1d(1)
     bn.beta.data[:] = 0.7
-    out = bn.forward(Tensor(np.full((2, 1, 8), 3.0)), training=True)
+    out = bn.forward(Tensor(np.full((1, 2, 8), 3.0)), training=True)
     np.testing.assert_allclose(out.data, 0.7, atol=1e-12)
 
 
@@ -262,7 +267,7 @@ def test_batchnorm_train_statistics():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((3, 4, 100)) * 5.0 + 2.0
     bn = BatchNorm1d(4)
-    out = bn.forward(Tensor(x), training=True).data
+    out = flip(bn.forward(Tensor(flip(x)), training=True).data)
     assert np.abs(out.mean(axis=(0, 2))).max() < 1e-10
     assert np.abs(out.var(axis=(0, 2)) - 1.0).max() < 1e-6
 
@@ -271,13 +276,13 @@ def test_batchnorm_eval_uses_running_stats():
     rng = np.random.default_rng(14)
     bn = BatchNorm1d(2)
     x = rng.standard_normal((4, 2, 30)) * 2.0 + 1.0
-    bn.forward(Tensor(x), training=True)
+    bn.forward(Tensor(flip(x)), training=True)
     rm, rv = bn.running_mean.copy(), bn.running_var.copy()
     # one batch moves the estimates from (0, 1) a fraction BN_MOMENTUM of the way
     np.testing.assert_allclose(rm, BN_MOMENTUM * x.mean(axis=(0, 2)), atol=1e-15)
     np.testing.assert_allclose(rv, 1.0 + BN_MOMENTUM * (x.var(axis=(0, 2)) - 1.0), atol=1e-14)
     y = rng.standard_normal((1, 2, 30))
-    out = bn.forward(Tensor(y), training=False).data
+    out = flip(bn.forward(Tensor(flip(y)), training=False).data)
     expected = (y - rm.reshape(1, -1, 1)) / np.sqrt(rv.reshape(1, -1, 1) + NORM_EPS)
     np.testing.assert_allclose(out, expected, atol=1e-12)
     # eval pass must not move running stats
@@ -287,7 +292,7 @@ def test_batchnorm_eval_uses_running_stats():
     bn.beta.data[:] = [0.3, -2.5]
     z = rng.standard_normal((3, 2, 30)) * 3.0 - 1.0
     with Tape() as tape:
-        out = bn.forward(Tensor(z), training=False).data
+        out = flip(bn.forward(Tensor(flip(z)), training=False).data)
     assert len(tape) == 0  # inference only: nothing is recorded
     expected = (bn.gamma.data.reshape(1, -1, 1) * (z - rm.reshape(1, -1, 1))
                 / np.sqrt(rv.reshape(1, -1, 1) + NORM_EPS) + bn.beta.data.reshape(1, -1, 1))
@@ -305,8 +310,8 @@ def test_batchnorm_gradients_vs_fd():
     bn = BatchNorm1d(3)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
     bn.beta.data[:] = rng.standard_normal(3)
-    x = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
-    probe = rng.standard_normal((2, 3, 6))
+    x = Tensor(rng.standard_normal((3, 2, 6)), requires_grad=True)
+    probe = rng.standard_normal((3, 2, 6))
 
     def run():
         return bn.forward(x, training=True)
@@ -346,8 +351,8 @@ def _same_bits(a, b):
 
 def test_conv_bn_relu_training_matches_unfused_bitwise():
     rng = np.random.default_rng(31)
-    x0 = rng.standard_normal((2, 3, 40))
-    probe = rng.standard_normal((2, 4, 40))
+    x0 = rng.standard_normal((3, 2, 40))
+    probe = rng.standard_normal((4, 2, 40))
     runs = []
     for op in (conv_bn_relu, _unfused):
         conv, bn = _stage(7)
@@ -378,8 +383,8 @@ def test_conv_bn_relu_eval_folds_batchnorm_into_the_conv():
 def test_conv_bn_relu_gradients_vs_fd():
     conv, bn = _stage(9)
     rng = np.random.default_rng(33)
-    x = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
-    probe = rng.standard_normal((2, 4, 8))
+    x = Tensor(rng.standard_normal((3, 2, 8)), requires_grad=True)
+    probe = rng.standard_normal((4, 2, 8))
 
     def run():
         return conv_bn_relu(x, conv, bn, True)
@@ -399,7 +404,55 @@ def test_conv_bn_relu_gradients_vs_fd():
 def test_conv_bn_relu_rejects_mismatched_batchnorm():
     conv, _ = _stage(10)
     with pytest.raises(ShapeMismatch):
-        conv_bn_relu(Tensor(np.zeros((1, 3, 8))), conv, BatchNorm1d(5), True)
+        conv_bn_relu(Tensor(np.zeros((3, 1, 8))), conv, BatchNorm1d(5), True)
+
+
+# ---------------------------------------------------------------------------
+# segments of a channel-major batch
+
+
+def _segment_ops():
+    """Ops on channel-major (3, B, L) input, each with seeded weights."""
+    rng = np.random.default_rng(40)
+    conv = Conv1d(3, 4, 5, rng=rng)  # taps shifted by 1 and 2 samples
+    tconv = ConvTranspose1d(3, 4, rng=rng)
+    stage_conv, bn = _stage(11)
+    return {
+        "conv1d": lambda x: conv1d(x, conv.weight, conv.bias),
+        "conv_transpose1d": lambda x: conv_transpose1d(x, tconv.weight, tconv.bias),
+        "maxpool1d": maxpool1d,
+        "conv_bn_relu_eval": lambda x: conv_bn_relu(x, stage_conv, bn, False),
+    }
+
+
+@pytest.mark.parametrize("name", ["conv1d", "conv_transpose1d", "maxpool1d", "conv_bn_relu_eval"])
+def test_perturbing_a_segment_leaves_the_others_bitwise_unchanged(name):
+    op = _segment_ops()[name]
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((3, 4, 10))
+    base = op(Tensor(x)).data
+    for s in range(x.shape[1]):
+        bumped = x.copy()
+        bumped[:, s] += rng.standard_normal((3, 10))
+        out = op(Tensor(bumped)).data
+        others = np.arange(x.shape[1]) != s
+        assert out[:, others].tobytes() == base[:, others].tobytes(), s
+        assert not np.array_equal(out[:, s], base[:, s])
+
+
+@pytest.mark.parametrize("name", ["conv1d", "conv_transpose1d", "maxpool1d"])
+def test_a_segment_output_has_zero_gradient_wrt_other_segments(name):
+    op = _segment_ops()[name]
+    rng = np.random.default_rng(42)
+    x = Tensor(rng.standard_normal((3, 4, 10)), requires_grad=True)
+    out_shape = op(x).shape
+    for s in range(x.shape[1]):
+        probe = np.zeros(out_shape)
+        probe[:, s] = rng.standard_normal((out_shape[0], out_shape[2]))
+        (gx,) = tape_grads(lambda: sum_all(mul(op(x), Tensor(probe))), [x])
+        others = np.arange(x.shape[1]) != s
+        assert np.all(gx[:, others] == 0.0), s
+        assert np.any(gx[:, s] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +587,6 @@ def test_shape_algebra_composition():
     x = Tensor(rng.standard_normal((1, 1, 16)))
     conv = Conv1d(1, 2, 3, rng=rng)
     down = maxpool1d(conv.forward(x))
-    assert down.shape == (1, 2, 8)
+    assert down.shape == (2, 1, 8)  # channel-major
     up = ConvTranspose1d(2, 1, rng=rng)
     assert up.forward(down).shape == (1, 1, 16)

@@ -185,6 +185,20 @@ def test_predict_is_bitwise_one_eval_forward():
     assert out.shape == x.shape and out.tobytes() == direct.tobytes()
 
 
+def test_predict_keeps_segments_isolated():
+    model = TransformerUNet1D(ModelConfig(**TINY))
+    rng = np.random.default_rng(38)
+    x = rng.standard_normal((4, 32))
+    base = model.predict(x)
+    for s in range(x.shape[0]):
+        bumped = x.copy()
+        bumped[s] += rng.standard_normal(32)
+        out = model.predict(bumped)
+        others = np.arange(x.shape[0]) != s
+        assert out[others].tobytes() == base[others].tobytes(), s
+        assert not np.array_equal(out[s], base[s])
+
+
 def _unfused_stage(x, conv, bn, training):
     return relu(bn.forward(conv.forward(x), training))
 
@@ -216,7 +230,8 @@ def test_training_forward_tape_node_count_is_pinned():
     with Tape() as tape:
         model.forward(Tensor(np.zeros((2, 1, 32))), training=True)
     # 18 fused conv-batchnorm-relu stages, 4 pools, 4 transposed convs, 4 skip
-    # concatenations, the output conv, 2 transposes, the positional add and
+    # concatenations, the output conv, 3 layout changes (to token-major with the
+    # positional add, back to channel-major, and the output to (B, 1, L)) and
     # 28 ops in the encoder layer
     assert len(tape) == 62
 

@@ -41,7 +41,7 @@ def conv_cases(draw, transposed=False):
     kernel = 2 if transposed else draw(st.sampled_from((1, 3, 5, 7)))
     length = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((batch, c_in, length))
+    x = rng.standard_normal((c_in, batch, length))  # channel-major, as the layers take it
     w = rng.standard_normal((c_in, c_out, kernel) if transposed else (c_out, c_in, kernel))
     return x, w, rng
 
@@ -52,7 +52,7 @@ def _assert_adjoint(y, g, x, gx, w, gw, gb, scale):
     assert gx.shape == x.shape and gw.shape == w.shape
     assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= tol
     assert abs(np.vdot(y, g) - np.vdot(w, gw)) <= tol
-    np.testing.assert_allclose(gb, g.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=1e-12, atol=1e-12)
 
 
 @PROPERTY
@@ -61,9 +61,9 @@ def test_conv1d_grads_are_adjoint_to_the_forward(case):
     x, w, rng = case
     y = _conv1d_forward(x, w)
     kernel, length = w.shape[2], x.shape[2]
-    padded = np.pad(x, ((0, 0), (0, 0), (kernel // 2, kernel // 2)))
+    padded = np.pad(x.transpose(1, 0, 2), ((0, 0), (0, 0), (kernel // 2, kernel // 2)))
     reference = sum(np.matmul(w[:, :, t], padded[:, :, t : t + length]) for t in range(kernel))
-    np.testing.assert_allclose(y, reference, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(y, reference.transpose(1, 0, 2), rtol=1e-12, atol=1e-12)
     g = rng.standard_normal(y.shape)
     gx, gw, gb = _conv1d_grads(g, x, w)
     scale = np.vdot(_conv1d_forward(np.abs(x), np.abs(w)), np.abs(g))

@@ -83,24 +83,25 @@ def test_matmul_gradient_matches_central_differences():
 
 
 def test_concat_channels_order_and_roundtrip():
-    a = Tensor(np.array([[[1.0, 2.0, 3.0]]]))
-    b = Tensor(np.array([[[4.0, 5.0, 6.0]]]))
+    # channel-major (C, B, L): two segments of three samples per channel
+    a = Tensor(np.array([[[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]]]))
+    b = Tensor(np.array([[[4.0, 5.0, 6.0], [0.0, -1.0, -2.0]]]))
     out = concat_channels(a, b)
-    assert out.shape == (1, 2, 3)
-    np.testing.assert_array_equal(out.data[0, 0], [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(out.data[0, 1], [4.0, 5.0, 6.0])
+    assert out.shape == (2, 2, 3)
+    np.testing.assert_array_equal(out.data[0], [[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]])
+    np.testing.assert_array_equal(out.data[1], [[4.0, 5.0, 6.0], [0.0, -1.0, -2.0]])
     # slice-back round-trips both inputs exactly
-    np.testing.assert_array_equal(out.data[:, :1], a.data)
-    np.testing.assert_array_equal(out.data[:, 1:], b.data)
+    np.testing.assert_array_equal(out.data[:1], a.data)
+    np.testing.assert_array_equal(out.data[1:], b.data)
 
 
 def test_concat_channels_backward_all_ones():
     a = Tensor(np.zeros((2, 2, 3)), requires_grad=True)
-    b = Tensor(np.zeros((2, 1, 3)), requires_grad=True)
+    b = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
     with Tape() as tape:
         tape.backward(sum_all(concat_channels(a, b)))
     np.testing.assert_array_equal(a.grad, np.ones((2, 2, 3)))
-    np.testing.assert_array_equal(b.grad, np.ones((2, 1, 3)))
+    np.testing.assert_array_equal(b.grad, np.ones((1, 2, 3)))
 
 
 def test_concat_channels_length_mismatch():
