@@ -23,6 +23,7 @@ from .data import (
     save_signal_file,
     stable_seed,
     synth_ecg,
+    write_atomically,
 )
 from .gradcheck import run_all_checks
 from .metrics import MetricError, evaluate, write_segment_csv
@@ -194,10 +195,10 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"metrics_{args.split}.csv"
     write_segment_csv(csv_path, report)
-    with open(out_dir / f"metrics_{args.split}.json", "w") as fh:
-        json.dump({"aggregates": report.aggregates, "groups": report.groups, "n_segments": report.n_segments,
-                   "n_excluded_inf": report.n_excluded_inf}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary = json.dumps({"aggregates": report.aggregates, "groups": report.groups,
+                          "n_segments": report.n_segments, "n_excluded_inf": report.n_excluded_inf},
+                         indent=2, sort_keys=True) + "\n"
+    write_atomically(out_dir / f"metrics_{args.split}.json", lambda fh: fh.write(summary.encode()))
     print(f"per-segment metrics -> {csv_path}")
     return 0
 

@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .data import write_atomically
 from .loss import LossConfig
 from .model import ModelConfig
 from .optim import CosineSchedule
@@ -78,9 +79,8 @@ class RunConfig:
 
     def to_json(self, path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        write_atomically(path, lambda fh: fh.write(text.encode()))
 
     def override(self, **kwargs) -> "RunConfig":
         """New config with the given non-None fields replaced."""

@@ -10,6 +10,9 @@ normalized window, and add. The noisy signal is not re-normalized afterwards,
 which keeps the achieved SNR exact. Per-segment seeds are stable hashes of
 (global seed, record id, offset, SNR, mix), so rebuilds are byte-identical
 and independent of iteration order.
+
+A dataset is one `<split>.f64` per split, (N, 2, window) float64 rows that
+`load_split` memory-maps, and a `manifest.json` listing each row's metadata.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,7 @@ __all__ = [
     "segment_and_normalize",
     "build_dataset",
     "load_manifest",
-    "load_pair",
+    "load_split",
     "load_signal_file",
     "save_signal_file",
     "segment_seed",
@@ -47,6 +50,7 @@ log = logging.getLogger(__name__)
 NOISE_KINDS = ("bw", "em", "ma", "pli")
 
 WINDOW = 3600
+DATASET_FORMAT = 2
 
 
 class DataError(ValueError):
@@ -79,6 +83,13 @@ class SegmentPair:
     scale: float = 0.0
     clean_mean: float = 0.0
     clean_std: float = 1.0
+
+    def __post_init__(self):
+        self.noise_mix = tuple(self.noise_mix)
+
+
+# a manifest entry holds a pair's split and these fields: all but its samples
+_ENTRY_FIELDS = [f.name for f in fields(SegmentPair) if f.name not in ("clean", "noisy")]
 
 
 @dataclass
@@ -295,18 +306,14 @@ def make_pair(record_id, offset, window, mean, std, snr, mix, global_seed, fs) -
     )
 
 
-def pair_file_name(pair: SegmentPair) -> str:
-    mix = "-".join(pair.noise_mix)
-    return f"{pair.record_id}_o{pair.offset}_{mix}_snr{pair.target_snr_db:g}.f64"
-
-
 def build_dataset(records, split: dict, snr_list, mixes, out_dir,
                   global_seed: int = 0, window: int = WINDOW, stride: int = WINDOW) -> dict:
-    """Write split subdirectories of pair files plus a provenance manifest.
+    """Write one `<split>.f64` file per split, then a provenance `manifest.json`.
 
     `split` maps split name -> list of record ids (disjoint); `mixes` is a
-    list of noise-kind tuples. Each pair file holds clean then noisy samples
-    as little-endian float64.
+    list of noise-kind tuples. A split file holds (N, 2, window) little-endian
+    float64 rows, clean then noisy, in the order the manifest lists that
+    split's pairs. Each file is written with `write_atomically`, the manifest last.
     """
     seen = {}
     for name, ids in split.items():
@@ -320,9 +327,10 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
         raise DataError(f"split references unknown records: {missing}")
 
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for split_name in split:
-        (out_dir / split_name).mkdir(parents=True, exist_ok=True)
+
+    def write_split(split_name, fh):
         for rid in split[split_name]:
             rec = by_id[rid]
             for offset, win, mean, std in segment_and_normalize(rec, window, stride):
@@ -330,24 +338,15 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
                     for snr in snr_list:
                         pair = make_pair(rid, offset, win, mean, std, float(snr),
                                          tuple(mix), global_seed, rec.fs)
-                        rel = f"{split_name}/{pair_file_name(pair)}"
-                        blob = np.concatenate([pair.clean, pair.noisy]).astype("<f8")
-                        (out_dir / rel).write_bytes(blob.tobytes())
-                        entries.append({
-                            "split": split_name,
-                            "file": rel,
-                            "record_id": rid,
-                            "offset": offset,
-                            "noise_mix": list(pair.noise_mix),
-                            "target_snr_db": float(snr),
-                            "seed": pair.seed,
-                            "scale": pair.scale,
-                            "clean_mean": mean,
-                            "clean_std": std,
-                        })
+                        fh.write(np.concatenate([pair.clean, pair.noisy]).astype("<f8").tobytes())
+                        entries.append({"split": split_name,
+                                        **{k: getattr(pair, k) for k in _ENTRY_FIELDS}})
+
+    for split_name in split:
+        write_atomically(out_dir / f"{split_name}.f64", lambda fh: write_split(split_name, fh))
 
     manifest = {
-        "format_version": 1,
+        "format_version": DATASET_FORMAT,
         "global_seed": global_seed,
         "window": window,
         "stride": stride,
@@ -357,9 +356,8 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
         "split_records": {name: list(ids) for name, ids in split.items()},
         "pairs": entries,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomically(out_dir / "manifest.json", lambda fh: fh.write(text.encode()))
     return manifest
 
 
@@ -368,33 +366,30 @@ def load_manifest(dataset_dir) -> dict:
     if not path.exists():
         raise DataError(f"no manifest.json under {dataset_dir}")
     with open(path) as fh:
-        return json.load(fh)
-
-
-def load_pair(dataset_dir, entry: dict, window: int) -> SegmentPair:
-    """Read one pair file: `window` clean samples, then `window` noisy ones."""
-    raw = np.fromfile(Path(dataset_dir) / entry["file"], dtype="<f8")
-    if raw.size != 2 * window:
-        raise DataError(f"{entry['file']}: {raw.size} samples, expected 2 x window = {2 * window}")
-    return SegmentPair(
-        clean=raw[:window],
-        noisy=raw[window:],
-        record_id=entry["record_id"],
-        offset=entry["offset"],
-        noise_mix=tuple(entry["noise_mix"]),
-        target_snr_db=entry["target_snr_db"],
-        seed=entry["seed"],
-        scale=entry["scale"],
-        clean_mean=entry["clean_mean"],
-        clean_std=entry["clean_std"],
-    )
+        manifest = json.load(fh)
+    if manifest.get("format_version") != DATASET_FORMAT:
+        raise DataError(f"{path}: dataset format_version {manifest.get('format_version')!r} is not "
+                        f"{DATASET_FORMAT}; rerun synth-data to rebuild the dataset")
+    return manifest
 
 
 def load_split(dataset_dir, split_name: str):
+    """The split's pairs in manifest order; `clean` and `noisy` are read-only views
+    of the memory-mapped `<split>.f64`. A split the manifest does not list, or a
+    file that does not hold exactly its listed pairs, is a `DataError`."""
     manifest = load_manifest(dataset_dir)
-    return [
-        load_pair(dataset_dir, e, manifest["window"]) for e in manifest["pairs"] if e["split"] == split_name
-    ]
+    if split_name not in manifest["split_records"]:
+        raise DataError(f"no split {split_name!r} under {dataset_dir}; it lists "
+                        f"{', '.join(manifest['split_records'])}")
+    entries = [e for e in manifest["pairs"] if e["split"] == split_name]
+    shape = (len(entries), 2, manifest["window"])
+    path = Path(dataset_dir) / f"{split_name}.f64"
+    if path.stat().st_size != 8 * np.prod(shape):
+        raise DataError(f"{path}: {path.stat().st_size} bytes, expected {shape} float64 samples")
+    # an empty file cannot be mapped
+    rows = np.asarray(np.memmap(path, dtype="<f8", mode="r", shape=shape)) if entries else []
+    return [SegmentPair(row[0], row[1], **{k: e[k] for k in _ENTRY_FIELDS})
+            for row, e in zip(rows, entries)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ reported with an infinity sentinel and left out of the aggregate statistics.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_atomically
 from .model import INFER_BATCH
 
 __all__ = ["MetricReport", "snr_db", "prd_pct", "pcc", "mae", "evaluate", "write_segment_csv"]
@@ -142,7 +144,8 @@ def evaluate(model, pairs, batch_size: int = INFER_BATCH) -> MetricReport:
 
 def write_segment_csv(path, report: MetricReport) -> None:
     """One row per segment; `csv` writes each float as its shortest round-trip repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(report.rows)
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(report.rows)
+    write_atomically(path, lambda fh: fh.write(text.getvalue().encode()))

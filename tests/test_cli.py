@@ -13,7 +13,7 @@ import ecgdenoise.training
 from conftest import edit_checkpoint_header
 from ecgdenoise.cli import main
 from ecgdenoise.config import RunConfig
-from ecgdenoise.data import SignalRecord, load_manifest, load_split, save_signal_file, synth_ecg
+from ecgdenoise.data import SignalRecord, build_dataset, load_manifest, load_split, save_signal_file, synth_ecg
 from ecgdenoise.loss import LossReport
 
 
@@ -49,14 +49,14 @@ def run_dir(dataset, tmp_path_factory):
 # synth-data
 
 
-def test_synth_data_split_directories_disjoint(dataset):
+def test_synth_data_split_files_disjoint(dataset):
     manifest = load_manifest(dataset)
     splits = manifest["split_records"]
     assert set(splits) == {"train", "val", "test"}
     all_ids = [rid for ids in splits.values() for rid in ids]
     assert len(all_ids) == len(set(all_ids))
     for name in splits:
-        assert (dataset / name).is_dir()
+        assert (dataset / f"{name}.f64").is_file()
 
 
 def test_synth_data_flags_control_plan(dataset):
@@ -363,9 +363,19 @@ def test_evaluate_requires_model_or_baseline(dataset):
     assert main(["evaluate", "--data", str(dataset)]) == 1
 
 
-def test_evaluate_missing_split(run_dir, dataset):
+def test_evaluate_missing_split(run_dir, dataset, capsys):
     assert main(["evaluate", "--checkpoint", str(run_dir / "best"),
                  "--data", str(dataset), "--split", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "no split 'nope'" in err and "it lists test, train, val" in err
+
+
+def test_evaluate_listed_split_without_pairs_is_empty(tmp_path, capsys):
+    build_dataset([synth_ecg(10.0, record_id="r")], {"train": ["r"], "test": []},
+                  [0.0], [("bw",)], tmp_path)
+    assert main(["evaluate", "--baseline", "identity", "--data", str(tmp_path), "--split", "test"]) == 2
+    err = capsys.readouterr().err
+    assert "split 'test'" in err and "is empty" in err
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +453,19 @@ def test_rejected_train_config_leaves_no_run_directory(dataset, tmp_path, flags,
     assert main(["train", "--data", str(dataset), "--out", str(out), *TINY_TRAIN, "--epochs", "1",
                  "--overfit-steps", "1", "--quiet", *mode, *flags]) == 2
     assert not out.exists()
+
+
+def test_format_1_dataset_is_rejected(dataset, tmp_path, capsys):
+    old = tmp_path / "old"
+    shutil.copytree(dataset, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(old), "--out", str(out), "--epochs", "1", "--quiet"]) == 2
+    assert "rerun synth-data" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["evaluate", "--baseline", "identity", "--data", str(old)]) == 2
 
 
 def test_missing_dataset_is_data_error(tmp_path):

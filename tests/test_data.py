@@ -1,10 +1,15 @@
+import ast
 import errno
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecgdenoise
+from ecgdenoise.cli import main
+from ecgdenoise.config import RunConfig
 from ecgdenoise.data import (
     DataError,
     NoiseSpec,
@@ -12,7 +17,6 @@ from ecgdenoise.data import (
     build_dataset,
     generate_noise,
     load_manifest,
-    load_pair,
     load_signal_file,
     load_split,
     make_pair,
@@ -242,8 +246,9 @@ def test_pairs_hit_target_snr_and_reconstruct_noise(tmp_path):
         out_dir=tmp_path / "ds",
         global_seed=21,
     )
-    for entry in manifest["pairs"]:
-        pair = load_pair(tmp_path / "ds", entry, manifest["window"])
+    pairs = load_split(tmp_path / "ds", "train")
+    assert len(pairs) == len(manifest["pairs"])
+    for pair in pairs:
         assert abs(measured_snr_db(pair.clean, pair.noisy) - pair.target_snr_db) < 1e-9
         noise = _composite_noise(
             manifest["global_seed"], pair.record_id, pair.offset,
@@ -252,17 +257,40 @@ def test_pairs_hit_target_snr_and_reconstruct_noise(tmp_path):
         np.testing.assert_allclose(pair.noisy - pair.clean, pair.scale * noise, atol=1e-12)
 
 
-def test_load_split_rejects_truncated_pair_file(tmp_path):
-    manifest = build_dataset(
+def test_build_dataset_writes_one_read_only_file_per_split(tmp_path):
+    build_dataset(
+        small_records(),
+        split={"train": ["rec0", "rec1"], "val": [], "test": ["rec2"]},
+        snr_list=[0.0, 5.0],
+        mixes=[("bw",)],
+        out_dir=tmp_path / "ds",
+    )
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+        "manifest.json", "test.f64", "train.f64", "val.f64"]
+    # 2 records x 2 windows x 2 SNRs, clean and noisy
+    assert (tmp_path / "ds" / "train.f64").stat().st_size == 8 * 8 * 2 * 3600
+    assert load_split(tmp_path / "ds", "val") == []
+    pair = load_split(tmp_path / "ds", "train")[0]
+    assert type(pair.noisy) is np.ndarray
+    with pytest.raises(ValueError, match="read-only"):
+        pair.noisy[0] = 0.0
+
+
+@pytest.mark.parametrize("resize", [
+    pytest.param(lambda blob: blob[:-8], id="truncated"),
+    pytest.param(lambda blob: blob + bytes(16), id="overlong"),
+])
+def test_load_split_rejects_split_file_of_wrong_size(tmp_path, resize):
+    build_dataset(
         small_records(),
         split={"train": ["rec0"]},
         snr_list=[0.0],
         mixes=[("bw",)],
         out_dir=tmp_path / "ds",
     )
-    path = tmp_path / "ds" / manifest["pairs"][0]["file"]
-    path.write_bytes(path.read_bytes()[:-16])  # one sample short of each half
-    with pytest.raises(DataError):
+    path = tmp_path / "ds" / "train.f64"
+    path.write_bytes(resize(path.read_bytes()))
+    with pytest.raises(DataError, match="bytes, expected"):
         load_split(tmp_path / "ds", "train")
 
 
@@ -312,21 +340,82 @@ def test_load_signal_rejects_truncated_f64(tmp_path):
         load_signal_file(path)
 
 
-@pytest.mark.parametrize("ext", [".csv", ".f64"])
-def test_failed_signal_save_leaves_previous_file(tmp_path, monkeypatch, ext):
-    path = tmp_path / f"sig{ext}"
-    save_signal_file(path, SignalRecord("old", 360.0, np.ones(5)))
-    before = path.read_bytes()
+def _evaluate_into(out, variant):
+    """`evaluate --baseline identity` writing into `out`, on a one-record dataset
+    whose seed is the variant."""
+    data = out.parent / f"ds{variant}"
+    build_dataset(small_records()[:1], {"test": ["rec0"]}, [0.0], [("bw",)], data, global_seed=variant)
+    assert main(["evaluate", "--baseline", "identity", "--data", str(data), "--out", str(out)]) == 0
+
+
+def _save_signal(name):
+    return name, lambda d, v: save_signal_file(d / name, SignalRecord("r", 360.0, np.arange(5.0 + v)))
+
+
+# artifact -> (file name, save(directory, variant)); each variant writes different bytes
+ATOMIC_SAVES = {
+    ".csv": _save_signal("sig.csv"),
+    ".f64": _save_signal("sig.f64"),
+    "manifest": ("manifest.json", lambda d, v: build_dataset(
+        small_records()[:1], {"train": ["rec0"]}, [0.0], [("bw",)], d, global_seed=v)),
+    "config": ("synth_config.json", lambda d, v: RunConfig(seed=v).to_json(d / "synth_config.json")),
+    "metrics_csv": ("metrics_test.csv", _evaluate_into),
+    "metrics_json": ("metrics_test.json", _evaluate_into),
+}
+
+
+@pytest.mark.parametrize("artifact", list(ATOMIC_SAVES))
+def test_failed_signal_save_leaves_previous_file(tmp_path, monkeypatch, artifact):
+    """A disk that fills while the artifact is replaced leaves its previous
+    bytes, and no temporary file, in place."""
+    name, save = ATOMIC_SAVES[artifact]
+    out = tmp_path / "out"
+    out.mkdir()
+    save(out, 0)
+    before = (out / name).read_bytes()
+    listing = sorted(p.name for p in out.iterdir())
+    replace = os.replace
 
     def disk_full(src, dst):
-        raise OSError(errno.ENOSPC, "no space left on device")
+        if Path(dst).name == name:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        replace(src, dst)
 
     monkeypatch.setattr(os, "replace", disk_full)
     with pytest.raises(OSError):
-        save_signal_file(path, SignalRecord("new", 360.0, np.arange(7.0)))
+        save(out, 1)
     monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"sig{ext}", f"sig{ext}.json"]
+    assert (out / name).read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == listing
+
+
+def _file_writes(tree):
+    """(enclosing function, line) of each `open` call with a writing mode and
+    each `write_bytes`/`write_text` call in a parsed module."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            writes = any(not isinstance(m, ast.Constant) or not set("wax+").isdisjoint(m.value)
+                         for m in modes)
+        else:
+            writes = isinstance(node.func, ast.Attribute) and node.func.attr in ("write_bytes", "write_text")
+        if writes:
+            scope = node
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parents[scope]
+            yield getattr(scope, "name", "<module>"), node.lineno
+
+
+def test_package_writes_files_only_through_write_atomically():
+    allowed = {("data.py", "write_atomically"), ("training.py", "_append_log")}
+    found = {(path.name, scope, line)
+             for path in Path(ecgdenoise.__file__).parent.glob("*.py")
+             for scope, line in _file_writes(ast.parse(path.read_text()))}
+    assert {(name, scope) for name, scope, _ in found} >= allowed  # the guard sees both
+    assert sorted(w for w in found if w[:2] not in allowed) == []
 
 
 def test_load_signal_rejects_unknown_format(tmp_path):
