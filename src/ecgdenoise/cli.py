@@ -144,6 +144,9 @@ def cmd_denoise(args) -> int:
     model, _, _ = load_checkpoint(args.checkpoint)
     window = model.config.input_len
     record = load_signal_file(args.input)
+    if record.fs != model.config.fs:
+        raise DataError(f"{args.input} is sampled at {record.fs:g} Hz, but the model was trained "
+                        f"at {model.config.fs:g} Hz; resample the record to {model.config.fs:g} Hz")
     samples = record.samples
     n = samples.size
     remainder = n % window

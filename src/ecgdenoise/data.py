@@ -11,8 +11,11 @@ which keeps the achieved SNR exact. Per-segment seeds are stable hashes of
 (global seed, record id, offset, SNR, mix), so rebuilds are byte-identical
 and independent of iteration order.
 
-A dataset is one `<split>.f64` per split, (N, 2, window) float64 rows that
-`load_split` memory-maps, and a `manifest.json` listing each row's metadata.
+A dataset is one file per split, (N, 2, window) float64 rows that
+`load_split` memory-maps, and a `manifest.json` listing each row's metadata
+and naming each split's file. A split file is named after a digest of its
+bytes, so a rebuild writes new files beside the old ones and the manifest's
+replacement switches the whole dataset at once.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -50,7 +54,10 @@ log = logging.getLogger(__name__)
 NOISE_KINDS = ("bw", "em", "ma", "pli")
 
 WINDOW = 3600
-DATASET_FORMAT = 2
+DATASET_FORMAT = 3
+# a split file, `<split>-<16 hex digits of its sha256>.f64`, or one of format 2,
+# `<split>.f64`, which a rebuild into the same directory removes
+_SPLIT_FILE = re.compile(r"(?P<split>.+?)(-[0-9a-f]{16})?\.f64")
 
 
 class DataError(ValueError):
@@ -306,14 +313,49 @@ def make_pair(record_id, offset, window, mean, std, snr, mix, global_seed, fs) -
     )
 
 
+def _listed_split_files(out_dir: Path) -> dict:
+    """The `split_files` of the manifest under `out_dir`, or {} if it has none."""
+    try:
+        return json.loads((out_dir / "manifest.json").read_text())["split_files"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+
+
+def _write_split_file(out_dir: Path, split_name: str, chunks) -> str:
+    """Write byte `chunks` under a staging name, then rename the file to
+    `<split_name>-<digest>.f64`, the digest the first 16 hex digits of the
+    bytes' sha256, taken as they stream; returns that name."""
+    digest = hashlib.sha256()
+
+    def write(fh):
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+
+    staged = out_dir / f"{split_name}.f64.new"
+    write_atomically(staged, write)
+    name = f"{split_name}-{digest.hexdigest()[:16]}.f64"
+    os.replace(staged, out_dir / name)
+    return name
+
+
+def _remove_files(out_dir: Path, names) -> None:
+    for name in names:
+        (out_dir / name).unlink(missing_ok=True)
+
+
 def build_dataset(records, split: dict, snr_list, mixes, out_dir,
                   global_seed: int = 0, window: int = WINDOW, stride: int = WINDOW) -> dict:
-    """Write one `<split>.f64` file per split, then a provenance `manifest.json`.
+    """Write one split file per split, then a provenance `manifest.json`.
 
     `split` maps split name -> list of record ids (disjoint); `mixes` is a
     list of noise-kind tuples. A split file holds (N, 2, window) little-endian
     float64 rows, clean then noisy, in the order the manifest lists that
-    split's pairs. Each file is written with `write_atomically`, the manifest last.
+    split's pairs, and is named `<split>-<digest of its bytes>.f64`. The
+    manifest, written last with `write_atomically`, names each split's file
+    under `split_files`; until it lands, the previous manifest and the files
+    it names stay whole. A build that fails removes the files it added; one
+    that succeeds removes the split files its manifest does not name.
     """
     seen = {}
     for name, ids in split.items():
@@ -328,9 +370,10 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    previous = _listed_split_files(out_dir)
     entries = []
 
-    def write_split(split_name, fh):
+    def split_rows(split_name):
         for rid in split[split_name]:
             rec = by_id[rid]
             for offset, win, mean, std in segment_and_normalize(rec, window, stride):
@@ -338,26 +381,36 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
                     for snr in snr_list:
                         pair = make_pair(rid, offset, win, mean, std, float(snr),
                                          tuple(mix), global_seed, rec.fs)
-                        fh.write(np.concatenate([pair.clean, pair.noisy]).astype("<f8").tobytes())
                         entries.append({"split": split_name,
                                         **{k: getattr(pair, k) for k in _ENTRY_FIELDS}})
+                        yield np.concatenate([pair.clean, pair.noisy]).astype("<f8").tobytes()
 
-    for split_name in split:
-        write_atomically(out_dir / f"{split_name}.f64", lambda fh: write_split(split_name, fh))
-
-    manifest = {
-        "format_version": DATASET_FORMAT,
-        "global_seed": global_seed,
-        "window": window,
-        "stride": stride,
-        "fs": by_id[next(iter(seen))].fs if seen else None,
-        "snr_list": [float(s) for s in snr_list],
-        "mixes": [list(m) for m in mixes],
-        "split_records": {name: list(ids) for name, ids in split.items()},
-        "pairs": entries,
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    write_atomically(out_dir / "manifest.json", lambda fh: fh.write(text.encode()))
+    split_files = {}
+    try:
+        for split_name in split:
+            split_files[split_name] = _write_split_file(out_dir, split_name, split_rows(split_name))
+        manifest = {
+            "format_version": DATASET_FORMAT,
+            "global_seed": global_seed,
+            "window": window,
+            "stride": stride,
+            "fs": by_id[next(iter(seen))].fs if seen else None,
+            "snr_list": [float(s) for s in snr_list],
+            "mixes": [list(m) for m in mixes],
+            "split_records": {name: list(ids) for name, ids in split.items()},
+            "split_files": split_files,
+            "pairs": entries,
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        write_atomically(out_dir / "manifest.json", lambda fh: fh.write(text.encode()))
+    except BaseException:
+        _remove_files(out_dir, set(split_files.values()) - set(previous.values()))
+        raise
+    names = set(previous) | set(split)
+    _remove_files(out_dir, {
+        path.name for path in out_dir.glob("*.f64")
+        if (match := _SPLIT_FILE.fullmatch(path.name)) and match["split"] in names
+    } - set(split_files.values()))
     return manifest
 
 
@@ -375,15 +428,15 @@ def load_manifest(dataset_dir) -> dict:
 
 def load_split(dataset_dir, split_name: str):
     """The split's pairs in manifest order; `clean` and `noisy` are read-only views
-    of the memory-mapped `<split>.f64`. A split the manifest does not list, or a
-    file that does not hold exactly its listed pairs, is a `DataError`."""
+    of the memory-mapped split file the manifest names. A split the manifest does
+    not list, or a file that does not hold exactly its listed pairs, is a `DataError`."""
     manifest = load_manifest(dataset_dir)
     if split_name not in manifest["split_records"]:
         raise DataError(f"no split {split_name!r} under {dataset_dir}; it lists "
                         f"{', '.join(manifest['split_records'])}")
     entries = [e for e in manifest["pairs"] if e["split"] == split_name]
     shape = (len(entries), 2, manifest["window"])
-    path = Path(dataset_dir) / f"{split_name}.f64"
+    path = Path(dataset_dir) / manifest["split_files"][split_name]
     if path.stat().st_size != 8 * np.prod(shape):
         raise DataError(f"{path}: {path.stat().st_size} bytes, expected {shape} float64 samples")
     # an empty file cannot be mapped

@@ -17,7 +17,7 @@ import numpy as np
 from . import layers
 from .loss import LossConfig, total_loss
 from .model import ModelConfig, TransformerUNet1D
-from .tensor import Tape, Tensor, mul, sum_all
+from .tensor import Tape, Tensor
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_ORDER"]
 
@@ -59,7 +59,7 @@ def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5,
     for t in tensors:
         t.zero_grad()
     with Tape() as tape:
-        tape.backward(sum_all(mul(forward_fn(), Tensor(probe))))
+        tape.backward(forward_fn(), probe)
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
 
     def scalar():
@@ -117,12 +117,14 @@ def check_batchnorm1d(rng) -> float:
 
 
 def check_layernorm(rng) -> float:
+    """The fused residual sum and layer norm, LN(x + f)."""
     ln = layers.LayerNorm(6)
     ln.gamma.data[:] = rng.uniform(0.5, 1.5, 6)
     ln.beta.data[:] = rng.standard_normal(6)
     x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    f = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     probe = rng.standard_normal((4, 6))
-    return _worst_err(lambda: ln.forward(x), [x, ln.gamma, ln.beta], probe)
+    return _worst_err(lambda: ln.forward(x, f), [x, f, ln.gamma, ln.beta], probe)
 
 
 def check_mhsa(rng) -> float:

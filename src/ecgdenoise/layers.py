@@ -33,6 +33,16 @@ and bias, ReLU runs in place, and nothing is recorded. `BatchNorm1d.forward`
 is the unfused reference the tests and the gradient checker compare against;
 it shares the statistics and the eval fold with the fused op.
 
+The transformer encoder layer is four ops, each keeping for its backward
+only what that backward reads. Attention projects q, k and v with one GEMM
+against w_q|w_k|w_v, stacked at call time, folds the heads into the batch
+axis once, and runs softmax and its backward in place; it keeps q, k, v, the
+attention rows and the merged heads, and forms its input gradient as one GEMM
+against the stacked weights. The feed-forward keeps its post-ReLU hidden
+activation. Each residual sum and its layer norm, LN(x + f), is one op that
+keeps x_hat. The tests hold the unfused composition of small tape ops as the
+reference these are compared against.
+
 `Module` names parameters (trainable tensors) and buffers (ndarrays) by
 attribute, in assignment order: child module ``a`` adds the prefix ``a.``, the
 i-th module of list ``a`` adds ``a{i}.`` (from 1). Checkpoints use these names.
@@ -48,20 +58,7 @@ import math
 
 import numpy as np
 
-from .tensor import (
-    ShapeMismatch,
-    Tensor,
-    accumulate_grad,
-    add,
-    apply_op,
-    bmm,
-    matmul,
-    mul,
-    relu,
-    reshape,
-    softmax_last,
-    transpose_last,
-)
+from .tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op
 
 __all__ = [
     "Module",
@@ -77,7 +74,6 @@ __all__ = [
     "conv_bn_relu",
     "conv_transpose1d",
     "maxpool1d",
-    "layer_norm",
     "positional_encoding",
 ]
 
@@ -371,38 +367,6 @@ def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Te
     return apply_op(out, (x, weight, bias, gamma, beta), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last (feature) axis, one token at a time."""
-    if x.shape[-1] != gamma.size:
-        raise ShapeMismatch("layer_norm", x.shape, gamma.shape)
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + NORM_EPS)
-    x_hat = (x.data - mean) * inv_std
-    gshape = (1,) * (x.ndim - 1) + (gamma.size,)
-    out_data = gamma.data.reshape(gshape) * x_hat + beta.data.reshape(gshape)
-    lead_axes = tuple(range(x.ndim - 1))
-
-    def backward(g, x=x, gamma=gamma, beta=beta, x_hat=x_hat, inv_std=inv_std):
-        gg = g * gamma.data.reshape(gshape)
-        mean_gg = gg.mean(axis=-1, keepdims=True)
-        mean_ggx = (gg * x_hat).mean(axis=-1, keepdims=True)
-        accumulate_grad(x, inv_std * (gg - mean_gg - x_hat * mean_ggx))
-        accumulate_grad(gamma, (g * x_hat).sum(axis=lead_axes))
-        accumulate_grad(beta, g.sum(axis=lead_axes))
-
-    return apply_op(out_data, (x, gamma, beta), backward)
-
-
-class LayerNorm(Module):
-    def __init__(self, dim: int):
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta)
-
-
 # ---------------------------------------------------------------------------
 # layer classes
 
@@ -437,6 +401,9 @@ class ConvTranspose1d(Module):
 
 
 class Linear(Module):
+    """Weight (in, out) and bias (out,) of a token-wise affine map, which
+    `FeedForward` applies inside its fused op."""
+
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
         self.weight = Tensor(
             _uniform_init(rng, (in_features, out_features), in_features),
@@ -444,14 +411,10 @@ class Linear(Module):
         )
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        orig_shape = x.shape
-        if x.ndim == 3:
-            x = reshape(x, (orig_shape[0] * orig_shape[1], orig_shape[2]))
-        y = add(matmul(x, self.weight), self.bias)
-        if len(orig_shape) == 3:
-            y = reshape(y, (orig_shape[0], orig_shape[1], self.weight.shape[1]))
-        return y
+
+# ---------------------------------------------------------------------------
+# transformer encoder: token-major (B, T, d), one op per attention,
+# feed-forward and residual-plus-layernorm block
 
 
 def positional_encoding(tokens: int, dim: int) -> np.ndarray:
@@ -467,38 +430,65 @@ def positional_encoding(tokens: int, dim: int) -> np.ndarray:
     return table
 
 
-def _fold_heads(a: np.ndarray, batch: int, heads: int) -> np.ndarray:
-    """(B*T, H*d) -> (B*H, T, d): each head becomes its own batch entry."""
-    tokens, width = a.shape[0] // batch, a.shape[-1] // heads
-    return a.reshape(batch, tokens, heads, width).transpose(0, 2, 1, 3).reshape(batch * heads, tokens, width)
+def _fold_heads(a: np.ndarray, batch: int, heads: int, dim: int) -> np.ndarray:
+    """(B*T, S*dim) token rows of S side-by-side projections -> (S, B*H, T, dim/H),
+    each head of each projection its own batch entry: one copy."""
+    tokens, stacks = a.shape[0] // batch, a.shape[1] // dim
+    return (a.reshape(batch, tokens, stacks, heads, dim // heads).transpose(2, 0, 3, 1, 4)
+            .reshape(stacks, batch * heads, tokens, dim // heads))
 
 
-def _unfold_heads(a: np.ndarray, batch: int, heads: int) -> np.ndarray:
-    """(B*H, T, d) -> (B*T, H*d), the inverse of `_fold_heads`."""
-    _, tokens, width = a.shape
-    return a.reshape(batch, heads, tokens, width).transpose(0, 2, 1, 3).reshape(batch * tokens, heads * width)
+def _unfold_heads(a: np.ndarray, batch: int) -> np.ndarray:
+    """(S, B*H, T, e) -> (B*T, S*H*e), the inverse of `_fold_heads`."""
+    stacks, folded, tokens, width = a.shape
+    heads = folded // batch
+    return (a.reshape(stacks, batch, heads, tokens, width).transpose(1, 3, 0, 2, 4)
+            .reshape(batch * tokens, stacks * heads * width))
 
 
-def _split_heads(a: Tensor, batch: int, heads: int) -> Tensor:
-    def backward(g, a=a):
-        accumulate_grad(a, _unfold_heads(g, batch, heads))
+def _attention_rows(x2, w_qkv, batch, heads):
+    """Folded (q, k, v) as one (3, B*H, T, e) array, q scaled by 1/sqrt(e),
+    and the attention rows softmax(q k^T) (B*H, T, T), for token rows x2
+    (B*T, d) and the stacked projection weights w_q|w_k|w_v (d, 3d)."""
+    qkv = _fold_heads(x2 @ w_qkv, batch, heads, x2.shape[1])
+    q, k, _ = qkv
+    # the scale goes on q, which is e/T the size of the scores
+    q *= 1.0 / math.sqrt(q.shape[-1])
+    p = np.matmul(q, k.swapaxes(1, 2))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return qkv, p
 
-    return apply_op(_fold_heads(a.data, batch, heads), (a,), backward)
 
-
-def _merge_heads(a: Tensor, batch: int, heads: int) -> Tensor:
-    def backward(g, a=a):
-        accumulate_grad(a, _fold_heads(g, batch, heads))
-
-    return apply_op(_unfold_heads(a.data, batch, heads), (a,), backward)
+def _mhsa_grads(g2, x2, w_qkv, w_o, qkv, p, merged, batch):
+    """(gx2, gw_qkv, gw_o) for upstream token rows g2 (B*T, d). The softmax
+    backward runs in place on the probabilities' gradient, and the input
+    gradient is one GEMM against the stacked projection weights."""
+    q, k, v = qkv
+    gw_o = merged.T @ g2
+    gheads = _fold_heads(g2 @ w_o.T, batch, qkv.shape[1] // batch, g2.shape[1])[0]
+    gqkv = np.empty_like(qkv)
+    np.matmul(p.swapaxes(1, 2), gheads, out=gqkv[2])
+    gp = np.matmul(gheads, v.swapaxes(1, 2))
+    gp -= np.einsum("...i,...i->...", gp, p)[..., None]
+    gp *= p
+    np.matmul(gp, k, out=gqkv[0])
+    gqkv[0] *= 1.0 / math.sqrt(q.shape[-1])
+    # k's gradient as (q^T gp)^T, the product order of the unfused reference
+    np.matmul(q.swapaxes(1, 2), gp, out=gqkv[1].swapaxes(1, 2))
+    g_rows = _unfold_heads(gqkv, batch)
+    return g_rows @ w_qkv.T, x2.T @ g_rows, gw_o
 
 
 class MultiHeadSelfAttention(Module):
     """Scaled dot-product attention across H heads, concatenated and projected.
 
     Input is (B, T, d); each batch element's sequence attends to itself only.
-    Heads are folded into the batch axis, so every head runs in the same
-    batched matmuls. Projections carry no bias terms.
+    One op: the three projections are one GEMM against w_q|w_k|w_v, stacked at
+    call time, whose result is folded into per-head batch entries once. The
+    tape keeps q, k, v, the attention rows and the merged heads. Projections
+    carry no bias terms.
     """
 
     def __init__(self, dim: int, heads: int, *, rng: np.random.Generator):
@@ -512,45 +502,126 @@ class MultiHeadSelfAttention(Module):
         self.w_v = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
         self.w_o = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
 
-    def _project(self, x2: Tensor, w: Tensor, batch: int) -> Tensor:
-        return _split_heads(matmul(x2, w), batch, self.heads)
-
-    def _attention(self, x2: Tensor, batch: int) -> Tensor:
-        """Attention rows (B*H, T, T) for token rows x2 of shape (B*T, d)."""
-        # the scale goes on q, which is head_dim/T the size of the scores
-        q = mul(self._project(x2, self.w_q, batch), 1.0 / math.sqrt(self.head_dim))
-        k = self._project(x2, self.w_k, batch)
-        return softmax_last(bmm(q, transpose_last(k)))
-
-    def forward(self, x: Tensor) -> Tensor:
+    def _inputs(self, x: Tensor):
         if x.ndim != 3 or x.shape[2] != self.dim:
             raise ShapeMismatch("mhsa", x.shape, (self.dim,))
-        batch, tokens, dim = x.shape
-        x2 = reshape(x, (batch * tokens, dim))
-        heads_out = bmm(self._attention(x2, batch), self._project(x2, self.w_v, batch))
-        out = matmul(_merge_heads(heads_out, batch, self.heads), self.w_o)
-        return reshape(out, (batch, tokens, dim))
+        w_qkv = np.concatenate([self.w_q.data, self.w_k.data, self.w_v.data], axis=1)
+        return x.data.reshape(-1, self.dim), w_qkv
+
+    def forward(self, x: Tensor) -> Tensor:
+        batch = x.shape[0]
+        x2, w_qkv = self._inputs(x)
+        qkv, p = _attention_rows(x2, w_qkv, batch, self.heads)
+        merged = _unfold_heads(np.matmul(p, qkv[2])[None], batch)
+        out = (merged @ self.w_o.data).reshape(x.shape)
+        w_q, w_k, w_v, w_o = self.w_q, self.w_k, self.w_v, self.w_o
+
+        def backward(g, x=x):
+            gx2, gw_qkv, gw_o = _mhsa_grads(g.reshape(x2.shape), x2, w_qkv, w_o.data, qkv, p, merged, batch)
+            accumulate_grad(x, gx2.reshape(x.shape))
+            accumulate_grad(w_q, gw_qkv[:, : self.dim])
+            accumulate_grad(w_k, gw_qkv[:, self.dim : 2 * self.dim])
+            accumulate_grad(w_v, gw_qkv[:, 2 * self.dim :])
+            accumulate_grad(w_o, gw_o)
+
+        return apply_op(out, (x, w_q, w_k, w_v, w_o), backward)
 
     def attention_weights(self, x: Tensor) -> np.ndarray:
         """Per-head attention rows for inspection: (H, B, T, T)."""
-        batch, tokens, dim = x.shape
-        rows = self._attention(reshape(x, (batch * tokens, dim)), batch).data
-        return rows.reshape(batch, self.heads, tokens, tokens).transpose(1, 0, 2, 3)
+        batch, tokens, _ = x.shape
+        _, p = _attention_rows(*self._inputs(x), batch, self.heads)
+        return p.reshape(batch, self.heads, tokens, tokens).transpose(1, 0, 2, 3)
+
+
+def _feedforward_grads(g2, rows, h, w1, w2):
+    """(g_rows, gw1, gb1, gw2, gb2) for upstream rows g2; `h` is the post-ReLU
+    hidden activation, whose positive entries mark where the ReLU passed."""
+    gh = g2 @ w2.T
+    gh *= h > 0.0
+    return gh @ w1.T, rows.T @ gh, gh.sum(axis=0), h.T @ g2, g2.sum(axis=0)
 
 
 class FeedForward(Module):
-    """Position-wise two-layer MLP with ReLU."""
+    """Position-wise two-layer MLP with ReLU, as one op over the token rows
+    of a (..., d) input; the tape keeps the post-ReLU hidden activation."""
 
     def __init__(self, dim: int, hidden: int, *, rng: np.random.Generator):
         self.lin1 = Linear(dim, hidden, rng=rng)
         self.lin2 = Linear(hidden, dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.lin2.forward(relu(self.lin1.forward(x)))
+        w1, b1, w2, b2 = self.lin1.weight, self.lin1.bias, self.lin2.weight, self.lin2.bias
+        if x.shape[-1] != w1.shape[0]:
+            raise ShapeMismatch("feedforward", x.shape, w1.shape)
+        rows = x.data.reshape(-1, x.shape[-1])
+        h = rows @ w1.data
+        h += b1.data
+        np.maximum(h, 0.0, out=h)
+        out = h @ w2.data
+        out += b2.data
+
+        def backward(g, x=x):
+            g_rows, gw1, gb1, gw2, gb2 = _feedforward_grads(g.reshape(-1, g.shape[-1]), rows, h, w1.data, w2.data)
+            accumulate_grad(x, g_rows.reshape(x.shape))
+            accumulate_grad(w1, gw1)
+            accumulate_grad(b1, gb1)
+            accumulate_grad(w2, gw2)
+            accumulate_grad(b2, gb2)
+
+        return apply_op(out.reshape(x.shape), (x, w1, b1, w2, b2), backward)
+
+
+def _layernorm_grads(g, x_hat, inv_std, gamma):
+    """(gs, ggamma, gbeta) of out = gamma * x_hat + beta for upstream g; gs,
+    the gradient with respect to the normalized sum, is built in one new
+    buffer, with x_hat's buffer, which the caller no longer needs, as scratch."""
+    lead = tuple(range(g.ndim - 1))
+    ggamma = (g * x_hat).sum(axis=lead)
+    gbeta = g.sum(axis=lead)
+    gs = g * gamma
+    mean_ggx = (gs * x_hat).mean(axis=-1, keepdims=True)
+    gs -= gs.mean(axis=-1, keepdims=True)
+    x_hat *= mean_ggx
+    gs -= x_hat
+    gs *= inv_std
+    return gs, ggamma, gbeta
+
+
+class LayerNorm(Module):
+    """Residual sum and layer normalization as one op: LN(x + f), normalized
+    over the last (feature) axis one token at a time. The sum is normalized
+    in place, so the tape keeps x_hat, the per-token inverse std and the
+    output."""
+
+    def __init__(self, dim: int):
+        self.gamma = Tensor(np.ones(dim), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True)
+
+    def forward(self, x: Tensor, f: Tensor) -> Tensor:
+        gamma, beta = self.gamma, self.beta
+        if x.shape != f.shape or x.shape[-1] != gamma.size:
+            raise ShapeMismatch("layer_norm", x.shape, f.shape, detail=f"{gamma.size} features")
+        s = x.data + f.data
+        mean = s.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + NORM_EPS)
+        x_hat = np.subtract(s, mean, out=s)
+        x_hat *= inv_std
+        out = x_hat * gamma.data
+        out += beta.data
+
+        def backward(g, x=x, f=f):
+            gs, ggamma, gbeta = _layernorm_grads(g, x_hat, inv_std, gamma.data)
+            accumulate_grad(x, gs)
+            accumulate_grad(f, gs)
+            accumulate_grad(gamma, ggamma)
+            accumulate_grad(beta, gbeta)
+
+        return apply_op(out, (x, f, gamma, beta), backward)
 
 
 class TransformerEncoderLayer(Module):
-    """Post-norm encoder layer: LN(x + attention(x)), then LN(u + mlp(u))."""
+    """Post-norm encoder layer: u = LN(x + attention(x)), then LN(u + mlp(u));
+    four ops on the tape."""
 
     def __init__(self, dim: int, heads: int, d_ff: int, *, rng: np.random.Generator):
         self.attn = MultiHeadSelfAttention(dim, heads, rng=rng)
@@ -559,5 +630,5 @@ class TransformerEncoderLayer(Module):
         self.norm2 = LayerNorm(dim)
 
     def forward(self, x: Tensor) -> Tensor:
-        u = self.norm1.forward(add(x, self.attn.forward(x)))
-        return self.norm2.forward(add(u, self.ff.forward(u)))
+        u = self.norm1.forward(x, self.attn.forward(x))
+        return self.norm2.forward(u, self.ff.forward(u))

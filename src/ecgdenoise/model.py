@@ -54,6 +54,9 @@ class ModelConfig:
     in_channels: int = 1
     out_channels: int = 1
     seed: int = 0
+    # sampling rate (Hz) of the data the model is trained on: a window spans
+    # input_len / fs seconds. A checkpoint written without it means 360 Hz.
+    fs: float = 360.0
 
     @property
     def bottleneck_dim(self) -> int:
@@ -68,6 +71,8 @@ class ModelConfig:
             raise ConfigError("depth must be >= 1")
         if self.base_channels < 1:
             raise ConfigError("base_channels must be >= 1")
+        if not self.fs > 0:
+            raise ConfigError(f"fs must be positive, got {self.fs}")
         if self.input_len % 2**self.depth != 0:
             raise ConfigError(
                 f"input_len {self.input_len} not divisible by 2^depth = {2 ** self.depth}"

@@ -6,15 +6,25 @@ eval-mode inference stays allocation-free. Backward replays the tape in reverse;
 because nodes are appended in execution order the list is already topologically
 sorted and every node is visited exactly once.
 
+Backward starts from the root's gradient: the `grad` handed to
+`Tape.backward(root, grad)`, else one the caller already stored in
+`root.grad`, else 1 for a scalar root. It frees as it goes. Each node is
+popped off the tape before its backward runs, and its output's `.grad` is
+dropped once that backward has run. A node's saved activations and its
+upstream gradient are therefore released as soon as no node further up the
+tape still needs them, and the backward's peak memory is what remains to be
+differentiated, not the whole forward plus every gradient formed so far.
+Leaves (parameters and inputs made by the caller) keep their gradients.
+
 Gradients are shared, not copied: `accumulate_grad` stores the first
 contribution to a tensor's `.grad` as handed in, which may be a view of an
 upstream buffer or the same array another input received, and adds later
 contributions out of place. No code writes into a `.grad` array; the
-optimizer only reads them.
+optimizer only reads them. A backward closure may reuse buffers it saved
+itself, which nothing else reads once it has run.
 
-Broadcasting is deliberately limited to the one pattern the network uses: a
-trailing-shape operand broadcast over the leading (batch) axis (the feature
-bias on (N, D)).
+Broadcasting is deliberately limited to one pattern: a trailing-shape operand
+broadcast over the leading (batch) axis.
 """
 
 from __future__ import annotations
@@ -27,14 +37,7 @@ __all__ = [
     "ShapeMismatch",
     "add",
     "mul",
-    "relu",
-    "matmul",
-    "bmm",
-    "transpose_last",
-    "reshape",
     "concat_channels",
-    "sum_all",
-    "softmax_last",
     "apply_op",
     "accumulate_grad",
 ]
@@ -138,20 +141,31 @@ class Tape:
         out._tape = self
         self._nodes.append((out, backward_fn))
 
-    def backward(self, root: Tensor) -> None:
+    def backward(self, root: Tensor, grad=None) -> None:
+        """Propagate from `root`, seeded with `grad` (an array of root's shape),
+        else with a gradient already stored in ``root.grad``, else with 1 for
+        a scalar root; pops and frees every node on the way (module docstring)."""
         if self._consumed:
             raise TapeError("tape already consumed by a previous backward")
-        if root.size != 1:
-            raise ShapeMismatch("backward", root.shape, detail="root must be scalar")
+        if grad is None:
+            grad = root.grad
+        if grad is None:
+            if root.size != 1:
+                raise ShapeMismatch("backward", root.shape, detail="root must be scalar unless seeded")
+            grad = np.ones_like(root.data)
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != root.shape:
+            raise ShapeMismatch("backward", root.shape, grad.shape, detail="seed differs from root")
         if root._tape is not self:
             raise TapeError("backward: root was not recorded on this tape")
-        root.grad = np.ones_like(root.data)
-        for out, backward_fn in reversed(self._nodes):
+        self._consumed = True
+        root.grad = grad
+        nodes = self._nodes
+        while nodes:
+            out, backward_fn = nodes.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
-        # free activations; the tape is single-use by design
-        self._nodes.clear()
-        self._consumed = True
+                out.grad = None
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
@@ -237,70 +251,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    a = _as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g, a=a, out=out_data):
-        accumulate_grad(a, g * (out > 0.0))
-
-    return apply_op(out_data, (a,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch("matmul", a.shape, b.shape, detail="expects 2D @ 2D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch("matmul", a.shape, b.shape, detail="inner dims differ")
-    out_data = a.data @ b.data
-
-    def backward(g, a=a, b=b):
-        accumulate_grad(a, g @ b.data.T)
-        accumulate_grad(b, a.data.T @ g)
-
-    return apply_op(out_data, (a, b), backward)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul: (B, m, k) @ (B, k, n) -> (B, m, n)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeMismatch("bmm", a.shape, b.shape)
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g, a=a, b=b):
-        accumulate_grad(a, np.matmul(g, b.data.swapaxes(1, 2)))
-        accumulate_grad(b, np.matmul(a.data.swapaxes(1, 2), g))
-
-    return apply_op(out_data, (a, b), backward)
-
-
-def transpose_last(a: Tensor) -> Tensor:
-    """Swap the last two axes of a rank-2/3 tensor."""
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeMismatch("transpose_last", a.shape, detail="needs rank >= 2")
-    out_data = np.swapaxes(a.data, -1, -2)
-
-    def backward(g, a=a):
-        accumulate_grad(a, np.swapaxes(g, -1, -2))
-
-    return apply_op(out_data, (a,), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    shape = tuple(shape)
-    out_data = a.data.reshape(shape)
-
-    def backward(g, a=a):
-        accumulate_grad(a, g.reshape(a.shape))
-
-    return apply_op(out_data, (a,), backward)
-
-
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Stack channel-major (C1, B, L) and (C2, B, L) into (C1+C2, B, L), a's
     channels first: two contiguous blocks one after the other."""
@@ -316,28 +266,3 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(b, g[split:])
 
     return apply_op(np.concatenate([a.data, b.data]), (a, b), backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.array([a.data.sum()])
-
-    def backward(g, a=a):
-        accumulate_grad(a, np.full_like(a.data, g[0]))
-
-    return apply_op(out_data, (a,), backward)
-
-
-def softmax_last(a: Tensor) -> Tensor:
-    """Softmax over the last axis (rows sum to 1)."""
-    a = _as_tensor(a)
-    out_data = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=-1, keepdims=True)
-
-    def backward(g, a=a, s=out_data):
-        gx = g - np.einsum("...i,...i->...", g, s)[..., None]
-        gx *= s
-        accumulate_grad(a, gx)
-
-    return apply_op(out_data, (a,), backward)

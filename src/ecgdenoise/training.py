@@ -9,7 +9,12 @@ Both loss terms depend only on the model output, so each step forms their
 gradients with respect to the output directly and caps the weighted spectral
 gradient at the weighted time gradient's norm before backpropagating once
 (see `output_gradient`), from the same pass that yields the step's loss
-report. The reported losses stay the plain weighted sum.
+report. The reported losses stay the plain weighted sum. The capped gradient
+is stored as the output's `.grad`, where `Tape.backward` starts, so no loss
+node is recorded.
+
+The model is built at the sampling rate in the dataset's manifest
+(`ModelConfig.fs`), so its checkpoints record the rate it was trained at.
 
 Validation runs the model's eval-mode `predict`. The model's forward pins the
 allocator policy (`heap.keep_freed_memory_in_heap`) that keeps each step's
@@ -21,17 +26,17 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .data import load_split
+from .data import load_manifest, load_split
 from .loss import loss_and_gradients, total_loss
 from .model import INFER_BATCH, TransformerUNet1D, load_checkpoint, save_checkpoint
 from .optim import AdamW
-from .tensor import Tape, Tensor, mul, sum_all
+from .tensor import Tape, Tensor
 
 __all__ = ["TrainResult", "NumericFailure", "train_model", "run_overfit_one_batch",
            "output_gradient", "train_step"]
@@ -99,7 +104,8 @@ def train_step(model, optimizer, x, y, loss_cfg, context: str = "training"):
         report, time_grad, spectral_grad = loss_and_gradients(out.data, y, loss_cfg)
         _check_finite(report.total, context)
         grad, time_norm, spectral_norm = _capped_sum(time_grad, spectral_grad, loss_cfg)
-        tape.backward(sum_all(mul(out, Tensor(grad))))
+        out.grad = grad  # backward starts from the output's stored gradient
+        tape.backward(out)
     optimizer.step()
     return report, (time_norm, spectral_norm)
 
@@ -153,6 +159,11 @@ def _checked_config(cfg: RunConfig):
     return loss_cfg, cfg.schedule()
 
 
+def _model_config(cfg: RunConfig, dataset_dir):
+    """The run's model config at the sampling rate of the dataset it trains on."""
+    return replace(cfg.model_config(), fs=load_manifest(dataset_dir)["fs"])
+
+
 def _make_optimizer(model, cfg: RunConfig) -> AdamW:
     return AdamW(model.parameters(), lr=cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
                  eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
@@ -184,7 +195,7 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
         best_val = extra["best_val"]
         best_epoch = extra["best_epoch"]
     else:
-        model = TransformerUNet1D(cfg.model_config())
+        model = TransformerUNet1D(_model_config(cfg, dataset_dir))
         optimizer = _make_optimizer(model, cfg)
 
     log_path = out_dir / "log.csv"
@@ -251,7 +262,7 @@ def run_overfit_one_batch(cfg: RunConfig, dataset_dir, out_dir, quiet: bool = Fa
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.to_json(out_dir / "resolved_config.json")
 
-    model = TransformerUNet1D(cfg.model_config())
+    model = TransformerUNet1D(_model_config(cfg, dataset_dir))
     optimizer = _make_optimizer(model, cfg)
     log_path = out_dir / "log.csv"
 

@@ -15,6 +15,7 @@ from ecgdenoise.cli import main
 from ecgdenoise.config import RunConfig
 from ecgdenoise.data import SignalRecord, build_dataset, load_manifest, load_split, save_signal_file, synth_ecg
 from ecgdenoise.loss import LossReport
+from ecgdenoise.model import load_checkpoint
 
 
 TINY_TRAIN = [
@@ -56,7 +57,7 @@ def test_synth_data_split_files_disjoint(dataset):
     all_ids = [rid for ids in splits.values() for rid in ids]
     assert len(all_ids) == len(set(all_ids))
     for name in splits:
-        assert (dataset / f"{name}.f64").is_file()
+        assert (dataset / manifest["split_files"][name]).is_file()
 
 
 def test_synth_data_flags_control_plan(dataset):
@@ -267,6 +268,47 @@ def test_denoise_rejects_truncated_f64(run_dir, tmp_path):
     assert main(["denoise", "--checkpoint", str(run_dir / "best"),
                  "--in", str(src), "--out", str(out), "--pad"]) == 2
     assert not out.exists()
+
+
+def test_denoise_rejects_a_record_at_another_sampling_rate(run_dir, tmp_path, capsys):
+    src = tmp_path / "fast.f64"
+    save_signal_file(src, synth_ecg(10.0, 500.0, 70.0, seed=7, record_id="fast"))
+    out = tmp_path / "fast_out.f64"
+    assert main(["denoise", "--checkpoint", str(run_dir / "best"),
+                 "--in", str(src), "--out", str(out), "--pad"]) == 2
+    err = capsys.readouterr().err
+    assert "500 Hz" in err and "360 Hz" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.f64", "fast.f64.json"]
+
+
+def test_checkpoint_without_a_rate_means_360_hz(run_dir, tmp_path):
+    assert load_checkpoint(str(run_dir / "best"))[0].config.fs == 360.0
+    shutil.copy(run_dir / "best.ckpt", tmp_path / "old.ckpt")
+    edit_checkpoint_header(tmp_path / "old", lambda h: h["config"].pop("fs"))
+    src = tmp_path / "plain.csv"  # a CSV without a sidecar is taken as 360 Hz
+    np.savetxt(src, synth_ecg(10.0, 360.0, 70.0, seed=8).samples)
+    fast = tmp_path / "fast.f64"
+    save_signal_file(fast, synth_ecg(10.0, 500.0, 70.0, seed=8))
+    denoise = ["denoise", "--checkpoint", str(tmp_path / "old"), "--pad", "--out"]
+    assert main([*denoise, str(tmp_path / "plain_out.csv"), "--in", str(src)]) == 0
+    assert main([*denoise, str(tmp_path / "fast_out.f64"), "--in", str(fast)]) == 2
+    assert not (tmp_path / "fast_out.f64").exists()
+
+
+def test_train_records_the_dataset_rate_in_the_checkpoint(tmp_path):
+    config = tmp_path / "config.json"
+    RunConfig(fs=250.0).to_json(config)
+    assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "ds"),
+                 "--records", "6", "--duration", "16", "--seed", "3", "--snr", "0", "--noise", "bw"]) == 0
+    assert main(["train", "--data", str(tmp_path / "ds"), "--out", str(tmp_path / "run"),
+                 "--epochs", "1", "--quiet", *TINY_TRAIN]) == 0
+    assert load_checkpoint(str(tmp_path / "run" / "best"))[0].config.fs == 250.0
+    record = synth_ecg(16.0, 250.0, 70.0, seed=9)
+    for fs, code in ((250.0, 0), (360.0, 2)):
+        src = tmp_path / f"r{fs:g}.f64"
+        save_signal_file(src, SignalRecord("r", fs, record.samples))
+        assert main(["denoise", "--checkpoint", str(tmp_path / "run" / "best"), "--pad",
+                     "--in", str(src), "--out", str(tmp_path / f"out{fs:g}.f64")]) == code
 
 
 def _drop_entries(header):

@@ -2,6 +2,7 @@ import ast
 import errno
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -265,10 +266,11 @@ def test_build_dataset_writes_one_read_only_file_per_split(tmp_path):
         mixes=[("bw",)],
         out_dir=tmp_path / "ds",
     )
-    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
-        "manifest.json", "test.f64", "train.f64", "val.f64"]
+    files = load_manifest(tmp_path / "ds")["split_files"]
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == sorted(["manifest.json", *files.values()])
+    assert all(re.fullmatch(rf"{name}-[0-9a-f]{{16}}\.f64", files[name]) for name in ("train", "val", "test"))
     # 2 records x 2 windows x 2 SNRs, clean and noisy
-    assert (tmp_path / "ds" / "train.f64").stat().st_size == 8 * 8 * 2 * 3600
+    assert (tmp_path / "ds" / files["train"]).stat().st_size == 8 * 8 * 2 * 3600
     assert load_split(tmp_path / "ds", "val") == []
     pair = load_split(tmp_path / "ds", "train")[0]
     assert type(pair.noisy) is np.ndarray
@@ -288,10 +290,70 @@ def test_load_split_rejects_split_file_of_wrong_size(tmp_path, resize):
         mixes=[("bw",)],
         out_dir=tmp_path / "ds",
     )
-    path = tmp_path / "ds" / "train.f64"
+    path = tmp_path / "ds" / load_manifest(tmp_path / "ds")["split_files"]["train"]
     path.write_bytes(resize(path.read_bytes()))
     with pytest.raises(DataError, match="bytes, expected"):
         load_split(tmp_path / "ds", "train")
+
+
+def _build(out_dir, snr, mix, **kwargs):
+    return build_dataset(small_records(), split={"train": ["rec0", "rec1"], "test": ["rec2"]},
+                         snr_list=[snr], mixes=[mix], out_dir=out_dir, **kwargs)
+
+
+def test_rebuild_that_dies_before_its_manifest_loads_the_old_dataset_whole(tmp_path, monkeypatch):
+    ds = tmp_path / "ds"
+    _build(ds, 0.0, ("bw",))
+    before = sorted(p.name for p in ds.iterdir())
+    old = load_split(ds, "train")
+    replace = os.replace
+
+    def die_at_manifest(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise OSError(errno.EIO, "killed")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", die_at_manifest)
+    with pytest.raises(OSError):
+        _build(ds, 10.0, ("em",))
+    monkeypatch.undo()
+    assert sorted(p.name for p in ds.iterdir()) == before
+    pairs = load_split(ds, "train")
+    assert [(p.noise_mix, p.target_snr_db) for p in pairs] == [(("bw",), 0.0)] * len(old)
+    for pair, want in zip(pairs, old):
+        assert pair.noisy.tobytes() == want.noisy.tobytes()
+        assert abs(measured_snr_db(pair.clean, pair.noisy)) < 1e-9
+
+
+def test_killed_rebuild_leaves_the_old_dataset_and_the_next_build_removes_its_files(tmp_path):
+    # a build killed after its split files: they lie beside the old ones,
+    # named by their own bytes, and the old manifest does not name them
+    first, second = tmp_path / "first", tmp_path / "second"
+    _build(first, 0.0, ("bw",))
+    _build(second, 10.0, ("em",))
+    for path in second.glob("*.f64"):
+        path.rename(first / path.name)
+    assert [p.noise_mix for p in load_split(first, "test")] == [("bw",)] * 2
+    _build(first, 5.0, ("ma",))
+    files = load_manifest(first)["split_files"]
+    assert sorted(p.name for p in first.iterdir()) == sorted(["manifest.json", *files.values()])
+    assert {p.target_snr_db for p in load_split(first, "train")} == {5.0}
+
+
+def test_format_2_dataset_is_rejected_and_a_rebuild_replaces_its_files(tmp_path):
+    # format 2 named each split file `<split>.f64`
+    ds = tmp_path / "ds"
+    _build(ds, 0.0, ("bw",))
+    manifest = load_manifest(ds)
+    for name, file in manifest.pop("split_files").items():
+        (ds / file).rename(ds / f"{name}.f64")
+    manifest["format_version"] = 2
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="rerun synth-data"):
+        load_split(ds, "train")
+    _build(ds, 0.0, ("bw",))
+    files = load_manifest(ds)["split_files"]
+    assert sorted(p.name for p in ds.iterdir()) == sorted(["manifest.json", *files.values()])
 
 
 def test_segment_seed_stable_and_distinct():

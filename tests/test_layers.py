@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference
 from conftest import fd_wrt, rel_err, tape_grads
 from ecgdenoise.layers import (
     BN_MOMENTUM,
@@ -17,11 +19,11 @@ from ecgdenoise.layers import (
     conv1d,
     conv_bn_relu,
     conv_transpose1d,
-    layer_norm,
     maxpool1d,
     positional_encoding,
 )
-from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul, relu, sum_all
+from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul
+from reference import relu, sum_all
 
 
 def ref_cross_correlation(x, w, b, stride, padding):
@@ -462,7 +464,8 @@ def test_a_segment_output_has_zero_gradient_wrt_other_segments(name):
 def test_layernorm_token_mean_zero():
     rng = np.random.default_rng(19)
     ln = LayerNorm(16)
-    out = ln.forward(Tensor(rng.standard_normal((3, 5, 16)) * 4.0 + 1.0))
+    x, f = (Tensor(rng.standard_normal((3, 5, 16)) * 4.0 + 1.0) for _ in range(2))
+    out = ln.forward(x, f)
     assert np.abs(out.data.mean(axis=-1)).max() < 1e-10
 
 
@@ -472,12 +475,19 @@ def test_layernorm_gradients_vs_fd():
     ln.gamma.data[:] = rng.uniform(0.5, 1.5, 6)
     ln.beta.data[:] = rng.standard_normal(6)
     x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    f = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
     probe = rng.standard_normal((4, 6))
 
-    grads = tape_grads(lambda: sum_all(mul(ln.forward(x), Tensor(probe))), [x, ln.gamma, ln.beta])
-    for tensor, grad in zip([x, ln.gamma, ln.beta], grads):
-        fd = fd_wrt(tensor, lambda: scalar_through(lambda: ln.forward(x), probe))
+    tensors = [x, f, ln.gamma, ln.beta]
+    grads = tape_grads(lambda: sum_all(mul(ln.forward(x, f), Tensor(probe))), tensors)
+    for tensor, grad in zip(tensors, grads):
+        fd = fd_wrt(tensor, lambda: scalar_through(lambda: ln.forward(x, f), probe))
         assert rel_err(grad, fd) < 1e-5
+
+
+def test_layernorm_rejects_mismatched_residual():
+    with pytest.raises(ShapeMismatch):
+        LayerNorm(6).forward(Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 6))))
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +585,86 @@ def test_transformer_layer_fd():
         fd = fd_wrt(tensor, lambda: scalar_through(lambda: layer.forward(x), probe), eps=1e-5)
         worst = max(worst, rel_err(grad, fd))
     assert worst < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# fused transformer ops against the unfused reference (tests/reference.py)
+
+
+def _fused_and_reference(name, rng):
+    """(fused forward, reference forward, input, tensors whose gradients count)."""
+    layer = TransformerEncoderLayer(16, 4, 64, rng=rng)
+    for _, t in layer.parameters():  # move the norms off their identity init
+        t.data += 0.1 * rng.standard_normal(t.shape)
+    x = Tensor(rng.standard_normal((3, 7, 16)), requires_grad=True)
+    f = Tensor(rng.standard_normal((3, 7, 16)), requires_grad=True)
+    cases = {
+        "mhsa": (layer.attn, lambda: layer.attn.forward(x), lambda: reference.mhsa(layer.attn, x), [x]),
+        "feedforward": (layer.ff, lambda: layer.ff.forward(x), lambda: reference.feedforward(layer.ff, x), [x]),
+        "layernorm": (layer.norm1, lambda: layer.norm1.forward(x, f),
+                      lambda: reference.residual_layer_norm(layer.norm1, x, f), [x, f]),
+        "transformer_layer": (layer, lambda: layer.forward(x), lambda: reference.transformer_layer(layer, x), [x]),
+    }
+    module, fused, ref, inputs = cases[name]
+    return fused, ref, inputs + [t for _, t in module.parameters()]
+
+
+@pytest.mark.parametrize("name", ["mhsa", "feedforward", "layernorm", "transformer_layer"])
+def test_fused_transformer_op_matches_unfused_reference(name):
+    rng = np.random.default_rng(37)
+    fused, ref, tensors = _fused_and_reference(name, rng)
+    probe = rng.standard_normal((3, 7, 16))
+    results = []
+    for forward in (fused, ref):
+        for t in tensors:
+            t.zero_grad()
+        with Tape() as tape:
+            out = forward()
+            tape.backward(out, probe)
+        results.append((out.data, [t.grad for t in tensors]))
+    (out, grads), (ref_out, ref_grads) = results
+    if name in ("feedforward", "layernorm"):  # the same numpy calls in the same order
+        assert out.tobytes() == ref_out.tobytes()
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(grads, ref_grads))
+    # attention stacks the three projections into one GEMM, which may reorder sums
+    assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+    for g, r in zip(grads, ref_grads):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_attention_weights_match_unfused_reference():
+    rng = np.random.default_rng(38)
+    attn = MultiHeadSelfAttention(16, 4, rng=rng)
+    x = Tensor(rng.standard_normal((3, 7, 16)))
+    got, want = attn.attention_weights(x), reference.attention_weights(attn, x)
+    assert got.shape == (4, 3, 7, 7)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_transformer_layer_records_four_tape_nodes():
+    rng = np.random.default_rng(39)
+    layer = TransformerEncoderLayer(8, 2, 16, rng=rng)
+    with Tape() as tape:
+        layer.forward(Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True))
+    assert len(tape) == 4  # attention, LN(x + attn), feed-forward, LN(u + ff)
+
+
+def test_transformer_layer_traced_peak_is_bounded():
+    # one default-width layer at the desk bottleneck's shape: 50.2 MB traced
+    # peak as 28 unfused ops that kept every output and every gradient to the
+    # end, 19.0 MB fused with a tape that frees as it goes
+    rng = np.random.default_rng(40)
+    layer = TransformerEncoderLayer(64, 4, 256, rng=rng)
+    x = Tensor(rng.standard_normal((4, 225, 64)), requires_grad=True)
+    probe = rng.standard_normal((4, 225, 64))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            tape.backward(layer.forward(x), probe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_shape_algebra_composition():

@@ -22,7 +22,8 @@ from ecgdenoise.model import (
 )
 from ecgdenoise.loss import LossConfig
 from ecgdenoise.optim import AdamW
-from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul, relu, sum_all
+from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul
+from reference import relu, sum_all
 from ecgdenoise.training import train_step
 
 TINY = dict(base_channels=2, transformer_layers=1, heads=2, input_len=32, seed=5)
@@ -232,8 +233,9 @@ def test_training_forward_tape_node_count_is_pinned():
     # 18 fused conv-batchnorm-relu stages, 4 pools, 4 transposed convs, 4 skip
     # concatenations, the output conv, 3 layout changes (to token-major with the
     # positional add, back to channel-major, and the output to (B, 1, L)) and
-    # 28 ops in the encoder layer
-    assert len(tape) == 62
+    # 4 fused ops in the encoder layer (attention, feed-forward and two
+    # residual layer norms; 28 unfused)
+    assert len(tape) == 38
 
 
 def test_end_to_end_gradients_vs_fd_sampled_params():
@@ -483,7 +485,8 @@ def test_format_1_checkpoint_loads_bitwise_and_a_ckpt_takes_precedence(tmp_path)
     for kind, name, arr in named:
         entries.append({"kind": kind, "name": name, "shape": list(arr.shape), "offset": offset})
         offset += 8 * arr.size
-    manifest = {"format_version": 1, "config": asdict(model.config),
+    config = {k: v for k, v in asdict(model.config).items() if k != "fs"}  # format 1 predates the rate
+    manifest = {"format_version": 1, "config": config,
                 "rng_state": {"seed": 5, "epoch": 0}, "extra": {"epoch": 0}, "entries": entries}
     prefix = tmp_path / "v1"
     Path(f"{prefix}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -491,6 +494,7 @@ def test_format_1_checkpoint_loads_bitwise_and_a_ckpt_takes_precedence(tmp_path)
 
     loaded, header, optim = load_checkpoint(str(prefix))
     assert header["extra"] == {"epoch": 0}
+    assert loaded.config.fs == 360.0
     assert optim["m.inc.conv1.weight"].tobytes() == moments.tobytes()
     for got, want in zip(_arrays(loaded), _arrays(model)):
         assert got.tobytes() == want.tobytes()

@@ -1,23 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import central_diff, rel_err, tape_grads
-from ecgdenoise.tensor import (
-    ShapeMismatch,
-    Tape,
-    TapeError,
-    Tensor,
-    add,
-    bmm,
-    concat_channels,
-    matmul,
-    mul,
-    relu,
-    softmax_last,
-    sum_all,
-    transpose_last,
-    Tensor as T,
-)
+from ecgdenoise.tensor import ShapeMismatch, Tape, TapeError, Tensor, add, concat_channels, mul
+from reference import bmm, matmul, relu, softmax_last, sum_all, transpose_last
 
 
 def test_relu_definition():
@@ -150,6 +138,78 @@ def test_backward_rejects_off_tape_root():
     with Tape() as tape:
         with pytest.raises(TapeError):
             tape.backward(y)
+
+
+def test_seeded_backward_matches_the_inner_product_root():
+    rng = np.random.default_rng(15)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    seed = rng.standard_normal((3, 2))
+    with Tape() as tape:
+        tape.backward(matmul(a, b), seed)
+    seeded = a.grad, b.grad
+    composed = tape_grads(lambda: sum_all(mul(matmul(a, b), Tensor(seed))), [a, b])
+    for got, want in zip(seeded, composed):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_backward_seeds_from_a_stored_root_gradient():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    with Tape() as tape:
+        y = mul(x, 2.0)
+        y.grad = np.array([1.0, -1.0, 0.5])
+        tape.backward(y)
+    np.testing.assert_array_equal(x.grad, [2.0, -2.0, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 4), (1,)])
+def test_seeded_backward_rejects_a_seed_of_another_shape(shape):
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        y = mul(x, 2.0)
+        with pytest.raises(ShapeMismatch) as exc:
+            tape.backward(y, np.ones(shape))
+    assert "(2, 3)" in str(exc.value) and str(shape) in str(exc.value)
+    assert x.grad is None and y.grad is None
+
+
+def test_backward_drops_intermediate_gradients_and_keeps_leaves():
+    x = Tensor(np.ones(4), requires_grad=True)
+    with Tape() as tape:
+        y = mul(x, 3.0)
+        z = add(y, y)
+        tape.backward(z, np.ones(4))
+    assert y.grad is None and z.grad is None and len(tape) == 0
+    np.testing.assert_array_equal(x.grad, np.full(4, 6.0))
+
+
+def _backward_excess(length, size=1 << 16):
+    """Traced bytes allocated by backward over a chain of `length` full-size
+    ops beyond what the forward holds, in units of one activation."""
+    x = Tensor(np.ones(size), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            y = x
+            for _ in range(length):
+                y = mul(y, 1.5)
+            seed = np.ones(size)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(y, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * size)
+
+
+def test_backward_peak_does_not_grow_with_chain_length():
+    # a tape that kept every gradient to the end peaked at length + 1 extra
+    # activations; freeing each node's gradient once its backward has run
+    # leaves two at any length (the upstream gradient and the one formed)
+    short, long = _backward_excess(4), _backward_excess(32)
+    assert long < 3.0
+    assert long <= short + 0.5
 
 
 def test_tape_single_use():

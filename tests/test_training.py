@@ -16,8 +16,9 @@ from conftest import tape_grads
 from ecgdenoise.loss import LossConfig, total_loss
 from ecgdenoise.model import ModelConfig, TransformerUNet1D
 from ecgdenoise.optim import AdamW
-from ecgdenoise.tensor import Tape, Tensor
+from ecgdenoise.tensor import Tape, Tensor, mul
 from ecgdenoise.training import output_gradient, train_step
+from reference import sum_all
 
 
 def _pair(shape, seed):
@@ -104,6 +105,25 @@ def test_train_step_time_only_matches_total_loss_backprop():
     assert norms[1] == 0.0
     for got, (_, p) in zip(opt.grads, model.parameters()):
         assert np.array_equal(got, p.grad)
+
+
+def test_train_step_gradients_equal_the_inner_product_root_bitwise():
+    # train_step seeds backward with the capped output gradient; the root it
+    # replaces, sum(out * grad), hands backward the same array
+    model = TransformerUNet1D(ModelConfig(base_channels=2, transformer_layers=1, heads=2,
+                                          input_len=64, seed=0))
+    x, y = _pair((2, 1, 64), 6)
+    cfg = LossConfig()
+    opt = _RecordingOptimizer(model.parameters())
+    train_step(model, opt, x, y, cfg)
+
+    opt.zero_grad()
+    with Tape() as tape:
+        out = model.forward(Tensor(x), training=True)
+        grad = output_gradient(out.data, y, cfg)[0]
+        tape.backward(sum_all(mul(out, Tensor(grad))))
+    for got, (_, p) in zip(opt.grads, model.parameters()):
+        assert got.tobytes() == p.grad.tobytes()
 
 
 def test_train_step_transforms_output_and_target_once(monkeypatch):
