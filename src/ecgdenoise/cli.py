@@ -71,12 +71,15 @@ def _load_config(args) -> RunConfig:
     return cfg.override(**{k: v for k, v in vars(args).items() if k in names})
 
 
+BPM_RANGE = (55.0, 100.0)  # heart rates of the stand-in recordings
+
+
 def make_records(cfg: RunConfig):
     """Synthesize the stand-in recordings, one seeded generator per record."""
     records = []
     for i in range(cfg.records):
         rec_seed = stable_seed("ecg", cfg.seed, i)
-        bpm = float(np.random.default_rng(rec_seed).uniform(cfg.bpm_low, cfg.bpm_high))
+        bpm = float(np.random.default_rng(rec_seed).uniform(*BPM_RANGE))
         records.append(
             synth_ecg(cfg.record_duration_s, cfg.fs, bpm, seed=rec_seed,
                       record_id=f"rec{i:04d}")

@@ -20,27 +20,25 @@ __all__ = ["RunConfig"]
 
 DEFAULT_MIXES = [["bw"], ["em"], ["ma"], ["pli"], ["bw", "em", "ma"]]
 
+# Former settings, now the defaults of ModelConfig, LossConfig, CosineSchedule
+# and AdamW and cli.BPM_RANGE. Config files written before name them, and load
+# if they hold these values.
+FIXED = {"heads": 4, "d_ff_ratio": 4, "beta": 1.0, "eta_min": 1e-6, "weight_decay": 0.01,
+         "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "bpm_low": 55.0, "bpm_high": 100.0}
+
 
 @dataclass
 class RunConfig:
     # model
     base_channels: int = 16
     transformer_layers: int = 2
-    heads: int = 4
-    d_ff_ratio: int = 4
     input_len: int = 3600
     # loss
-    beta: float = 1.0
     w_time: float = 1.0
     w_spectral: float = 0.1
     # optimizer and schedule
     lr: float = 1e-3
-    eta_min: float = 1e-6
     t_max: int = 100
-    weight_decay: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     # training
     epochs: int = 100
     batch_size: int = 16
@@ -50,8 +48,6 @@ class RunConfig:
     records: int = 20
     record_duration_s: float = 40.0
     fs: float = 360.0
-    bpm_low: float = 55.0
-    bpm_high: float = 100.0
     stride: int = 3600
     snr_db: list = field(default_factory=lambda: [0.0, 5.0, 10.0])
     noise_mixes: list = field(default_factory=lambda: [list(m) for m in DEFAULT_MIXES])
@@ -61,13 +57,18 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "epochs", "overfit_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        data = dict(data)
+        for key in sorted(FIXED.keys() & data.keys()):
+            if (value := data.pop(key)) != FIXED[key]:
+                raise ValueError(f"config key {key!r} is no longer a setting: it is fixed at {FIXED[key]!r}, "
+                                 f"got {value!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -85,25 +86,20 @@ class RunConfig:
     def override(self, **kwargs) -> "RunConfig":
         """New config with the given non-None fields replaced."""
         data = asdict(self)
-        for key, value in kwargs.items():
-            if value is not None:
-                if key not in data:
-                    raise ValueError(f"unknown config key: {key}")
-                data[key] = value
+        data.update((key, value) for key, value in kwargs.items() if value is not None)
         return RunConfig.from_dict(data)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             base_channels=self.base_channels,
             transformer_layers=self.transformer_layers,
-            heads=self.heads,
-            d_ff_ratio=self.d_ff_ratio,
             input_len=self.input_len,
             seed=self.seed,
+            fs=self.fs,
         )
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(beta=self.beta, w_time=self.w_time, w_spectral=self.w_spectral)
+        return LossConfig(w_time=self.w_time, w_spectral=self.w_spectral)
 
     def schedule(self) -> CosineSchedule:
-        return CosineSchedule(eta_max=self.lr, eta_min=self.eta_min, t_max=self.t_max)
+        return CosineSchedule(eta_max=self.lr, t_max=self.t_max)

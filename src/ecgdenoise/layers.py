@@ -30,8 +30,9 @@ x_hat and the output. Its backward masks the upstream gradient with
 ``out > 0``, applies the batchnorm closed form (built in x_hat's buffer), then
 the conv backward. In eval the running statistics fold into the conv weights
 and bias, ReLU runs in place, and nothing is recorded. `BatchNorm1d.forward`
-is the unfused reference the tests and the gradient checker compare against;
-it shares the statistics and the eval fold with the fused op.
+is the unfused reference the tests compare against (the gradient checker's
+`batchnorm1d` entry checks the fused op itself); it shares the statistics
+and the eval fold with the fused op.
 
 The transformer encoder layer is four ops, each keeping for its backward
 only what that backward reads. Attention projects q, k and v with one GEMM

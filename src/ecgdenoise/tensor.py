@@ -2,9 +2,9 @@
 
 Gradients are recorded onto a `Tape` that is active inside a `with Tape() as t:`
 block. Ops executed while no tape is active run without recording, which is how
-eval-mode inference stays allocation-free. Backward replays the tape in reverse;
-because nodes are appended in execution order the list is already topologically
-sorted and every node is visited exactly once.
+eval-mode inference keeps no activation for a backward. Backward replays the
+tape in reverse; because nodes are appended in execution order the list is
+already topologically sorted and every node is visited exactly once.
 
 Backward starts from the root's gradient: the `grad` handed to
 `Tape.backward(root, grad)`, else one the caller already stored in

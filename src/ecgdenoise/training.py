@@ -13,8 +13,9 @@ report. The reported losses stay the plain weighted sum. The capped gradient
 is stored as the output's `.grad`, where `Tape.backward` starts, so no loss
 node is recorded.
 
-The model is built at the sampling rate in the dataset's manifest
-(`ModelConfig.fs`), so its checkpoints record the rate it was trained at.
+A run takes `input_len` and `fs` from its dataset's manifest before anything
+is checked or written, so the model, `resolved_config.json` and the
+checkpoints record one window and one rate.
 
 Validation runs the model's eval-mode `predict`. The model's forward pins the
 allocator policy (`heap.keep_freed_memory_in_heap`) that keeps each step's
@@ -26,13 +27,13 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .data import load_manifest, load_split
+from .data import DataError, load_manifest, load_split
 from .loss import loss_and_gradients, total_loss
 from .model import INFER_BATCH, TransformerUNet1D, load_checkpoint, save_checkpoint
 from .optim import AdamW
@@ -149,29 +150,21 @@ def _append_log(path, columns, row) -> None:
         writer.writerow(row)
 
 
-def _checked_config(cfg: RunConfig):
-    """The run's loss config and learning-rate schedule, with the model config
-    validated too, so a config that cannot train is rejected before the run
-    directory is made."""
+def _resolve(cfg: RunConfig, dataset_dir):
+    """The run's config at its dataset's window and rate, with its loss config
+    and learning-rate schedule. The model config is validated too, so a config
+    that cannot train is rejected before the run directory is made."""
+    manifest = load_manifest(dataset_dir)
+    cfg = cfg.override(input_len=manifest["window"], fs=manifest["fs"])
     loss_cfg = cfg.loss_config()
     loss_cfg.validate()
     cfg.model_config().validate()
-    return loss_cfg, cfg.schedule()
-
-
-def _model_config(cfg: RunConfig, dataset_dir):
-    """The run's model config at the sampling rate of the dataset it trains on."""
-    return replace(cfg.model_config(), fs=load_manifest(dataset_dir)["fs"])
-
-
-def _make_optimizer(model, cfg: RunConfig) -> AdamW:
-    return AdamW(model.parameters(), lr=cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
-                 eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+    return cfg, loss_cfg, cfg.schedule()
 
 
 def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
                 quiet: bool = False) -> TrainResult:
-    loss_cfg, schedule = _checked_config(cfg)
+    cfg, loss_cfg, schedule = _resolve(cfg, dataset_dir)
     train_pairs = load_split(dataset_dir, "train")
     val_pairs = load_split(dataset_dir, "val")
     if not train_pairs:
@@ -179,24 +172,30 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
     if not val_pairs:
         raise ValueError(f"no validation pairs under {dataset_dir}")
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.to_json(out_dir / "resolved_config.json")
-
     start_epoch = 0
     best_val = math.inf
     best_epoch = -1
     if resume:
-        model, manifest, optim_arrays = load_checkpoint(resume)
-        optimizer = _make_optimizer(model, cfg)
-        extra = manifest["extra"]
+        model, header, optim_arrays = load_checkpoint(resume)
+        extra = header["extra"]
+        if "optimizer_step" not in extra:
+            raise DataError(f"{resume} holds no optimizer state; resume from {Path(resume).with_name('last')}")
+        # a `last` checkpoint of another dataset would record its own window and rate
+        if (model.config.input_len, model.config.fs) != (cfg.input_len, cfg.fs):
+            raise DataError(f"{resume} was trained on {model.config.input_len}-sample windows at "
+                            f"{model.config.fs:g} Hz; the dataset holds {cfg.input_len}-sample windows "
+                            f"at {cfg.fs:g} Hz")
+        optimizer = AdamW(model.parameters(), lr=cfg.lr)
         optimizer.load_state_arrays(optim_arrays, step=extra["optimizer_step"])
         start_epoch = extra["epoch"] + 1
         best_val = extra["best_val"]
         best_epoch = extra["best_epoch"]
     else:
-        model = TransformerUNet1D(_model_config(cfg, dataset_dir))
-        optimizer = _make_optimizer(model, cfg)
+        model = TransformerUNet1D(cfg.model_config())
+        optimizer = AdamW(model.parameters(), lr=cfg.lr)
+
+    out_dir = Path(out_dir)
+    cfg.to_json(out_dir / "resolved_config.json")  # makes the run directory
 
     log_path = out_dir / "log.csv"
     final_train_total = math.nan
@@ -252,18 +251,17 @@ def run_overfit_one_batch(cfg: RunConfig, dataset_dir, out_dir, quiet: bool = Fa
     A sanity harness: a working model/loss/optimizer stack must be able to
     collapse the loss on a single memorized batch.
     """
-    loss_cfg, _ = _checked_config(cfg)
+    cfg, loss_cfg, _ = _resolve(cfg, dataset_dir)
     pairs = load_split(dataset_dir, "train")
     if not pairs:
         raise ValueError(f"no training pairs under {dataset_dir}")
     x, y = _stack(pairs, range(min(cfg.batch_size, len(pairs))))
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.to_json(out_dir / "resolved_config.json")
+    cfg.to_json(out_dir / "resolved_config.json")  # makes the run directory
 
-    model = TransformerUNet1D(_model_config(cfg, dataset_dir))
-    optimizer = _make_optimizer(model, cfg)
+    model = TransformerUNet1D(cfg.model_config())
+    optimizer = AdamW(model.parameters(), lr=cfg.lr)
     log_path = out_dir / "log.csv"
 
     first = last = math.nan

@@ -1,7 +1,9 @@
 import csv
+import inspect
 import json
 import math
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,11 @@ import ecgdenoise.layers
 import ecgdenoise.training
 from conftest import edit_checkpoint_header
 from ecgdenoise.cli import main
-from ecgdenoise.config import RunConfig
+from ecgdenoise.config import FIXED, RunConfig
 from ecgdenoise.data import SignalRecord, build_dataset, load_manifest, load_split, save_signal_file, synth_ecg
-from ecgdenoise.loss import LossReport
-from ecgdenoise.model import load_checkpoint
+from ecgdenoise.loss import LossConfig, LossReport
+from ecgdenoise.model import ModelConfig, load_checkpoint
+from ecgdenoise.optim import AdamW, CosineSchedule
 
 
 TINY_TRAIN = [
@@ -186,6 +189,49 @@ def test_overfit_one_batch_mode(dataset, tmp_path):
     assert list(rows[0].keys()) == ["step", "lr", "total"]
     assert len(rows) == 40
     assert float(rows[-1]["total"]) < float(rows[0]["total"])
+
+
+def test_resume_from_a_checkpoint_without_optimizer_state_is_a_data_error(run_dir, dataset, tmp_path,
+                                                                         capsys):
+    out = tmp_path / "resumed"
+    assert main(["train", "--data", str(dataset), "--out", str(out), "--epochs", "3", "--quiet",
+                 "--resume", str(run_dir / "best"), *TINY_TRAIN]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / "best") in err and str(run_dir / "last") in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def short_window_dataset(tmp_path_factory):
+    """256-sample windows at 250 Hz."""
+    root = tmp_path_factory.mktemp("short_ds")
+    RunConfig(input_len=256, stride=256, fs=250.0).to_json(root / "config.json")
+    assert main(["synth-data", "--config", str(root / "config.json"), "--out", str(root / "ds"),
+                 "--records", "6", "--duration", "8", "--seed", "3", "--snr", "0", "--noise", "bw"]) == 0
+    return root / "ds"
+
+
+@pytest.mark.parametrize("mode", [[], ["--overfit-one-batch", "--overfit-steps", "2"]])
+def test_train_takes_window_and_rate_from_the_dataset(short_window_dataset, tmp_path, mode):
+    config = tmp_path / "config.json"
+    RunConfig(input_len=512, fs=360.0).to_json(config)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(short_window_dataset), "--out", str(out),
+                 "--epochs", "1", "--quiet", *TINY_TRAIN, *mode]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    model = load_checkpoint(str(out / "best"))[0]
+    assert (resolved["input_len"], resolved["fs"]) == (256, 250.0)
+    assert (model.config.input_len, model.config.fs) == (256, 250.0)
+
+
+def test_resume_on_a_dataset_of_another_window_is_a_data_error(run_dir, short_window_dataset, tmp_path,
+                                                               capsys):
+    out = tmp_path / "resumed"
+    assert main(["train", "--data", str(short_window_dataset), "--out", str(out), "--epochs", "3",
+                 "--quiet", "--resume", str(run_dir / "last"), *TINY_TRAIN]) == 2
+    err = capsys.readouterr().err
+    assert "3600-sample windows at 360 Hz" in err and "256-sample windows at 250 Hz" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +520,12 @@ def test_bad_snr_flag_is_usage_error(tmp_path):
     (["train", "--t-max", "0"], "t_max"),
     (["evaluate", "--baseline", "identity", "--batch-size", "-2"], "batch_size"),
     (["evaluate", "--baseline", "identity", "--batch-size", "0"], "batch_size"),
+    (["train", "--epochs", "0"], "epochs"),
+    (["train", "--overfit-one-batch", "--overfit-steps", "0"], "overfit_steps"),
 ])
 def test_non_positive_batch_size_and_t_max_are_rejected(dataset, tmp_path, capsys, argv, field):
     if argv[0] == "train":
-        argv = [*argv[:1], *TINY_TRAIN, *argv[1:], "--epochs", "1", "--quiet"]
+        argv = [*argv[:1], *TINY_TRAIN, "--epochs", "1", *argv[1:], "--quiet"]
     assert main([*argv, "--data", str(dataset), "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
     assert not list(tmp_path.glob("metrics_*")) and not list(tmp_path.glob("*.ckpt"))
@@ -489,6 +537,8 @@ def test_non_positive_batch_size_and_t_max_are_rejected(dataset, tmp_path, capsy
     ["--w-time", "-1"],
     ["--base-channels", "0"],
     ["--lr", "-1"],  # below eta_min
+    ["--epochs", "0"],
+    ["--overfit-steps", "0"],
 ])
 def test_rejected_train_config_leaves_no_run_directory(dataset, tmp_path, flags, mode):
     out = tmp_path / "D"
@@ -513,3 +563,67 @@ def test_format_1_dataset_is_rejected(dataset, tmp_path, capsys):
 def test_missing_dataset_is_data_error(tmp_path):
     assert main(["train", "--data", str(tmp_path / "missing"), "--out",
                  str(tmp_path / "out"), "--epochs", "1", "--quiet"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# config files
+
+
+# A config file written while RunConfig had 30 fields, with the settings of
+# the `dataset` and `run_dir` fixtures.
+OLD_CONFIG = {
+    "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08, "base_channels": 2, "batch_size": 4,
+    "beta": 1.0, "bpm_high": 100.0, "bpm_low": 55.0, "d_ff_ratio": 4, "epochs": 2, "eta_min": 1e-06,
+    "fs": 360.0, "heads": 4, "input_len": 3600, "lr": 0.001, "noise_mixes": [["bw"], ["bw", "em", "ma"]],
+    "overfit_steps": 500, "patience": 15, "record_duration_s": 20.0, "records": 6, "seed": 11,
+    "snr_db": [0.0, 5.0], "stride": 3600, "t_max": 100, "train_frac": 0.7, "transformer_layers": 1,
+    "val_frac": 0.15, "w_spectral": 0.1, "w_time": 1.0, "weight_decay": 0.01,
+}
+
+
+def test_fixed_values_are_the_ones_the_package_uses():
+    assert len(fields(RunConfig)) == 20 and not FIXED.keys() & {f.name for f in fields(RunConfig)}
+    adamw = inspect.signature(AdamW).parameters
+    assert FIXED == {
+        "heads": ModelConfig.heads, "d_ff_ratio": ModelConfig.d_ff_ratio, "beta": LossConfig.beta,
+        "eta_min": CosineSchedule.eta_min, "weight_decay": adamw["weight_decay"].default,
+        "adam_beta1": adamw["betas"].default[0], "adam_beta2": adamw["betas"].default[1],
+        "adam_eps": adamw["eps"].default, "bpm_low": ecgdenoise.cli.BPM_RANGE[0],
+        "bpm_high": ecgdenoise.cli.BPM_RANGE[1],
+    }
+
+
+def test_config_naming_removed_keys_builds_and_trains_byte_identically(dataset, run_dir, tmp_path):
+    assert len(OLD_CONFIG) == 30
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps(OLD_CONFIG))
+    trimmed = {k: v for k, v in OLD_CONFIG.items() if k not in FIXED}
+
+    assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "ds")]) == 0
+    assert json.loads((tmp_path / "ds" / "synth_config.json").read_text()) == trimmed
+    manifest = load_manifest(tmp_path / "ds")
+    assert manifest == load_manifest(dataset)
+    for name in manifest["split_files"].values():
+        assert (tmp_path / "ds" / name).read_bytes() == (dataset / name).read_bytes()
+
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--data", str(dataset), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "resolved_config.json").read_text()) == trimmed
+    for name in ("log.csv", "best.ckpt", "last.ckpt"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command, key, value, fixed", [
+    ("train", "heads", 8, "4"),
+    ("train", "adam_eps", 1e-6, "1e-08"),
+    ("synth-data", "bpm_low", 40.0, "55.0"),
+])
+def test_removed_key_at_another_value_is_rejected(dataset, tmp_path, capsys, command, key, value, fixed):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({**OLD_CONFIG, key: value}))
+    out = tmp_path / "out"
+    argv = ["--data", str(dataset)] if command == "train" else []
+    assert main([command, "--config", str(config), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and f"fixed at {fixed}" in err
+    assert not out.exists()
