@@ -26,8 +26,8 @@ from .data import (
     write_atomically,
 )
 from .gradcheck import run_all_checks
-from .metrics import MetricError, evaluate, write_segment_csv
-from .model import INFER_BATCH, ConfigError, load_checkpoint
+from .metrics import evaluate, write_segment_csv
+from .model import INFER_BATCH, load_checkpoint
 from .training import NumericFailure, run_overfit_one_batch, train_model
 
 __all__ = ["main"]
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, MetricError, ConfigError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # DataError, MetricError and ConfigError among them
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:

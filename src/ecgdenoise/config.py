@@ -1,30 +1,24 @@
 """Run configuration: one flat record covering model, loss, optimizer, data.
 
-Configs load from JSON, accept command-line overrides (flag wins), and a
-fully-resolved copy is written into every run directory so any artifact can
-be regenerated from the directory alone.
+Configs load from JSON through `model.read_config`, accept command-line
+overrides (flag wins), and a fully-resolved copy is written into every run
+directory so any artifact can be regenerated from the directory alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .data import write_atomically
 from .loss import LossConfig
-from .model import ModelConfig
+from .model import ModelConfig, read_config
 from .optim import CosineSchedule
 
 __all__ = ["RunConfig"]
 
 DEFAULT_MIXES = [["bw"], ["em"], ["ma"], ["pli"], ["bw", "em", "ma"]]
-
-# Former settings, now the defaults of ModelConfig, LossConfig, CosineSchedule
-# and AdamW and cli.BPM_RANGE. Config files written before name them, and load
-# if they hold these values.
-FIXED = {"heads": 4, "d_ff_ratio": 4, "beta": 1.0, "eta_min": 1e-6, "weight_decay": 0.01,
-         "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8, "bpm_low": 55.0, "bpm_high": 100.0}
 
 
 @dataclass
@@ -62,21 +56,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        for key in sorted(FIXED.keys() & data.keys()):
-            if (value := data.pop(key)) != FIXED[key]:
-                raise ValueError(f"config key {key!r} is no longer a setting: it is fixed at {FIXED[key]!r}, "
-                                 f"got {value!r}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
     def from_json(cls, path) -> "RunConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return read_config(cls, json.load(fh), str(path))
 
     def to_json(self, path) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -87,7 +69,7 @@ class RunConfig:
         """New config with the given non-None fields replaced."""
         data = asdict(self)
         data.update((key, value) for key, value in kwargs.items() if value is not None)
-        return RunConfig.from_dict(data)
+        return read_config(RunConfig, data, "config")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

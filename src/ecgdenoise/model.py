@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,19 +40,46 @@ INFER_BATCH = 16
 
 
 class ConfigError(ValueError):
-    """Architecture hyperparameters that cannot be assembled."""
+    """Settings that cannot be read or assembled."""
+
+
+# the fixed architecture, with one ECG lead in and one out
+DEPTH = 4
+FF_RATIO = 4
+
+# Former settings of ModelConfig and RunConfig, now constants of the package:
+# config files and checkpoints written before name them, at these values.
+RETIRED = {"depth": DEPTH, "d_ff_ratio": FF_RATIO, "in_channels": 1, "out_channels": 1, "heads": 4,
+           "beta": 1.0, "eta_min": 1e-6, "weight_decay": 0.01, "adam_beta1": 0.9, "adam_beta2": 0.999,
+           "adam_eps": 1e-8, "bpm_low": 55.0, "bpm_high": 100.0}
+
+# JSON types per field annotation, a string under `from __future__ import annotations`; no bool is an int
+_TAKES = {"int": (int,), "float": (int, float), "list": (list,)}
+
+
+def read_config(cls, data, where: str):
+    """A `cls` from the JSON object `data`: each key a field of `cls` holding a value
+    of its type, or a `RETIRED` key at its fixed value; else a `ConfigError` naming it."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: settings must be a JSON object, got {type(data).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in data.items():
+        kind = types.get(key) or type(RETIRED.get(key)).__name__  # "NoneType" for an unknown key
+        if kind not in _TAKES:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if type(value) not in _TAKES[kind]:
+            raise ConfigError(f"{where}: {key!r} must be of type {kind}, got {value!r}")
+        if key not in types and value != RETIRED[key]:
+            raise ConfigError(f"{where}: {key!r} is no longer a setting: it is fixed at {RETIRED[key]!r}")
+    return cls(**{key: value for key, value in data.items() if key in types})
 
 
 @dataclass
 class ModelConfig:
     base_channels: int = 16
-    depth: int = 4
     transformer_layers: int = 2
     heads: int = 4
-    d_ff_ratio: int = 4
     input_len: int = 3600
-    in_channels: int = 1
-    out_channels: int = 1
     seed: int = 0
     # sampling rate (Hz) of the data the model is trained on: a window spans
     # input_len / fs seconds. A checkpoint written without it means 360 Hz.
@@ -60,29 +87,21 @@ class ModelConfig:
 
     @property
     def bottleneck_dim(self) -> int:
-        return self.base_channels * 2**self.depth
+        return self.base_channels * 2**DEPTH
 
     @property
     def token_count(self) -> int:
-        return self.input_len // 2**self.depth
+        return self.input_len // 2**DEPTH
 
     def validate(self) -> None:
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1")
         if self.base_channels < 1:
             raise ConfigError("base_channels must be >= 1")
         if not self.fs > 0:
             raise ConfigError(f"fs must be positive, got {self.fs}")
-        if self.input_len % 2**self.depth != 0:
-            raise ConfigError(
-                f"input_len {self.input_len} not divisible by 2^depth = {2 ** self.depth}"
-            )
-        if self.bottleneck_dim % self.heads != 0:
-            raise ConfigError(
-                f"heads {self.heads} must divide bottleneck dim {self.bottleneck_dim}"
-            )
-        if self.bottleneck_dim % 2 != 0:
-            raise ConfigError("bottleneck dim must be even for the positional table")
+        if self.input_len % 2**DEPTH != 0:
+            raise ConfigError(f"input_len {self.input_len} not divisible by 2^depth = {2 ** DEPTH}")
+        if self.heads < 1 or self.bottleneck_dim % self.heads != 0:
+            raise ConfigError(f"heads must divide bottleneck dim {self.bottleneck_dim}, got {self.heads}")
 
 
 def _permute(a: Tensor, axes, table=None) -> Tensor:
@@ -153,26 +172,22 @@ class TransformerUNet1D(Module):
         c = config.base_channels
 
         # attribute names are the checkpoint name prefixes (inc., down1., enc1., up1., out.)
-        self.inc = DoubleConv(config.in_channels, c, rng=rng)
-        self.down = [
-            Down(c * 2**i, c * 2 ** (i + 1), rng=rng) for i in range(config.depth)
-        ]
+        self.inc = DoubleConv(1, c, rng=rng)
+        self.down = [Down(c * 2**i, c * 2 ** (i + 1), rng=rng) for i in range(DEPTH)]
         d = config.bottleneck_dim
         self.pos_table = Tensor(positional_encoding(config.token_count, d))
         self.enc = [
-            TransformerEncoderLayer(d, config.heads, config.d_ff_ratio * d, rng=rng)
+            TransformerEncoderLayer(d, config.heads, FF_RATIO * d, rng=rng)
             for _ in range(config.transformer_layers)
         ]
-        self.up = [Up(c * 2 ** (i + 1), rng=rng) for i in reversed(range(config.depth))]
-        self.out = Conv1d(c, config.out_channels, 1, rng=rng)
+        self.up = [Up(c * 2 ** (i + 1), rng=rng) for i in reversed(range(DEPTH))]
+        self.out = Conv1d(c, 1, 1, rng=rng)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         keep_freed_memory_in_heap()  # once per process, before the first activations
         cfg = self.config
-        if x.ndim != 3 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.input_len:
-            raise ShapeMismatch(
-                "model", x.shape, (x.shape[0] if x.ndim == 3 else -1, cfg.in_channels, cfg.input_len)
-            )
+        if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_len:
+            raise ShapeMismatch("model", x.shape, (x.shape[0] if x.ndim == 3 else -1, 1, cfg.input_len))
         skips = [self.inc.forward(_permute(x, (1, 0, 2)), training)]
         for down in self.down:
             skips.append(down.forward(skips[-1], training))
@@ -260,7 +275,7 @@ def load_checkpoint(prefix: str):
     """Rebuild the model from a checkpoint; returns (model, header, optim_arrays).
 
     Raises `ConfigError` unless the header is JSON naming the format version
-    of its file, it has a valid `config` and every entry a kind, name and
+    of its file, `read_config` takes its `config`, every entry has a kind, name and
     shape of non-negative integers, the file holds exactly the array bytes the entries list, and every
     parameter and buffer of the model is present exactly once with its shape.
     Header and arrays come through one open file, so a save that replaces
@@ -272,7 +287,7 @@ def load_checkpoint(prefix: str):
             header = json.loads(header_bytes)
             if header.get("format_version") != version:
                 raise ConfigError(f"{prefix}: unknown format_version {header.get('format_version')!r}")
-            config = ModelConfig(**header["config"])
+            config = read_config(ModelConfig, header["config"], f"{prefix} config")
             entries = [(e["kind"], e["name"], e["shape"], int(np.prod(e["shape"]))) for e in header["entries"]]
             if any(type(d) is not int or d < 0 for _, _, shape, _ in entries for d in shape):
                 raise ConfigError(f"{prefix}: an entry's shape is not a list of non-negative integers")

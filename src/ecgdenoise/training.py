@@ -14,8 +14,8 @@ is stored as the output's `.grad`, where `Tape.backward` starts, so no loss
 node is recorded.
 
 A run takes `input_len` and `fs` from its dataset's manifest before anything
-is checked or written, so the model, `resolved_config.json` and the
-checkpoints record one window and one rate.
+is checked or written, and a resumed run its widths and seed from its
+checkpoint, so the model, `resolved_config.json` and the checkpoints agree.
 
 Validation runs the model's eval-mode `predict`. The model's forward pins the
 allocator policy (`heap.keep_freed_memory_in_heap`) that keeps each step's
@@ -185,6 +185,8 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
             raise DataError(f"{resume} was trained on {model.config.input_len}-sample windows at "
                             f"{model.config.fs:g} Hz; the dataset holds {cfg.input_len}-sample windows "
                             f"at {cfg.fs:g} Hz")
+        cfg = cfg.override(base_channels=model.config.base_channels, seed=model.config.seed,
+                           transformer_layers=model.config.transformer_layers)
         optimizer = AdamW(model.parameters(), lr=cfg.lr)
         optimizer.load_state_arrays(optim_arrays, step=extra["optimizer_step"])
         start_epoch = extra["epoch"] + 1

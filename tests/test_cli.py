@@ -1,3 +1,4 @@
+import ast
 import csv
 import inspect
 import json
@@ -14,10 +15,10 @@ import ecgdenoise.layers
 import ecgdenoise.training
 from conftest import edit_checkpoint_header
 from ecgdenoise.cli import main
-from ecgdenoise.config import FIXED, RunConfig
+from ecgdenoise.config import RunConfig
 from ecgdenoise.data import SignalRecord, build_dataset, load_manifest, load_split, save_signal_file, synth_ecg
 from ecgdenoise.loss import LossConfig, LossReport
-from ecgdenoise.model import ModelConfig, load_checkpoint
+from ecgdenoise.model import RETIRED, ModelConfig, TransformerUNet1D, load_checkpoint
 from ecgdenoise.optim import AdamW, CosineSchedule
 
 
@@ -143,21 +144,23 @@ def test_train_resume_matches_uninterrupted(dataset, tmp_path):
         "--quiet", *TINY_TRAIN,
     ]) == 0
 
-    stage = tmp_path / "staged"
-    assert main([
-        "train", "--data", str(dataset), "--out", str(stage), "--epochs", "2",
-        "--quiet", *TINY_TRAIN,
-    ]) == 0
-    assert main([
-        "train", "--data", str(dataset), "--out", str(stage), "--epochs", "4",
-        "--quiet", "--resume", str(stage / "last"), *TINY_TRAIN,
-    ]) == 0
+    # the resumed run continues the checkpoint's model, whatever widths and seed the flags give
+    other_model = ["--base-channels", "4", "--transformer-layers", "2", "--seed", "9"]
+    for name, resume_flags in (("staged", TINY_TRAIN), ("reflagged", [*TINY_TRAIN, *other_model])):
+        stage = tmp_path / name
+        assert main([
+            "train", "--data", str(dataset), "--out", str(stage), "--epochs", "2",
+            "--quiet", *TINY_TRAIN,
+        ]) == 0
+        assert main([
+            "train", "--data", str(dataset), "--out", str(stage), "--epochs", "4",
+            "--quiet", "--resume", str(stage / "last"), *resume_flags,
+        ]) == 0
 
-    with open(straight / "log.csv") as fh:
-        straight_rows = list(csv.DictReader(fh))
-    with open(stage / "log.csv") as fh:
-        staged_rows = list(csv.DictReader(fh))
-    assert straight_rows[-1] == staged_rows[-1]
+        resolved = json.loads((stage / "resolved_config.json").read_text())
+        assert (resolved["base_channels"], resolved["transformer_layers"], resolved["seed"]) == (2, 1, 11)
+        for file in ("resolved_config.json", "log.csv", "last.ckpt"):
+            assert (stage / file).read_bytes() == (straight / file).read_bytes(), (name, file)
 
 
 def test_train_aborts_on_nan_loss(dataset, tmp_path, monkeypatch):
@@ -365,16 +368,24 @@ def _drop_first_shape(header):
     del header["entries"][0]["shape"]
 
 
-@pytest.mark.parametrize("edit", [lambda h: h["config"].update(kernel_size=5), _drop_entries,
-                                  _drop_first_shape],
-                         ids=["unknown_config_key", "no_entries", "entry_without_shape"])
-def test_denoise_rejects_malformed_manifest(run_dir, tmp_path, edit):
+@pytest.mark.parametrize("edit, key", [
+    (lambda h: h["config"].update(kernel_size=5), "kernel_size"),
+    (_drop_entries, "entries"),
+    (_drop_first_shape, "shape"),
+    (lambda h: h["config"].update(base_channels="8"), "base_channels"),
+    (lambda h: h["config"].update(depth=5), "depth"),
+    (lambda h: h["config"].update(in_channels=2), "in_channels"),
+], ids=["unknown_config_key", "no_entries", "entry_without_shape", "width_as_text", "retired_depth_5",
+        "retired_two_input_channels"])
+def test_denoise_rejects_malformed_manifest(run_dir, tmp_path, capsys, edit, key):
     shutil.copy(run_dir / "best.ckpt", tmp_path / "ckpt.ckpt")
     edit_checkpoint_header(tmp_path / "ckpt", edit)
     src = tmp_path / "in.f64"
     src.write_bytes(np.arange(3600.0).tobytes())
     assert main(["denoise", "--checkpoint", str(tmp_path / "ckpt"),
                  "--in", str(src), "--out", str(tmp_path / "out.f64")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ckpt", "in.f64"]
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +593,23 @@ OLD_CONFIG = {
 
 
 def test_fixed_values_are_the_ones_the_package_uses():
-    assert len(fields(RunConfig)) == 20 and not FIXED.keys() & {f.name for f in fields(RunConfig)}
+    assert len(fields(RunConfig)) == 20 and not RETIRED.keys() & {f.name for f in fields(RunConfig)}
+    assert len(fields(ModelConfig)) == 6 and RETIRED.keys() & {f.name for f in fields(ModelConfig)} == {"heads"}
+
+    # the architecture the model builds: 4 halvings, feed-forward 4x, one channel in and out
+    c = 2
+    model = TransformerUNet1D(ModelConfig(base_channels=c, transformer_layers=1, input_len=3600))
+    shapes = {name: t.shape for name, t in model.parameters()}
+    d = c * 2 ** RETIRED["depth"]
+    assert model.config.token_count == 3600 // 2 ** RETIRED["depth"] == 225
+    assert shapes["enc1.ff.lin1.weight"] == (d, RETIRED["d_ff_ratio"] * d) == (32, 128)
+    assert shapes["inc.conv1.weight"] == (c, RETIRED["in_channels"], 3) == (2, 1, 3)
+    assert shapes["out.weight"] == (RETIRED["out_channels"], c, 1) == (1, 2, 1)
+
     adamw = inspect.signature(AdamW).parameters
-    assert FIXED == {
-        "heads": ModelConfig.heads, "d_ff_ratio": ModelConfig.d_ff_ratio, "beta": LossConfig.beta,
+    assert RETIRED == {
+        "depth": 4, "d_ff_ratio": 4, "in_channels": 1, "out_channels": 1,
+        "heads": ModelConfig.heads, "beta": LossConfig.beta,
         "eta_min": CosineSchedule.eta_min, "weight_decay": adamw["weight_decay"].default,
         "adam_beta1": adamw["betas"].default[0], "adam_beta2": adamw["betas"].default[1],
         "adam_eps": adamw["eps"].default, "bpm_low": ecgdenoise.cli.BPM_RANGE[0],
@@ -597,7 +621,7 @@ def test_config_naming_removed_keys_builds_and_trains_byte_identically(dataset, 
     assert len(OLD_CONFIG) == 30
     config = tmp_path / "old.json"
     config.write_text(json.dumps(OLD_CONFIG))
-    trimmed = {k: v for k, v in OLD_CONFIG.items() if k not in FIXED}
+    trimmed = {k: v for k, v in OLD_CONFIG.items() if k not in RETIRED}
 
     assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "ds")]) == 0
     assert json.loads((tmp_path / "ds" / "synth_config.json").read_text()) == trimmed
@@ -627,3 +651,37 @@ def test_removed_key_at_another_value_is_rejected(dataset, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert repr(key) in err and f"fixed at {fixed}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("epochs", "2"), ("batch_size", True), ("epochs", 2.0)])
+def test_config_value_of_another_type_is_rejected(dataset, tmp_path, capsys, key, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**OLD_CONFIG, key: value}))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--data", str(dataset), "--out", str(out), "--quiet"]) == 2
+    assert f"{key!r} must be of type int, got {value!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def _config_spreads(tree):
+    """(enclosing function, line) of each call that spreads a mapping into
+    `ModelConfig`, `RunConfig` or a classmethod's `cls`."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or all(k.arg is not None for k in node.keywords):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("ModelConfig", "RunConfig", "cls"):
+            scope = node
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parents[scope]
+            yield getattr(scope, "name", "<module>"), node.lineno
+
+
+def test_only_read_config_builds_a_config_from_outside_data():
+    allowed = {("model.py", "read_config")}
+    found = {(path.name, scope, line)
+             for path in Path(ecgdenoise.cli.__file__).parent.glob("*.py")
+             for scope, line in _config_spreads(ast.parse(path.read_text()))}
+    assert {(name, scope) for name, scope, _ in found} >= allowed  # the guard sees the reader
+    assert sorted(w for w in found if w[:2] not in allowed) == []

@@ -351,6 +351,10 @@ def _non_integer_shape(prefix):  # same element count, so the byte total still m
     edit_checkpoint_header(prefix, edit)
 
 
+def _zero_heads(prefix):  # the heads check divides by it
+    edit_checkpoint_header(prefix, lambda h: h["config"].update(heads=0))
+
+
 def _truncated_params(prefix):
     _rewrite(prefix, lambda blob, n: blob[:-8])
 
@@ -382,7 +386,7 @@ def _header_not_an_object(prefix):
 @pytest.mark.parametrize("corrupt", [_missing_entry, _duplicate_entry, _wrong_buffer_shape,
                                      _truncated_params, _unknown_version, _truncated_length_field,
                                      _truncated_header, _header_length_past_eof, _non_json_header,
-                                     _header_not_an_object, _non_integer_shape])
+                                     _header_not_an_object, _non_integer_shape, _zero_heads])
 def test_load_checkpoint_rejects_bad_checkpoint(tmp_path, corrupt):
     _, prefix = _saved_tiny(tmp_path)
     load_checkpoint(prefix)  # whole before the damage
@@ -473,6 +477,27 @@ def test_save_killed_after_a_rename_leaves_one_whole_checkpoint(tmp_path, kill_a
     assert shift == 1  # every kill comes after the rename that publishes the second save
 
 
+# the keys a checkpoint header's config names beyond ModelConfig's fields when
+# written before they became constants, at the values every such header holds
+RETIRED_MODEL_KEYS = {"depth": 4, "d_ff_ratio": 4, "in_channels": 1, "out_channels": 1}
+
+
+def test_format_2_checkpoint_naming_the_retired_keys_loads_bitwise(tmp_path):
+    model = TransformerUNet1D(ModelConfig(**TINY))
+    model.forward(Tensor(np.random.default_rng(3).standard_normal((2, 1, 32))), training=True)
+    moments = np.random.default_rng(7).standard_normal((2, 1, 3))
+    prefix = str(tmp_path / "old")
+    save_checkpoint(prefix, model, optimizer_arrays=[("m.inc.conv1.weight", moments)])
+    edit_checkpoint_header(prefix, lambda h: h["config"].update(RETIRED_MODEL_KEYS))
+
+    loaded, header, optim = load_checkpoint(prefix)
+    assert header["config"] == {**asdict(model.config), **RETIRED_MODEL_KEYS} and len(header["config"]) == 10
+    assert loaded.config == model.config
+    assert optim["m.inc.conv1.weight"].tobytes() == moments.tobytes()
+    for got, want in zip(_arrays(loaded), _arrays(model), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_format_1_checkpoint_loads_bitwise_and_a_ckpt_takes_precedence(tmp_path):
     """Format 1: `.manifest.json` (entries with byte offsets) plus `.params.bin`."""
     model = TransformerUNet1D(ModelConfig(**TINY))
@@ -485,7 +510,8 @@ def test_format_1_checkpoint_loads_bitwise_and_a_ckpt_takes_precedence(tmp_path)
     for kind, name, arr in named:
         entries.append({"kind": kind, "name": name, "shape": list(arr.shape), "offset": offset})
         offset += 8 * arr.size
-    config = {k: v for k, v in asdict(model.config).items() if k != "fs"}  # format 1 predates the rate
+    # format 1 predates the rate and names the four settings that are now constants
+    config = {**{k: v for k, v in asdict(model.config).items() if k != "fs"}, **RETIRED_MODEL_KEYS}
     manifest = {"format_version": 1, "config": config,
                 "rng_state": {"seed": 5, "epoch": 0}, "extra": {"epoch": 0}, "entries": entries}
     prefix = tmp_path / "v1"
