@@ -2,7 +2,7 @@
 loss, noise-synthesis data pipeline, metrics, and a CLI tying them together."""
 
 from .config import RunConfig
-from .loss import LossConfig, LossReport, smooth_l1, spectral_loss, total_loss
+from .loss import LossConfig, LossReport, spectral_loss, total_loss
 from .model import ModelConfig, TransformerUNet1D, load_checkpoint, save_checkpoint
 from .optim import AdamW, CosineSchedule
 from .tensor import Tape, Tensor
@@ -19,7 +19,6 @@ __all__ = [
     "TransformerUNet1D",
     "load_checkpoint",
     "save_checkpoint",
-    "smooth_l1",
     "spectral_loss",
     "total_loss",
 ]

@@ -20,6 +20,7 @@ from .data import (
     build_dataset,
     load_signal_file,
     load_split,
+    normalize_windows,
     save_signal_file,
     stable_seed,
     synth_ecg,
@@ -107,11 +108,11 @@ def cmd_synth_data(args) -> int:
     out_dir = Path(args.out)
     records = make_records(cfg)
     splits = record_splits(cfg)
-    cfg.to_json(out_dir / "synth_config.json")
     manifest = build_dataset(
         records, splits, cfg.snr_db, [tuple(m) for m in cfg.noise_mixes],
         out_dir, global_seed=cfg.seed, window=cfg.input_len, stride=cfg.stride,
     )
+    cfg.to_json(out_dir / "synth_config.json")  # only a config that built a dataset
     print(f"wrote {len(manifest['pairs'])} pairs to {out_dir} "
           f"(splits: {', '.join(f'{k}={len(v)} records' for k, v in splits.items())})")
     return 0
@@ -132,13 +133,8 @@ def cmd_train(args) -> int:
 
 def _denoise_windows(model, windows: np.ndarray) -> np.ndarray:
     """Z-normalize each window, run eval-mode inference, restore the scale."""
-    means = windows.mean(axis=1, keepdims=True)
-    stds = windows.std(axis=1, keepdims=True)
-    # all samples equal, not std == 0: the mean of a repeated value can be one ulp off
-    flat = windows.max(axis=1) == windows.min(axis=1)
-    safe_stds = np.where(flat[:, None], 1.0, stds)
-    normalized = (windows - means) / safe_stds
-    restored = model.predict(normalized) * safe_stds + means
+    normalized, means, stds, flat = normalize_windows(windows)
+    restored = model.predict(normalized) * stds + means
     restored[flat] = windows[flat]  # constant windows pass through unchanged
     return restored
 

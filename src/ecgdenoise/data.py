@@ -38,6 +38,7 @@ __all__ = [
     "synth_ecg",
     "generate_noise",
     "mix_at_snr",
+    "normalize_windows",
     "segment_and_normalize",
     "build_dataset",
     "load_manifest",
@@ -246,11 +247,23 @@ def mix_at_snr(clean: np.ndarray, noise: np.ndarray, target_snr_db: float):
     return clean + scale * noise, float(scale)
 
 
+def normalize_windows(windows: np.ndarray):
+    """Z-normalize each row of (N, L) windows: (normalized, means, stds, flat).
+
+    `means` and `stds` are (N, 1) columns, so `normalized * stds + means`
+    restores the windows. A flat row (every sample equal) is divided by 1, and
+    `stds` holds 1 there: its computed std can be one ulp rather than zero.
+    """
+    means = windows.mean(axis=1, keepdims=True)
+    flat = windows.max(axis=1) == windows.min(axis=1)
+    stds = np.where(flat[:, None], 1.0, windows.std(axis=1, keepdims=True))
+    return (windows - means) / stds, means, stds, flat
+
+
 def segment_and_normalize(record: SignalRecord, window: int = WINDOW, stride: int = WINDOW):
     """Z-normalized sliding windows: list of (offset, window, mean, std).
 
-    Constant windows (every sample equal) are skipped with a warning: their
-    computed std can be one ulp rather than zero.
+    Flat windows (`normalize_windows`) are skipped with a warning.
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
@@ -258,15 +271,14 @@ def segment_and_normalize(record: SignalRecord, window: int = WINDOW, stride: in
         raise DataError(
             f"record {record.id}: {record.samples.size} samples < window {window}"
         )
+    windows = np.lib.stride_tricks.sliding_window_view(record.samples, window)[::stride]
+    normalized, means, stds, flat = normalize_windows(windows)
     out = []
-    for offset in range(0, record.samples.size - window + 1, stride):
-        chunk = record.samples[offset : offset + window]
-        if chunk.max() == chunk.min():
+    for row, offset in enumerate(range(0, record.samples.size - window + 1, stride)):
+        if flat[row]:
             log.warning("record %s offset %d: zero-variance window skipped", record.id, offset)
             continue
-        mean = float(chunk.mean())
-        std = float(chunk.std())
-        out.append((offset, (chunk - mean) / std, mean, std))
+        out.append((offset, normalized[row], float(means[row, 0]), float(stds[row, 0])))
     return out
 
 

@@ -22,6 +22,7 @@ from .tensor import Tape, Tensor
 __all__ = ["CheckResult", "run_all_checks", "CHECK_ORDER"]
 
 DEFAULT_TOL = 1e-4
+MAX_DRAWS = 10  # entries tried per sample of the end-to-end check
 
 
 class CheckResult:
@@ -152,7 +153,13 @@ def check_transformer_layer(rng) -> float:
 
 
 def check_model_end_to_end(rng, samples: int = 24) -> float:
-    """Sampled-parameter check of the full model under the combined loss."""
+    """Sampled-parameter check of the full model under the combined loss.
+
+    An entry whose central differences at eps and eps/10 disagree is not
+    resolved at eps: a ReLU or maxpool kink lies within eps of it, and the
+    difference straddles it. Another tensor and entry are drawn in its place,
+    up to `MAX_DRAWS` draws per sample; an entry still unresolved then counts.
+    """
     model = TransformerUNet1D(
         ModelConfig(base_channels=2, transformer_layers=1, heads=2, input_len=32, seed=3)
     )
@@ -176,23 +183,31 @@ def check_model_end_to_end(rng, samples: int = 24) -> float:
         _, report = total_loss(model.forward(x, training=True), target, cfg)
         return report.total
 
-    eps = 1e-4
-    worst = 0.0
-    picks = rng.choice(len(tensors), size=min(samples, len(tensors)), replace=False)
-    for idx in picks:
-        t = tensors[idx]
-        flat = t.data.reshape(-1)
-        i = int(rng.integers(flat.size))
+    def central(flat, i, eps):
         orig = flat[i]
         flat[i] = orig + eps
         fp = scalar()
         flat[i] = orig - eps
         fm = scalar()
         flat[i] = orig
-        fd = (fp - fm) / (2.0 * eps)
-        an = grads[idx].reshape(-1)[i]
+        return (fp - fm) / (2.0 * eps)
+
+    def rel(a, b):
         # unit floor: biases feeding batchnorm carry exactly-zero gradients
-        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1.0))
+        return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+    eps = 1e-4
+    worst = 0.0
+    for idx in rng.choice(len(tensors), size=min(samples, len(tensors)), replace=False):
+        for draw in range(MAX_DRAWS):
+            if draw:
+                idx = int(rng.integers(len(tensors)))
+            flat = tensors[idx].data.reshape(-1)
+            i = int(rng.integers(flat.size))
+            fd = central(flat, i, eps)
+            if rel(fd, central(flat, i, eps / 10)) < DEFAULT_TOL:
+                break
+        worst = max(worst, rel(fd, grads[idx].reshape(-1)[i]))
     return worst
 
 

@@ -6,9 +6,11 @@ would only double every interior bin). Arbitrary segment lengths are
 supported directly; padding a segment to a power of two would change the bin
 grid and is deliberately not done. Both terms carry exact analytic gradients.
 
-Each formula is written once, in `_smooth_l1_*`/`_spectral_*` helpers shared
-by the tape ops and by `loss_and_gradients` (one training step's report and
-output gradients from one pair of FFTs).
+The dual loss has one gradient: `loss_and_gradients`, which seeds every
+training step from one pair of FFTs. `total_loss` is the same loss as one
+tape op whose backward sums that function's two weighted gradients, so the
+finite-difference checks differentiate what training uses. `spectral_loss`
+is the spectral term alone as a tape op, sharing its `_spectral_*` helpers.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeMismatch, Tensor, accumulate_grad, add, apply_op, mul
+from .tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op
 
-__all__ = ["LossConfig", "LossReport", "smooth_l1", "dft", "spectral_loss", "total_loss",
-           "loss_and_gradients"]
+__all__ = ["LossConfig", "LossReport", "dft", "spectral_loss", "total_loss", "loss_and_gradients"]
 
 
 @dataclass
@@ -50,23 +51,6 @@ def _smooth_l1_value(e: np.ndarray, beta: float) -> float:
 def _smooth_l1_grad(e: np.ndarray, beta: float, scale: float) -> np.ndarray:
     """Gradient of scale * sum(smooth-L1(e)) with respect to e."""
     return np.where(np.abs(e) < beta, e / beta, np.sign(e)) * scale
-
-
-def smooth_l1(y_hat: Tensor, y: Tensor, beta: float = 1.0) -> Tensor:
-    """Mean of the C1 piecewise loss: 0.5 e^2/beta inside |e| < beta, |e| - beta/2 outside.
-
-    Only `y_hat` receives a gradient; the target `y` is a constant."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if y_hat.shape != y.shape:
-        raise ShapeMismatch("smooth_l1", y_hat.shape, y.shape)
-    e = y_hat.data - y.data
-    out_data = np.array([_smooth_l1_value(e, beta)])
-
-    def backward(g, y_hat=y_hat, e=e):
-        accumulate_grad(y_hat, _smooth_l1_grad(e, beta, g[0] / e.size))
-
-    return apply_op(out_data, (y_hat,), backward)
 
 
 def dft(x: np.ndarray) -> np.ndarray:
@@ -135,30 +119,41 @@ def spectral_loss(y_hat: Tensor, y: Tensor) -> Tensor:
     return apply_op(out_data, (y_hat,), backward)
 
 
-def _report(time_loss: float, spectral_loss: float, config: LossConfig) -> LossReport:
-    total = time_loss * config.w_time + spectral_loss * config.w_spectral
-    return LossReport(time_loss=float(time_loss), spectral_loss=float(spectral_loss), total=float(total))
+def _terms(y_hat: np.ndarray, y: np.ndarray, config: LossConfig):
+    """The report, the waveform error and both one-sided spectra."""
+    config.validate()
+    if y_hat.shape != y.shape:
+        raise ShapeMismatch("loss", y_hat.shape, y.shape)
+    e = y_hat - y
+    time_value = _smooth_l1_value(e, config.beta)
+    spec_hat, spec_ref, spectral_value = _spectral_terms(y_hat, y)
+    total = time_value * config.w_time + spectral_value * config.w_spectral
+    report = LossReport(time_loss=float(time_value), spectral_loss=float(spectral_value), total=float(total))
+    return report, e, spec_hat, spec_ref
 
 
 def total_loss(y_hat: Tensor, y: Tensor, config: LossConfig) -> tuple[Tensor, LossReport]:
-    """Weighted sum of both domains; the report carries detached components."""
-    config.validate()
-    time_term = smooth_l1(y_hat, y, config.beta)
-    spectral_term = spectral_loss(y_hat, y)
-    total = add(mul(time_term, config.w_time), mul(spectral_term, config.w_spectral))
-    return total, _report(time_term.item(), spectral_term.item(), config)
+    """Weighted sum of both domains as one tape op; the report carries detached
+    components. Only `y_hat` receives a gradient: `loss_and_gradients`' two
+    uncapped gradients, summed and scaled by the upstream value."""
+    report = _terms(y_hat.data, y.data, config)[0]
+
+    def backward(g, y_hat=y_hat, target=y.data):
+        _, time_grad, spectral_grad = loss_and_gradients(y_hat.data, target, config)
+        grad = time_grad if spectral_grad is None else time_grad + spectral_grad
+        accumulate_grad(y_hat, grad * g[0])
+
+    return apply_op(np.array([report.total]), (y_hat,), backward), report
 
 
 def loss_and_gradients(y_hat: np.ndarray, y: np.ndarray, config: LossConfig):
     """`total_loss`'s report plus each weighted term's gradient with respect to y_hat.
 
     Returns ``(report, time_grad, spectral_grad)``; ``spectral_grad`` is None
-    when the spectral weight is zero. Both spectra are computed once.
+    when the spectral weight is zero. Both spectra are computed once. Raises
+    `ShapeMismatch` unless `y_hat` and `y` have one shape.
     """
-    config.validate()
-    e = y_hat - y
-    spec_hat, spec_ref, spectral_value = _spectral_terms(y_hat, y)
-    report = _report(_smooth_l1_value(e, config.beta), spectral_value, config)
+    report, e, spec_hat, spec_ref = _terms(y_hat, y, config)
     time_grad = _smooth_l1_grad(e, config.beta, config.w_time / e.size)
     if config.w_spectral == 0:
         return report, time_grad, None

@@ -98,8 +98,10 @@ class ModelConfig:
             raise ConfigError("base_channels must be >= 1")
         if not self.fs > 0:
             raise ConfigError(f"fs must be positive, got {self.fs}")
-        if self.input_len % 2**DEPTH != 0:
-            raise ConfigError(f"input_len {self.input_len} not divisible by 2^depth = {2 ** DEPTH}")
+        if self.input_len < 2**DEPTH or self.input_len % 2**DEPTH != 0:
+            raise ConfigError(f"input_len {self.input_len} not a positive multiple of 2^depth = {2 ** DEPTH}")
+        if self.transformer_layers < 0:
+            raise ConfigError(f"transformer_layers must be >= 0, got {self.transformer_layers}")
         if self.heads < 1 or self.bottleneck_dim % self.heads != 0:
             raise ConfigError(f"heads must divide bottleneck dim {self.bottleneck_dim}, got {self.heads}")
 

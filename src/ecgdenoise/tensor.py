@@ -22,9 +22,6 @@ upstream buffer or the same array another input received, and adds later
 contributions out of place. No code writes into a `.grad` array; the
 optimizer only reads them. A backward closure may reuse buffers it saved
 itself, which nothing else reads once it has run.
-
-Broadcasting is deliberately limited to one pattern: a trailing-shape operand
-broadcast over the leading (batch) axis.
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeMismatch",
-    "add",
-    "mul",
     "concat_channels",
     "apply_op",
     "accumulate_grad",
@@ -193,68 +188,9 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _align(op: str, a: Tensor, b: Tensor):
-    """Match `b` against `a` under the supported broadcast patterns.
-
-    Returns (view of b.data broadcastable to a.shape, reducer) where
-    `reducer(g)` collapses an upstream gradient of a.shape back to b.shape.
-    """
-    if b.shape == a.shape:
-        return b.data, lambda g: g
-    if b.ndim == a.ndim - 1 and b.shape == a.shape[1:]:
-        return b.data[None], lambda g: g.sum(axis=0)
-    raise ShapeMismatch(op, a.shape, b.shape)
-
-
-def _binary(op: str, a: Tensor, b, fwd, dfa, dfb) -> Tensor:
-    """Shared body of add/mul. dfa/dfb map upstream to operand grads."""
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        c = float(b)
-        out_data = fwd(a.data, c)
-
-        def backward(g, a=a, c=c):
-            accumulate_grad(a, dfa(g, a.data, c))
-
-        return apply_op(out_data, (a,), backward)
-
-    b = _as_tensor(b)
-    b_view, reduce_b = _align(op, a, b)
-    out_data = fwd(a.data, b_view)
-
-    def backward(g, a=a, b=b, b_view=b_view, reduce_b=reduce_b):
-        accumulate_grad(a, dfa(g, a.data, b_view))
-        accumulate_grad(b, reduce_b(dfb(g, a.data, b_view)))
-
-    return apply_op(out_data, (a, b), backward)
-
-
-def add(a, b) -> Tensor:
-    return _binary(
-        "add", a, b,
-        fwd=lambda x, y: x + y,
-        dfa=lambda g, x, y: g,
-        dfb=lambda g, x, y: g,
-    )
-
-
-def mul(a, b) -> Tensor:
-    return _binary(
-        "mul", a, b,
-        fwd=lambda x, y: x * y,
-        dfa=lambda g, x, y: g * y,
-        dfb=lambda g, x, y: g * x,
-    )
-
-
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Stack channel-major (C1, B, L) and (C2, B, L) into (C1+C2, B, L), a's
     channels first: two contiguous blocks one after the other."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 3 or b.ndim != 3:
         raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="expects rank 3")
     if a.shape[1:] != b.shape[1:]:

@@ -150,27 +150,31 @@ def _append_log(path, columns, row) -> None:
         writer.writerow(row)
 
 
-def _resolve(cfg: RunConfig, dataset_dir):
-    """The run's config at its dataset's window and rate, with its loss config
-    and learning-rate schedule. The model config is validated too, so a config
-    that cannot train is rejected before the run directory is made."""
+_SPLIT_PAIRS = {"train": "training", "val": "validation"}
+
+
+def _open_run(cfg: RunConfig, dataset_dir, *split_names):
+    """The run's config at its dataset's window and rate, its loss config and
+    learning-rate schedule, and the pairs of each named split. The model
+    config is validated and each split must hold pairs, so a run that cannot
+    train is rejected before its directory is made."""
     manifest = load_manifest(dataset_dir)
     cfg = cfg.override(input_len=manifest["window"], fs=manifest["fs"])
     loss_cfg = cfg.loss_config()
     loss_cfg.validate()
     cfg.model_config().validate()
-    return cfg, loss_cfg, cfg.schedule()
+    splits = []
+    for name in split_names:
+        pairs = load_split(dataset_dir, name)
+        if not pairs:
+            raise ValueError(f"no {_SPLIT_PAIRS[name]} pairs under {dataset_dir}")
+        splits.append(pairs)
+    return cfg, loss_cfg, cfg.schedule(), splits
 
 
 def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
                 quiet: bool = False) -> TrainResult:
-    cfg, loss_cfg, schedule = _resolve(cfg, dataset_dir)
-    train_pairs = load_split(dataset_dir, "train")
-    val_pairs = load_split(dataset_dir, "val")
-    if not train_pairs:
-        raise ValueError(f"no training pairs under {dataset_dir}")
-    if not val_pairs:
-        raise ValueError(f"no validation pairs under {dataset_dir}")
+    cfg, loss_cfg, schedule, (train_pairs, val_pairs) = _open_run(cfg, dataset_dir, "train", "val")
 
     start_epoch = 0
     best_val = math.inf
@@ -253,10 +257,7 @@ def run_overfit_one_batch(cfg: RunConfig, dataset_dir, out_dir, quiet: bool = Fa
     A sanity harness: a working model/loss/optimizer stack must be able to
     collapse the loss on a single memorized batch.
     """
-    cfg, loss_cfg, _ = _resolve(cfg, dataset_dir)
-    pairs = load_split(dataset_dir, "train")
-    if not pairs:
-        raise ValueError(f"no training pairs under {dataset_dir}")
+    cfg, loss_cfg, _, (pairs,) = _open_run(cfg, dataset_dir, "train")
     x, y = _stack(pairs, range(min(cfg.batch_size, len(pairs))))
 
     out_dir = Path(out_dir)

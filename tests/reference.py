@@ -1,11 +1,13 @@
-"""The transformer layer as a composition of small tape ops: the reference the
-fused ops in `ecgdenoise.layers` are compared against.
+"""Compositions of small tape ops: the references the package's fused ops are
+compared against.
 
-Each op here records one tape node and keeps its own output, as the package
-did before its attention, feed-forward and residual-plus-layernorm blocks
-became one op each. The functions read the parameters of the package's
-modules, so a reference and a fused forward of the same module share every
-weight.
+Each op here records one tape node and keeps its own output. The transformer
+layer is composed as the package computed it before its attention,
+feed-forward and residual-plus-layernorm blocks became one op each, and the
+dual loss as its two terms weighted by `mul` and summed by `add`, as the
+package built it before `loss.total_loss` became one op. The functions read
+the parameters of the package's modules, so a reference and a fused forward
+of the same module share every weight.
 """
 
 import math
@@ -13,11 +15,67 @@ import math
 import numpy as np
 
 from ecgdenoise.layers import NORM_EPS
-from ecgdenoise.tensor import ShapeMismatch, Tensor, accumulate_grad, add, apply_op, mul
+from ecgdenoise.loss import LossReport, spectral_loss
+from ecgdenoise.tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _align(op: str, a: Tensor, b: Tensor):
+    """Match `b` against `a`: the same shape, or a's shape without its leading
+    (batch) axis, broadcast over it.
+
+    Returns (view of b.data broadcastable to a.shape, reducer) where
+    `reducer(g)` collapses an upstream gradient of a.shape back to b.shape.
+    """
+    if b.shape == a.shape:
+        return b.data, lambda g: g
+    if b.ndim == a.ndim - 1 and b.shape == a.shape[1:]:
+        return b.data[None], lambda g: g.sum(axis=0)
+    raise ShapeMismatch(op, a.shape, b.shape)
+
+
+def _binary(op: str, a: Tensor, b, fwd, dfa, dfb) -> Tensor:
+    """Shared body of add/mul. dfa/dfb map upstream to operand grads."""
+    a = _as_tensor(a)
+    if isinstance(b, (int, float)):
+        c = float(b)
+        out_data = fwd(a.data, c)
+
+        def backward(g, a=a, c=c):
+            accumulate_grad(a, dfa(g, a.data, c))
+
+        return apply_op(out_data, (a,), backward)
+
+    b = _as_tensor(b)
+    b_view, reduce_b = _align(op, a, b)
+    out_data = fwd(a.data, b_view)
+
+    def backward(g, a=a, b=b, b_view=b_view, reduce_b=reduce_b):
+        accumulate_grad(a, dfa(g, a.data, b_view))
+        accumulate_grad(b, reduce_b(dfb(g, a.data, b_view)))
+
+    return apply_op(out_data, (a, b), backward)
+
+
+def add(a, b) -> Tensor:
+    return _binary(
+        "add", a, b,
+        fwd=lambda x, y: x + y,
+        dfa=lambda g, x, y: g,
+        dfb=lambda g, x, y: g,
+    )
+
+
+def mul(a, b) -> Tensor:
+    return _binary(
+        "mul", a, b,
+        fwd=lambda x, y: x * y,
+        dfa=lambda g, x, y: g * y,
+        dfb=lambda g, x, y: g * x,
+    )
 
 
 def relu(a: Tensor) -> Tensor:
@@ -192,3 +250,33 @@ def transformer_layer(layer, x: Tensor) -> Tensor:
     """`TransformerEncoderLayer.forward` as 28 tape ops."""
     u = residual_layer_norm(layer.norm1, x, mhsa(layer.attn, x))
     return residual_layer_norm(layer.norm2, u, feedforward(layer.ff, u))
+
+
+def smooth_l1(y_hat: Tensor, y: Tensor, beta: float = 1.0) -> Tensor:
+    """Mean of the C1 piecewise loss: 0.5 e^2/beta inside |e| < beta, |e| - beta/2 outside.
+
+    Only `y_hat` receives a gradient; the target `y` is a constant."""
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if y_hat.shape != y.shape:
+        raise ShapeMismatch("smooth_l1", y_hat.shape, y.shape)
+    e = y_hat.data - y.data
+    inside = np.abs(e) < beta
+    out_data = np.array([np.where(inside, 0.5 * e * e / beta, np.abs(e) - 0.5 * beta).mean()])
+
+    def backward(g, y_hat=y_hat):
+        accumulate_grad(y_hat, np.where(inside, e / beta, np.sign(e)) * (g[0] / e.size))
+
+    return apply_op(out_data, (y_hat,), backward)
+
+
+def total_loss(y_hat: Tensor, y: Tensor, config) -> tuple[Tensor, LossReport]:
+    """`loss.total_loss` as smooth-L1, the spectral term, two `mul` and an `add`."""
+    config.validate()
+    time_term = smooth_l1(y_hat, y, config.beta)
+    spectral_term = spectral_loss(y_hat, y)
+    total = add(mul(time_term, config.w_time), mul(spectral_term, config.w_spectral))
+    time_value, spectral_value = time_term.item(), spectral_term.item()
+    report = LossReport(time_loss=time_value, spectral_loss=spectral_value,
+                        total=time_value * config.w_time + spectral_value * config.w_spectral)
+    return total, report

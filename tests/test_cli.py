@@ -12,6 +12,7 @@ import pytest
 
 import ecgdenoise.cli
 import ecgdenoise.layers
+import ecgdenoise.loss
 import ecgdenoise.training
 from conftest import edit_checkpoint_header
 from ecgdenoise.cli import main
@@ -82,6 +83,17 @@ def test_synth_data_rerun_identical_manifest(dataset, tmp_path):
     ])
     assert code == 0
     assert (tmp_path / "again" / "manifest.json").read_bytes() == (dataset / "manifest.json").read_bytes()
+
+
+def test_synth_data_that_fails_to_build_writes_no_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"snr_db": ["a"]}))
+    out = tmp_path / "ds"
+    assert main(["synth-data", "--config", str(config), "--out", str(out),
+                 "--records", "6", "--duration", "10"]) == 2
+    assert "could not convert" in capsys.readouterr().err
+    assert not (out / "synth_config.json").exists()
+    assert not list(out.glob("*"))
 
 
 def test_synth_data_single_mix_flag(tmp_path):
@@ -490,6 +502,25 @@ def test_gradcheck_passes_and_lists_each_layer_once(capsys):
         assert printed.count(f"{name}:") == 1
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_gradcheck_passes_at_every_seed(seed, capsys):
+    assert main(["gradcheck", "--seed", str(seed)]) == 0, capsys.readouterr().out
+
+
+def test_gradcheck_detects_a_wrong_training_loss_gradient(monkeypatch, capsys):
+    # the end-to-end check differentiates the gradient every training step seeds from
+    true_gradients = ecgdenoise.loss.loss_and_gradients
+
+    def scaled(y_hat, y, cfg):
+        report, time_grad, spectral_grad = true_gradients(y_hat, y, cfg)
+        return report, time_grad, spectral_grad * 1.5
+
+    monkeypatch.setattr(ecgdenoise.loss, "loss_and_gradients", scaled)
+    assert main(["gradcheck"]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.endswith(" FAIL")]
+    assert [line.split(":")[0] for line in failed] == ["model_end_to_end"]
+
+
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     true_grads = ecgdenoise.layers._conv1d_grads
 
@@ -550,11 +581,26 @@ def test_non_positive_batch_size_and_t_max_are_rejected(dataset, tmp_path, capsy
     ["--lr", "-1"],  # below eta_min
     ["--epochs", "0"],
     ["--overfit-steps", "0"],
+    ["--transformer-layers", "-1"],
 ])
 def test_rejected_train_config_leaves_no_run_directory(dataset, tmp_path, flags, mode):
     out = tmp_path / "D"
     assert main(["train", "--data", str(dataset), "--out", str(out), *TINY_TRAIN, "--epochs", "1",
                  "--overfit-steps", "1", "--quiet", *mode, *flags]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split, mode, message", [
+    ({"train": [], "val": ["r"]}, [], "no training pairs"),
+    ({"train": ["r"], "val": []}, [], "no validation pairs"),
+    ({"train": [], "val": ["r"]}, ["--overfit-one-batch"], "no training pairs"),
+])
+def test_training_on_an_empty_split_writes_nothing(tmp_path, capsys, split, mode, message):
+    build_dataset([synth_ecg(10.0, record_id="r")], split, [0.0], [("bw",)], tmp_path / "ds")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(tmp_path / "ds"), "--out", str(out), *TINY_TRAIN,
+                 "--epochs", "1", "--overfit-steps", "1", "--quiet", *mode]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

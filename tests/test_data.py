@@ -22,6 +22,7 @@ from ecgdenoise.data import (
     load_split,
     make_pair,
     mix_at_snr,
+    normalize_windows,
     save_signal_file,
     segment_and_normalize,
     segment_seed,
@@ -171,6 +172,24 @@ def test_flat_window_with_one_ulp_std_skipped(caplog):
     with caplog.at_level("WARNING"):
         assert segment_and_normalize(rec, 3600, 3600) == []
     assert caplog.text.count("zero-variance") == 2
+
+
+def test_normalize_windows_is_the_per_window_loop_bitwise():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        window = int(rng.integers(8, 1000))
+        stride = int(rng.integers(1, 2 * window))
+        samples = rng.standard_normal(window + int(rng.integers(0, 3 * window))) * rng.uniform(0.01, 100.0)
+        samples[: window + 2] = 2.0 / 3.0  # the first windows are flat
+        starts = range(0, samples.size - window + 1, stride)
+        normalized, means, stds, flat = normalize_windows(
+            np.stack([samples[s : s + window] for s in starts]))
+        for row, start in enumerate(starts):
+            chunk = samples[start : start + window]
+            assert flat[row] == (chunk.max() == chunk.min())
+            mean, std = chunk.mean(), 1.0 if flat[row] else chunk.std()
+            assert (means[row, 0], stds[row, 0]) == (mean, std)
+            assert normalized[row].tobytes() == ((chunk - mean) / std).tobytes()
 
 
 def test_window_statistics():

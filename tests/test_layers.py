@@ -22,8 +22,8 @@ from ecgdenoise.layers import (
     maxpool1d,
     positional_encoding,
 )
-from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul
-from reference import relu, sum_all
+from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor
+from reference import mul, relu, sum_all
 
 
 def ref_cross_correlation(x, w, b, stride, padding):

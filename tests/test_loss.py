@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import fd_wrt, rel_err, tape_grads
-from ecgdenoise.loss import LossConfig, dft, smooth_l1, spectral_loss, total_loss
-from ecgdenoise.tensor import ShapeMismatch, Tensor
+import reference
+from ecgdenoise.loss import LossConfig, dft, loss_and_gradients, spectral_loss, total_loss
+from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor
+from ecgdenoise.training import output_gradient
+from reference import smooth_l1
 
 
 def direct_dft(x: np.ndarray, chunk: int = 128) -> np.ndarray:
@@ -206,6 +209,36 @@ def test_total_loss_backpropagates_both_terms():
     (g,) = tape_grads(lambda: total_loss(y_hat, y, cfg)[0], [y_hat])
     fd = fd_wrt(y_hat, lambda: total_loss(y_hat, y, cfg)[0].item(), eps=1e-6)
     assert rel_err(g, fd, floor=1e-6) < 1e-6
+
+
+def test_total_loss_is_one_node_whose_backward_is_the_training_gradient():
+    rng = np.random.default_rng(16)
+    y_hat = Tensor(rng.standard_normal((2, 1, 24)), requires_grad=True)
+    y = Tensor(rng.standard_normal((2, 1, 24)))
+    cfg = LossConfig(beta=0.8, w_time=0.7, w_spectral=0.3)
+    with Tape() as tape:
+        total, report = total_loss(y_hat, y, cfg)
+        assert len(tape) == 1
+        tape.backward(total, np.array([3.0]))
+    expected, time_grad, spectral_grad = loss_and_gradients(y_hat.data, y.data, cfg)
+    assert report == expected and total.item() == report.total
+    assert np.array_equal(y_hat.grad, (time_grad + spectral_grad) * 3.0)
+    # against the composition of both terms that the package no longer builds
+    assert reference.total_loss(y_hat, y, cfg)[1] == report
+    (g,) = tape_grads(lambda: reference.total_loss(y_hat, y, cfg)[0], [y_hat])
+    assert np.array_equal(g, time_grad + spectral_grad)
+
+
+@pytest.mark.parametrize("loss_fn", [
+    lambda y_hat, y, cfg: loss_and_gradients(y_hat, y, cfg),
+    lambda y_hat, y, cfg: output_gradient(y_hat, y, cfg),
+    lambda y_hat, y, cfg: total_loss(Tensor(y_hat), Tensor(y), cfg),
+], ids=["loss_and_gradients", "output_gradient", "total_loss"])
+def test_loss_rejects_mismatched_shapes(loss_fn):
+    # (2, 1, 8) against (2, 8) would broadcast to a (2, 2, 8) gradient
+    rng = np.random.default_rng(17)
+    with pytest.raises(ShapeMismatch):
+        loss_fn(rng.standard_normal((2, 1, 8)), rng.standard_normal((2, 8)), LossConfig())
 
 
 def test_loss_config_validation():

@@ -22,8 +22,8 @@ from ecgdenoise.model import (
 )
 from ecgdenoise.loss import LossConfig
 from ecgdenoise.optim import AdamW
-from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor, mul
-from reference import relu, sum_all
+from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor
+from reference import mul, relu, sum_all
 from ecgdenoise.training import train_step
 
 TINY = dict(base_channels=2, transformer_layers=1, heads=2, input_len=32, seed=5)
@@ -66,6 +66,13 @@ def test_build_rejects_bad_config():
         TransformerUNet1D(ModelConfig(input_len=100))  # not divisible by 16
     with pytest.raises(ConfigError):
         TransformerUNet1D(ModelConfig(base_channels=3, heads=7, input_len=32))
+
+
+@pytest.mark.parametrize("change", [{"transformer_layers": -1}, {"input_len": 0}])
+def test_validate_rejects_negative_layers_and_an_empty_window(change):
+    with pytest.raises(ConfigError, match=next(iter(change))):
+        ModelConfig(**{**TINY, **change}).validate()
+    TransformerUNet1D(ModelConfig(**{**TINY, "transformer_layers": 0}))  # the plain U-Net stays valid
 
 
 def test_same_seed_identical_parameter_bytes():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_err, tape_grads
-from ecgdenoise.tensor import ShapeMismatch, Tape, TapeError, Tensor, add, concat_channels, mul
-from reference import bmm, matmul, relu, softmax_last, sum_all, transpose_last
+from ecgdenoise.tensor import ShapeMismatch, Tape, TapeError, Tensor, concat_channels
+from reference import add, bmm, matmul, mul, relu, softmax_last, sum_all, transpose_last
 
 
 def test_relu_definition():

@@ -13,12 +13,12 @@ import pytest
 import ecgdenoise
 
 from conftest import tape_grads
-from ecgdenoise.loss import LossConfig, total_loss
+from ecgdenoise.loss import LossConfig
 from ecgdenoise.model import ModelConfig, TransformerUNet1D
 from ecgdenoise.optim import AdamW
-from ecgdenoise.tensor import Tape, Tensor, mul
+from ecgdenoise.tensor import Tape, Tensor
 from ecgdenoise.training import output_gradient, train_step
-from reference import sum_all
+from reference import mul, sum_all, total_loss
 
 
 def _pair(shape, seed):
