@@ -191,7 +191,7 @@ def cmd_evaluate(args) -> int:
         model = _IdentityModel()
     else:
         model, _, _ = load_checkpoint(args.checkpoint)
-    report = evaluate(model, pairs, INFER_BATCH if args.batch_size is None else args.batch_size)
+    report = evaluate(model, pairs)
     _print_grouped(report)
     out_dir = Path(args.out) if args.out else Path(args.data)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,7 +267,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--baseline", choices=["identity"])
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer type")

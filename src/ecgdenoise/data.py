@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import re
+import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -325,14 +326,6 @@ def make_pair(record_id, offset, window, mean, std, snr, mix, global_seed, fs) -
     )
 
 
-def _listed_split_files(out_dir: Path) -> dict:
-    """The `split_files` of the manifest under `out_dir`, or {} if it has none."""
-    try:
-        return json.loads((out_dir / "manifest.json").read_text())["split_files"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return {}
-
-
 def _write_split_file(out_dir: Path, split_name: str, chunks) -> str:
     """Write byte `chunks` under a staging name, then rename the file to
     `<split_name>-<digest>.f64`, the digest the first 16 hex digits of the
@@ -366,8 +359,10 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
     split's pairs, and is named `<split>-<digest of its bytes>.f64`. The
     manifest, written last with `write_atomically`, names each split's file
     under `split_files`; until it lands, the previous manifest and the files
-    it names stay whole. A build that fails removes the files it added; one
-    that succeeds removes the split files its manifest does not name.
+    it names stay whole. A build that fails removes the files it added, and
+    `out_dir` if the build made it; one that succeeds removes the split files
+    its manifest does not name. Records of two sampling rates are a
+    `DataError` before anything is written.
     """
     seen = {}
     for name, ids in split.items():
@@ -379,10 +374,20 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
     missing = [rid for rid in seen if rid not in by_id]
     if missing:
         raise DataError(f"split references unknown records: {missing}")
+    rates = {}
+    for rid in seen:
+        rates.setdefault(by_id[rid].fs, rid)
+    if len(rates) > 1:
+        raise DataError("a dataset holds one sampling rate, but records "
+                        + " and ".join(f"{rid} ({fs:g} Hz)" for fs, rid in rates.items()) + " differ")
 
     out_dir = Path(out_dir)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    previous = _listed_split_files(out_dir)
+    try:
+        previous = load_manifest(out_dir)["split_files"]
+    except (OSError, ValueError):  # no dataset there, or none this build can read
+        previous = {}
     entries = []
 
     def split_rows(split_name):
@@ -406,7 +411,7 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
             "global_seed": global_seed,
             "window": window,
             "stride": stride,
-            "fs": by_id[next(iter(seen))].fs if seen else None,
+            "fs": next(iter(rates), None),
             "snr_list": [float(s) for s in snr_list],
             "mixes": [list(m) for m in mixes],
             "split_records": {name: list(ids) for name, ids in split.items()},
@@ -417,6 +422,8 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
         write_atomically(out_dir / "manifest.json", lambda fh: fh.write(text.encode()))
     except BaseException:
         _remove_files(out_dir, set(split_files.values()) - set(previous.values()))
+        if created:
+            shutil.rmtree(out_dir, ignore_errors=True)
         raise
     names = set(previous) | set(split)
     _remove_files(out_dir, {
@@ -426,15 +433,34 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
     return manifest
 
 
+# the keys readers take from a manifest, and their JSON types (no records: a null fs)
+_MANIFEST_KEYS = {"window": int, "fs": (int, float, type(None)), "split_records": dict, "split_files": dict,
+                  "pairs": list}
+_PAIR_KEYS = {"split", *_ENTRY_FIELDS}
+
+
 def load_manifest(dataset_dir) -> dict:
+    """The dataset's manifest: a format-3 JSON object holding `_MANIFEST_KEYS`,
+    a file for each split it lists, and each pair's split and entry fields;
+    else a `DataError` naming what is missing."""
     path = Path(dataset_dir) / "manifest.json"
     if not path.exists():
         raise DataError(f"no manifest.json under {dataset_dir}")
     with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: a manifest is a JSON object, not {type(manifest).__name__}")
     if manifest.get("format_version") != DATASET_FORMAT:
         raise DataError(f"{path}: dataset format_version {manifest.get('format_version')!r} is not "
                         f"{DATASET_FORMAT}; rerun synth-data to rebuild the dataset")
+    for key, kind in _MANIFEST_KEYS.items():
+        if key not in manifest or not isinstance(manifest[key], kind):
+            raise DataError(f"{path}: the manifest lacks {key!r} or holds it as another type")
+    unfiled = [name for name in manifest["split_records"] if name not in manifest["split_files"]]
+    if unfiled:
+        raise DataError(f"{path}: split_files names no file for split {unfiled[0]!r}")
+    if not all(isinstance(e, dict) and _PAIR_KEYS <= e.keys() for e in manifest["pairs"]):
+        raise DataError(f"{path}: a pair lacks one of {sorted(_PAIR_KEYS)}")
     return manifest
 
 

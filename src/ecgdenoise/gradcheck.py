@@ -40,18 +40,29 @@ class CheckResult:
         return f"{self.name}: worst rel err {self.worst_err:.3e} (tol {self.tol:g}) {status}"
 
 
-def _central_diff(scalar_fn, tensor: Tensor, eps: float) -> np.ndarray:
-    flat = tensor.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = scalar_fn()
-        flat[i] = orig - eps
-        fm = scalar_fn()
-        flat[i] = orig
-        grad[i] = (fp - fm) / (2.0 * eps)
-    return grad.reshape(tensor.shape)
+def _finite_difference(scalar_fn, flat: np.ndarray, i: int, eps: float) -> float:
+    """Central difference of `scalar_fn` in entry `i` of `flat`, a flat view of
+    a tensor's data; the entry is restored."""
+    orig = flat[i]
+    flat[i] = orig + eps
+    fp = scalar_fn()
+    flat[i] = orig - eps
+    fm = scalar_fn()
+    flat[i] = orig
+    return (fp - fm) / (2.0 * eps)
+
+
+def _restoring_buffers(module, forward_fn):
+    """`forward_fn` preceded by a reset of `module`'s buffers to their values
+    now, so every forward starts from the same running statistics."""
+    saved = [a.copy() for _, a in module.state_arrays()]
+
+    def forward():
+        for (_, a), s in zip(module.state_arrays(), saved):
+            a[...] = s
+        return forward_fn()
+
+    return forward
 
 
 def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5,
@@ -68,7 +79,8 @@ def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5,
 
     worst = 0.0
     for t, an in zip(tensors, analytic):
-        fd = _central_diff(scalar, t, eps)
+        flat = t.data.reshape(-1)
+        fd = np.array([_finite_difference(scalar, flat, i, eps) for i in range(flat.size)]).reshape(t.shape)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), floor)
         worst = max(worst, float(np.max(np.abs(fd - an) / denom)))
     return worst
@@ -105,12 +117,7 @@ def check_batchnorm1d(rng) -> float:
     bn.beta.data[:] = rng.standard_normal(3)
     x = Tensor(rng.standard_normal((2, 2, 6)), requires_grad=True)
     probe = rng.standard_normal((3, 2, 6))
-    saved = [a.copy() for _, a in bn.state_arrays()]
-
-    def forward():
-        for (_, a), s in zip(bn.state_arrays(), saved):
-            a[...] = s
-        return layers.conv_bn_relu(x, conv, bn, training=True)
+    forward = _restoring_buffers(bn, lambda: layers.conv_bn_relu(x, conv, bn, training=True))
 
     # unit floor: the conv bias feeds batchnorm, so its gradient is exactly zero
     return max(_worst_err(forward, [x, conv.weight, bn.gamma, bn.beta], probe),
@@ -175,22 +182,7 @@ def check_model_end_to_end(rng, samples: int = 24) -> float:
         tape.backward(loss)
     grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
 
-    saved = [a.copy() for _, a in model.state_arrays()]
-
-    def scalar():
-        for (_, a), s in zip(model.state_arrays(), saved):
-            a[...] = s
-        _, report = total_loss(model.forward(x, training=True), target, cfg)
-        return report.total
-
-    def central(flat, i, eps):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = scalar()
-        flat[i] = orig - eps
-        fm = scalar()
-        flat[i] = orig
-        return (fp - fm) / (2.0 * eps)
+    scalar = _restoring_buffers(model, lambda: total_loss(model.forward(x, training=True), target, cfg)[1].total)
 
     def rel(a, b):
         # unit floor: biases feeding batchnorm carry exactly-zero gradients
@@ -204,8 +196,8 @@ def check_model_end_to_end(rng, samples: int = 24) -> float:
                 idx = int(rng.integers(len(tensors)))
             flat = tensors[idx].data.reshape(-1)
             i = int(rng.integers(flat.size))
-            fd = central(flat, i, eps)
-            if rel(fd, central(flat, i, eps / 10)) < DEFAULT_TOL:
+            fd = _finite_difference(scalar, flat, i, eps)
+            if rel(fd, _finite_difference(scalar, flat, i, eps / 10)) < DEFAULT_TOL:
                 break
         worst = max(worst, rel(fd, grads[idx].reshape(-1)[i]))
     return worst

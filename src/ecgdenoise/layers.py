@@ -503,15 +503,12 @@ class MultiHeadSelfAttention(Module):
         self.w_v = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
         self.w_o = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
 
-    def _inputs(self, x: Tensor):
+    def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.dim:
             raise ShapeMismatch("mhsa", x.shape, (self.dim,))
-        w_qkv = np.concatenate([self.w_q.data, self.w_k.data, self.w_v.data], axis=1)
-        return x.data.reshape(-1, self.dim), w_qkv
-
-    def forward(self, x: Tensor) -> Tensor:
         batch = x.shape[0]
-        x2, w_qkv = self._inputs(x)
+        w_qkv = np.concatenate([self.w_q.data, self.w_k.data, self.w_v.data], axis=1)
+        x2 = x.data.reshape(-1, self.dim)
         qkv, p = _attention_rows(x2, w_qkv, batch, self.heads)
         merged = _unfold_heads(np.matmul(p, qkv[2])[None], batch)
         out = (merged @ self.w_o.data).reshape(x.shape)
@@ -526,12 +523,6 @@ class MultiHeadSelfAttention(Module):
             accumulate_grad(w_o, gw_o)
 
         return apply_op(out, (x, w_q, w_k, w_v, w_o), backward)
-
-    def attention_weights(self, x: Tensor) -> np.ndarray:
-        """Per-head attention rows for inspection: (H, B, T, T)."""
-        batch, tokens, _ = x.shape
-        _, p = _attention_rows(*self._inputs(x), batch, self.heads)
-        return p.reshape(batch, self.heads, tokens, tokens).transpose(1, 0, 2, 3)
 
 
 def _feedforward_grads(g2, rows, h, w1, w2):

@@ -209,9 +209,6 @@ class TransformerUNet1D(Module):
         caller picks N, which bounds the activation memory."""
         return self.forward(Tensor(x[:, None, :]), training=False).data[:, 0]
 
-    def num_parameters(self) -> int:
-        return sum(t.size for _, t in self.parameters())
-
     def zero_grad(self) -> None:
         for _, t in self.parameters():
             t.zero_grad()
@@ -256,38 +253,26 @@ def save_checkpoint(prefix: str, model: TransformerUNet1D, *, optimizer_arrays=N
     write_atomically(f"{prefix}.ckpt", write)
 
 
-def _open_checkpoint(prefix: str):
-    """(file at its first array byte, header bytes, format version) of the
-    checkpoint at `prefix`: its `.ckpt`, else a format-1 pair, whose header
-    is `.manifest.json` and whose arrays fill `.params.bin`."""
-    if os.path.exists(f"{prefix}.ckpt") or not os.path.exists(f"{prefix}.manifest.json"):
-        fh = open(f"{prefix}.ckpt", "rb")
-        length = int.from_bytes(fh.read(8), "little")
-        header = fh.read(min(length, os.fstat(fh.fileno()).st_size))
-        if len(header) == length:
-            return fh, header, FORMAT_VERSION
-        fh.close()
-        raise ConfigError(f"{prefix}.ckpt: its {length}-byte header is cut short at {len(header)}")
-    with open(f"{prefix}.manifest.json", "rb") as fh:
-        header = fh.read()
-    return open(f"{prefix}.params.bin", "rb"), header, 1
-
-
 def load_checkpoint(prefix: str):
-    """Rebuild the model from a checkpoint; returns (model, header, optim_arrays).
+    """Rebuild the model from `<prefix>.ckpt`; returns (model, header, optim_arrays).
 
-    Raises `ConfigError` unless the header is JSON naming the format version
-    of its file, `read_config` takes its `config`, every entry has a kind, name and
+    Raises `FileNotFoundError` naming `<prefix>.ckpt` if there is none: a
+    format-1 pair (`.manifest.json` plus `.params.bin`) does not load. Raises
+    `ConfigError` unless the header is whole, is JSON naming `FORMAT_VERSION`,
+    `read_config` takes its `config`, every entry has a kind, name and
     shape of non-negative integers, the file holds exactly the array bytes the entries list, and every
     parameter and buffer of the model is present exactly once with its shape.
     Header and arrays come through one open file, so a save that replaces
     the checkpoint meanwhile cannot mix two of them.
     """
-    fh, header_bytes, version = _open_checkpoint(prefix)
-    with fh:
+    with open(f"{prefix}.ckpt", "rb") as fh:
+        length = int.from_bytes(fh.read(8), "little")
+        header_bytes = fh.read(min(length, os.fstat(fh.fileno()).st_size))
+        if len(header_bytes) != length:
+            raise ConfigError(f"{prefix}.ckpt: its {length}-byte header is cut short at {len(header_bytes)}")
         try:
             header = json.loads(header_bytes)
-            if header.get("format_version") != version:
+            if header.get("format_version") != FORMAT_VERSION:
                 raise ConfigError(f"{prefix}: unknown format_version {header.get('format_version')!r}")
             config = read_config(ModelConfig, header["config"], f"{prefix} config")
             entries = [(e["kind"], e["name"], e["shape"], int(np.prod(e["shape"]))) for e in header["entries"]]

@@ -229,13 +229,6 @@ def mhsa(attn, x: Tensor) -> Tensor:
     return reshape(matmul(_merge_heads(heads_out, batch), attn.w_o), (batch, tokens, dim))
 
 
-def attention_weights(attn, x: Tensor) -> np.ndarray:
-    """`MultiHeadSelfAttention.attention_weights` from the unfused ops: (H, B, T, T)."""
-    batch, tokens, dim = x.shape
-    rows = _attention(attn, reshape(x, (batch * tokens, dim)), batch).data
-    return rows.reshape(batch, attn.heads, tokens, tokens).transpose(1, 0, 2, 3)
-
-
 def feedforward(ff, x: Tensor) -> Tensor:
     """`FeedForward.forward` as separate linear, ReLU and linear ops."""
     return linear(ff.lin2, relu(linear(ff.lin1, x)))

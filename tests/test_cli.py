@@ -93,7 +93,7 @@ def test_synth_data_that_fails_to_build_writes_no_config(tmp_path, capsys):
                  "--records", "6", "--duration", "10"]) == 2
     assert "could not convert" in capsys.readouterr().err
     assert not (out / "synth_config.json").exists()
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 def test_synth_data_single_mix_flag(tmp_path):
@@ -541,6 +541,13 @@ def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 1
 
 
+def test_evaluate_takes_no_batch_size(dataset, tmp_path):
+    # evaluate runs INFER_BATCH segments per forward, as denoise does
+    assert main(["evaluate", "--baseline", "identity", "--data", str(dataset), "--out", str(tmp_path / "eval"),
+                 "--batch-size", "4"]) == 1
+    assert not (tmp_path / "eval").exists()
+
+
 def test_empty_snr_and_noise_flags_keep_config_values(tmp_path):
     out = tmp_path / "ds"
     assert main(["synth-data", "--out", str(out), "--records", "6", "--duration", "10",
@@ -560,8 +567,8 @@ def test_bad_snr_flag_is_usage_error(tmp_path):
     (["train", "--batch-size", "-1"], "batch_size"),
     (["train", "--batch-size", "0"], "batch_size"),
     (["train", "--t-max", "0"], "t_max"),
-    (["evaluate", "--baseline", "identity", "--batch-size", "-2"], "batch_size"),
-    (["evaluate", "--baseline", "identity", "--batch-size", "0"], "batch_size"),
+    (["train", "--overfit-one-batch", "--batch-size", "-2"], "batch_size"),
+    (["train", "--overfit-one-batch", "--batch-size", "0"], "batch_size"),
     (["train", "--epochs", "0"], "epochs"),
     (["train", "--overfit-one-batch", "--overfit-steps", "0"], "overfit_steps"),
 ])
@@ -615,6 +622,54 @@ def test_format_1_dataset_is_rejected(dataset, tmp_path, capsys):
     assert "rerun synth-data" in capsys.readouterr().err
     assert not out.exists()
     assert main(["evaluate", "--baseline", "identity", "--data", str(old)]) == 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda m: {k: v for k, v in m.items() if k != "window"}, "'window'", id="no_window"),
+    pytest.param(lambda m: [], "JSON object", id="a_list"),
+    pytest.param(lambda m: {**m, "split_files": {k: v for k, v in m["split_files"].items() if k != "test"}},
+                 "split 'test'", id="a_split_without_a_file"),
+])
+def test_malformed_dataset_manifest_is_a_data_error(dataset, tmp_path, capsys, edit, message):
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset, ds)
+    manifest = json.loads((ds / "manifest.json").read_text())
+    (ds / "manifest.json").write_text(json.dumps(edit(manifest)))
+    before = sorted(p.name for p in ds.iterdir())
+    for argv in (["train", *TINY_TRAIN, "--epochs", "1", "--out", str(tmp_path / "run"), "--quiet"],
+                 ["evaluate", "--baseline", "identity", "--out", str(tmp_path / "eval")]):
+        assert main([*argv, "--data", str(ds)]) == 2
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+    assert sorted(p.name for p in ds.iterdir()) == before
+
+
+def test_format_1_checkpoint_is_rejected(run_dir, dataset, tmp_path, capsys):
+    """Format 1, a `.manifest.json` header beside a `.params.bin` of the arrays,
+    does not load: without `<prefix>.ckpt` the checkpoint is missing."""
+    blob = (run_dir / "last.ckpt").read_bytes()
+    length = int.from_bytes(blob[:8], "little")
+    header = json.loads(blob[8 : 8 + length])
+    header["format_version"] = 1
+    offset = 0
+    for entry in header["entries"]:
+        entry["offset"] = offset
+        offset += 8 * math.prod(entry["shape"])
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "last.manifest.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    (old / "last.params.bin").write_bytes(blob[8 + length :])
+    prefix = str(old / "last")
+    record = tmp_path / "in.f64"
+    save_signal_file(record, synth_ecg(10.0, record_id="in"))
+    for argv in (["denoise", "--checkpoint", prefix, "--in", str(record), "--out", str(tmp_path / "out.f64")],
+                 ["evaluate", "--checkpoint", prefix, "--data", str(dataset), "--out", str(tmp_path / "eval")],
+                 ["train", "--data", str(dataset), "--out", str(tmp_path / "run"), "--resume", prefix,
+                  "--epochs", "3", "--quiet"]):
+        assert main(argv) == 2
+        assert f"{prefix}.ckpt" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.f64", "in.f64.json", "old"]
+    assert sorted(p.name for p in old.iterdir()) == ["last.manifest.json", "last.params.bin"]
 
 
 def test_missing_dataset_is_data_error(tmp_path):

@@ -241,6 +241,15 @@ def test_build_dataset_rejects_overlapping_splits(tmp_path):
         )
 
 
+def test_build_dataset_rejects_records_at_two_sampling_rates(tmp_path):
+    records = small_records()
+    records[1] = synth_ecg(20.0, fs=250.0, seed=1, record_id="rec1")
+    with pytest.raises(DataError, match=r"rec0 \(360 Hz\) and rec1 \(250 Hz\)"):
+        build_dataset(records, split={"train": ["rec0", "rec1"], "test": ["rec2"]},
+                      snr_list=[0.0], mixes=[("bw",)], out_dir=tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_build_dataset_reproducible_bytes(tmp_path):
     kwargs = dict(
         split={"train": ["rec0"], "val": ["rec1"], "test": ["rec2"]},
