@@ -206,7 +206,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_all_checks(args.seed if args.seed is not None else 0)
+    results = run_all_checks(args.seed)
     failed = False
     for result in results:
         print(result)
@@ -263,14 +263,15 @@ def build_parser() -> _Parser:
                    help="edge-pad input to a whole number of windows (stripped on output)")
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset split")
-    p.add_argument("--checkpoint")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--baseline", choices=["identity"])
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out")
-    p.add_argument("--baseline", choices=["identity"])
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer type")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -288,8 +289,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "evaluate" and not args.baseline and not args.checkpoint:
-            raise UsageError("evaluate needs --checkpoint or --baseline identity")
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

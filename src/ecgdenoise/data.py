@@ -495,6 +495,9 @@ def load_signal_file(path) -> SignalRecord:
     if sidecar.exists():
         with open(sidecar) as fh:
             meta = json.load(fh)
+        if not (isinstance(meta, dict) and isinstance(meta.get("id", ""), str)
+                and type(meta.get("fs", 0.0)) in (int, float)):
+            raise DataError(f"{sidecar}: expected a JSON object whose 'id' is a string and 'fs' a number")
     if path.suffix == ".csv":
         samples = np.loadtxt(path, dtype=np.float64, ndmin=1)
     elif path.suffix == ".f64":

@@ -65,14 +65,20 @@ def _restoring_buffers(module, forward_fn):
     return forward
 
 
-def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5,
-               floor: float = 1e-6) -> float:
-    """Compare tape and finite-difference gradients over whole tensors."""
+def _tape_gradients(forward_fn, tensors, probe: np.ndarray):
+    """Each tensor's tape gradient of `(forward_fn() * probe).sum()`, zeros where
+    none arrived."""
     for t in tensors:
         t.zero_grad()
     with Tape() as tape:
         tape.backward(forward_fn(), probe)
-    analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    return [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+
+
+def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5,
+               floor: float = 1e-6) -> float:
+    """Compare tape and finite-difference gradients over whole tensors."""
+    analytic = _tape_gradients(forward_fn, tensors, probe)
 
     def scalar():
         return float((forward_fn().data * probe).sum())
@@ -86,20 +92,18 @@ def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5,
     return worst
 
 
-def check_conv1d(rng) -> float:
-    conv = layers.Conv1d(2, 3, 3, rng=rng)
-    x = Tensor(rng.standard_normal((2, 2, 8)), requires_grad=True)
-    probe = rng.standard_normal((3, 2, 8))
-    tensors = [x, conv.weight, conv.bias]
-    return _worst_err(lambda: conv.forward(x), tensors, probe)
+def _layer_check(layer_type, args, x_shape, probe_shape):
+    """The check of `layer_type(*args)`: it builds the layer from its `rng`, then
+    draws the input, then the probe, and returns the worst error over the input
+    and every parameter."""
+    def check(rng) -> float:
+        layer = layer_type(*args, rng=rng)
+        x = Tensor(rng.standard_normal(x_shape), requires_grad=True)
+        probe = rng.standard_normal(probe_shape)
+        tensors = [x] + [t for _, t in layer.parameters()]
+        return _worst_err(lambda: layer.forward(x), tensors, probe)
 
-
-def check_conv_transpose1d(rng) -> float:
-    tconv = layers.ConvTranspose1d(2, 3, rng=rng)
-    x = Tensor(rng.standard_normal((2, 2, 5)), requires_grad=True)
-    probe = rng.standard_normal((3, 2, 10))
-    tensors = [x, tconv.weight, tconv.bias]
-    return _worst_err(lambda: tconv.forward(x), tensors, probe)
+    return check
 
 
 def check_maxpool1d(rng) -> float:
@@ -135,30 +139,6 @@ def check_layernorm(rng) -> float:
     return _worst_err(lambda: ln.forward(x, f), [x, f, ln.gamma, ln.beta], probe)
 
 
-def check_mhsa(rng) -> float:
-    attn = layers.MultiHeadSelfAttention(8, 2, rng=rng)
-    x = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
-    probe = rng.standard_normal((2, 4, 8))
-    tensors = [x] + [t for _, t in attn.parameters()]
-    return _worst_err(lambda: attn.forward(x), tensors, probe)
-
-
-def check_feedforward(rng) -> float:
-    ff = layers.FeedForward(6, 12, rng=rng)
-    x = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
-    probe = rng.standard_normal((5, 6))
-    tensors = [x] + [t for _, t in ff.parameters()]
-    return _worst_err(lambda: ff.forward(x), tensors, probe)
-
-
-def check_transformer_layer(rng) -> float:
-    layer = layers.TransformerEncoderLayer(8, 2, 16, rng=rng)
-    x = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
-    probe = rng.standard_normal((2, 4, 8))
-    tensors = [x] + [t for _, t in layer.parameters()]
-    return _worst_err(lambda: layer.forward(x), tensors, probe, eps=1e-5)
-
-
 def check_model_end_to_end(rng, samples: int = 24) -> float:
     """Sampled-parameter check of the full model under the combined loss.
 
@@ -173,16 +153,13 @@ def check_model_end_to_end(rng, samples: int = 24) -> float:
     x = Tensor(rng.standard_normal((2, 1, 32)))
     target = Tensor(rng.standard_normal((2, 1, 32)))
     cfg = LossConfig()
-    params = model.parameters()
-    tensors = [t for _, t in params]
+    tensors = [t for _, t in model.parameters()]
 
-    model.zero_grad()
-    with Tape() as tape:
-        loss, _ = total_loss(model.forward(x, training=True), target, cfg)
-        tape.backward(loss)
-    grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+    def loss():
+        return total_loss(model.forward(x, training=True), target, cfg)
 
-    scalar = _restoring_buffers(model, lambda: total_loss(model.forward(x, training=True), target, cfg)[1].total)
+    grads = _tape_gradients(lambda: loss()[0], tensors, np.ones(1))
+    scalar = _restoring_buffers(model, lambda: loss()[1].total)
 
     def rel(a, b):
         # unit floor: biases feeding batchnorm carry exactly-zero gradients
@@ -204,14 +181,14 @@ def check_model_end_to_end(rng, samples: int = 24) -> float:
 
 
 CHECK_ORDER = [
-    ("conv1d", check_conv1d),
-    ("conv_transpose1d", check_conv_transpose1d),
+    ("conv1d", _layer_check(layers.Conv1d, (2, 3, 3), (2, 2, 8), (3, 2, 8))),
+    ("conv_transpose1d", _layer_check(layers.ConvTranspose1d, (2, 3), (2, 2, 5), (3, 2, 10))),
     ("maxpool1d", check_maxpool1d),
     ("batchnorm1d", check_batchnorm1d),
     ("layernorm", check_layernorm),
-    ("mhsa", check_mhsa),
-    ("feedforward", check_feedforward),
-    ("transformer_layer", check_transformer_layer),
+    ("mhsa", _layer_check(layers.MultiHeadSelfAttention, (8, 2), (2, 4, 8), (2, 4, 8))),
+    ("feedforward", _layer_check(layers.FeedForward, (6, 12), (5, 6), (5, 6))),
+    ("transformer_layer", _layer_check(layers.TransformerEncoderLayer, (8, 2, 16), (2, 4, 8), (2, 4, 8))),
     ("model_end_to_end", check_model_end_to_end),
 ]
 

@@ -56,9 +56,7 @@ class TrainResult:
     epochs_run: int
     best_val: float
     best_epoch: int
-    final_train_total: float
     checkpoint_prefix: str
-    stopped_early: bool = False
 
 
 def _stack(pairs, indices):
@@ -155,14 +153,14 @@ _SPLIT_PAIRS = {"train": "training", "val": "validation"}
 
 def _open_run(cfg: RunConfig, dataset_dir, *split_names):
     """The run's config at its dataset's window and rate, its loss config and
-    learning-rate schedule, and the pairs of each named split. The model
-    config is validated and each split must hold pairs, so a run that cannot
-    train is rejected before its directory is made."""
+    learning-rate schedule, and the pairs of each named split. Each split must
+    hold pairs; the caller then builds or loads the model, which checks the
+    model settings, so a run that cannot train is rejected before its
+    directory is made."""
     manifest = load_manifest(dataset_dir)
     cfg = cfg.override(input_len=manifest["window"], fs=manifest["fs"])
     loss_cfg = cfg.loss_config()
     loss_cfg.validate()
-    cfg.model_config().validate()
     splits = []
     for name in split_names:
         pairs = load_split(dataset_dir, name)
@@ -181,9 +179,16 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
     best_epoch = -1
     if resume:
         model, header, optim_arrays = load_checkpoint(resume)
-        extra = header["extra"]
+        extra = header.get("extra")
+        if not isinstance(extra, dict):
+            raise DataError(f"{resume}: the header's 'extra' is not a JSON object")
         if "optimizer_step" not in extra:
             raise DataError(f"{resume} holds no optimizer state; resume from {Path(resume).with_name('last')}")
+        for key in ("optimizer_step", "epoch", "best_epoch", "best_val"):
+            kinds = (int, float) if key == "best_val" else (int,)  # a bool is neither
+            if type(extra.get(key)) not in kinds:
+                raise DataError(f"{resume}: training state {key!r} is {extra.get(key)!r}, "
+                                f"not {'a number' if key == 'best_val' else 'an integer'}")
         # a `last` checkpoint of another dataset would record its own window and rate
         if (model.config.input_len, model.config.fs) != (cfg.input_len, cfg.fs):
             raise DataError(f"{resume} was trained on {model.config.input_len}-sample windows at "
@@ -196,6 +201,9 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
         start_epoch = extra["epoch"] + 1
         best_val = extra["best_val"]
         best_epoch = extra["best_epoch"]
+        if start_epoch >= cfg.epochs:
+            raise DataError(f"{resume} has already trained {start_epoch} epochs; "
+                            f"--epochs {cfg.epochs} leaves none to run")
     else:
         model = TransformerUNet1D(cfg.model_config())
         optimizer = AdamW(model.parameters(), lr=cfg.lr)
@@ -204,9 +212,6 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
     cfg.to_json(out_dir / "resolved_config.json")  # makes the run directory
 
     log_path = out_dir / "log.csv"
-    final_train_total = math.nan
-    epoch = start_epoch - 1
-    stopped_early = False
     for epoch in range(start_epoch, cfg.epochs):
         t0 = time.time()
         lr = schedule.lr_at(epoch)
@@ -217,7 +222,6 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
         )
         val_time, val_spec, val_total = validation_loss(model, val_pairs, loss_cfg, cfg.batch_size)
         _check_finite(val_total, "validation")
-        final_train_total = train_total
         _append_log(log_path, EPOCH_LOG_COLUMNS,
                     [epoch, repr(lr), repr(train_time), repr(train_spec),
                      repr(train_total), repr(val_total), repr(time_grad), repr(spec_grad)])
@@ -236,7 +240,6 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
                                "best_val": best_val, "best_epoch": best_epoch,
                                "kind": "last"})
         if epoch - best_epoch >= cfg.patience:
-            stopped_early = True
             if not quiet:
                 print(f"early stop: no val improvement for {cfg.patience} epochs", flush=True)
             break
@@ -245,9 +248,7 @@ def train_model(cfg: RunConfig, dataset_dir, out_dir, resume: str | None = None,
         epochs_run=epoch - start_epoch + 1,
         best_val=best_val,
         best_epoch=best_epoch,
-        final_train_total=final_train_total,
         checkpoint_prefix=str(out_dir / "best"),
-        stopped_early=stopped_early,
     )
 
 
@@ -259,12 +260,11 @@ def run_overfit_one_batch(cfg: RunConfig, dataset_dir, out_dir, quiet: bool = Fa
     """
     cfg, loss_cfg, _, (pairs,) = _open_run(cfg, dataset_dir, "train")
     x, y = _stack(pairs, range(min(cfg.batch_size, len(pairs))))
+    model = TransformerUNet1D(cfg.model_config())
+    optimizer = AdamW(model.parameters(), lr=cfg.lr)
 
     out_dir = Path(out_dir)
     cfg.to_json(out_dir / "resolved_config.json")  # makes the run directory
-
-    model = TransformerUNet1D(cfg.model_config())
-    optimizer = AdamW(model.parameters(), lr=cfg.lr)
     log_path = out_dir / "log.csv"
 
     first = last = math.nan

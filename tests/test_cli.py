@@ -216,6 +216,36 @@ def test_resume_from_a_checkpoint_without_optimizer_state_is_a_data_error(run_di
     assert not out.exists()
 
 
+def _drop_extra(header):
+    del header["extra"]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda h: h["extra"].pop("best_val"), "best_val"),
+    (_drop_extra, "extra"),
+    (lambda h: h["extra"].update(epoch="1"), "epoch"),
+    (lambda h: h["extra"].update(best_epoch=1.0), "best_epoch"),
+    (lambda h: h["extra"].update(best_val=True), "best_val"),
+], ids=["no_best_val", "no_extra", "epoch_as_text", "best_epoch_as_float", "best_val_as_bool"])
+def test_resume_from_a_checkpoint_with_a_malformed_training_state_is_a_data_error(
+        run_dir, dataset, tmp_path, capsys, edit, key):
+    shutil.copy(run_dir / "last.ckpt", tmp_path / "last.ckpt")
+    edit_checkpoint_header(tmp_path / "last", edit)
+    out = tmp_path / "resumed"
+    assert main(["train", "--data", str(dataset), "--out", str(out), "--epochs", "3", "--quiet",
+                 "--resume", str(tmp_path / "last"), *TINY_TRAIN]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_of_a_run_that_has_trained_its_epochs_is_a_data_error(run_dir, dataset, tmp_path, capsys):
+    out = tmp_path / "resumed"
+    assert main(["train", "--data", str(dataset), "--out", str(out), "--epochs", "2", "--quiet",
+                 "--resume", str(run_dir / "last"), *TINY_TRAIN]) == 2
+    assert "already trained 2 epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def short_window_dataset(tmp_path_factory):
     """256-sample windows at 250 Hz."""
@@ -340,6 +370,18 @@ def test_denoise_rejects_a_record_at_another_sampling_rate(run_dir, tmp_path, ca
     err = capsys.readouterr().err
     assert "500 Hz" in err and "360 Hz" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.f64", "fast.f64.json"]
+
+
+@pytest.mark.parametrize("sidecar", ["[]", '{"fs": null}', '{"id": 5}', '{"fs": true}'],
+                         ids=["a_list", "fs_null", "id_as_number", "fs_as_bool"])
+def test_denoise_rejects_a_malformed_sidecar(run_dir, tmp_path, capsys, sidecar):
+    src = tmp_path / "in.f64"
+    save_signal_file(src, synth_ecg(10.0, 360.0, 70.0, seed=7, record_id="in"))
+    (tmp_path / "in.f64.json").write_text(sidecar)
+    assert main(["denoise", "--checkpoint", str(run_dir / "best"),
+                 "--in", str(src), "--out", str(tmp_path / "out.f64"), "--pad"]) == 2
+    assert "in.f64.json" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.f64", "in.f64.json"]
 
 
 def test_checkpoint_without_a_rate_means_360_hz(run_dir, tmp_path):
@@ -472,6 +514,12 @@ def test_evaluate_identity_baseline_zero_snri(dataset, tmp_path, capsys):
 
 def test_evaluate_requires_model_or_baseline(dataset):
     assert main(["evaluate", "--data", str(dataset)]) == 1
+
+
+def test_evaluate_takes_only_one_model_source(run_dir, dataset, tmp_path):
+    assert main(["evaluate", "--checkpoint", str(run_dir / "best"), "--baseline", "identity",
+                 "--data", str(dataset), "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("metrics_*"))
 
 
 def test_evaluate_missing_split(run_dir, dataset, capsys):
