@@ -132,7 +132,8 @@ def cmd_train(args) -> int:
 
 
 def _denoise_windows(model, windows: np.ndarray) -> np.ndarray:
-    """Z-normalize each window, run eval-mode inference, restore the scale."""
+    """Z-normalize each window, run eval-mode inference (float32, in `predict`),
+    restore the scale; normalizing and restoring stay float64."""
     normalized, means, stds, flat = normalize_windows(windows)
     restored = model.predict(normalized) * stds + means
     restored[flat] = windows[flat]  # constant windows pass through unchanged

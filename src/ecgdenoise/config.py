@@ -43,8 +43,8 @@ class RunConfig:
     record_duration_s: float = 40.0
     fs: float = 360.0
     stride: int = 3600
-    snr_db: list = field(default_factory=lambda: [0.0, 5.0, 10.0])
-    noise_mixes: list = field(default_factory=lambda: [list(m) for m in DEFAULT_MIXES])
+    snr_db: list[float] = field(default_factory=lambda: [0.0, 5.0, 10.0])
+    noise_mixes: list[list[str]] = field(default_factory=lambda: [list(m) for m in DEFAULT_MIXES])
     train_frac: float = 0.7
     val_frac: float = 0.15
     # global

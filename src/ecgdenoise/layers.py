@@ -44,6 +44,12 @@ activation. Each residual sum and its layer norm, LN(x + f), is one op that
 keeps x_hat. The tests hold the unfused composition of small tape ops as the
 reference these are compared against.
 
+The parameters are float64. The eval path (`conv1d`, `conv_transpose1d`,
+`maxpool1d`, eval `conv_bn_relu`, attention, feed-forward and `LayerNorm`)
+also takes float32 input: each op casts its weights to its input's dtype per
+call, so float32 stays float32 throughout, and for float64 input the cast
+returns the same arrays. The backward rules are float64 only.
+
 `Module` names parameters (trainable tensors) and buffers (ndarrays) by
 attribute, in assignment order: child module ``a`` adds the prefix ``a.``, the
 i-th module of list ``a`` adds ``a{i}.`` (from 1). Checkpoints use these names.
@@ -176,8 +182,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlate channel-major (C_in, B, L) with (C_out, C_in, k) weights,
     k odd, zero padding k // 2 at each end of every segment: (C_out, B, L)."""
     _check_conv1d(x, weight)
-    out_data = _conv1d_forward(x.data, weight.data)
-    out_data += bias.data[:, None, None]
+    dt = x.data.dtype
+    out_data = _conv1d_forward(x.data, weight.data.astype(dt, copy=False))
+    out_data += bias.data.astype(dt, copy=False)[:, None, None]
 
     def backward(g, x=x, weight=weight, bias=bias):
         gx, gw, gb = _conv1d_grads(g, x.data, weight.data)
@@ -193,7 +200,7 @@ def _conv_transpose1d_forward(x, w):
     c_out = w.shape[1]
     # both taps at once: (C_out*2, C_in) @ (C_in, B*L); tap t lands on samples 2i + t
     taps = (w.reshape(c_in, c_out * 2).T @ _rows(x)).reshape(c_out, 2, batch, length)
-    out = np.empty((c_out, batch, length, 2))
+    out = np.empty((c_out, batch, length, 2), dtype=taps.dtype)
     out[..., 0], out[..., 1] = taps[:, 0], taps[:, 1]
     return out.reshape(c_out, batch, 2 * length)
 
@@ -218,8 +225,9 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if weight.shape[2] != 2:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="kernel length must be 2")
 
-    out_data = _conv_transpose1d_forward(x.data, weight.data)
-    out_data += bias.data[:, None, None]
+    dt = x.data.dtype
+    out_data = _conv_transpose1d_forward(x.data, weight.data.astype(dt, copy=False))
+    out_data += bias.data.astype(dt, copy=False)[:, None, None]
 
     def backward(g, x=x, weight=weight, bias=bias):
         gx, gw, gb = _conv_transpose1d_grads(g, x.data, weight.data)
@@ -343,9 +351,10 @@ def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Te
     if weight.shape[0] != bn.gamma.size:
         raise ShapeMismatch("conv_bn_relu", weight.shape, (bn.gamma.size,))
     if not training:
-        scale, shift = bn._eval_affine()
-        out = _conv1d_forward(x.data, weight.data * scale[:, None, None])
-        out += (bias.data * scale + shift)[:, None, None]
+        scale, shift = bn._eval_affine()  # folded in float64, then cast to the input's dtype
+        dt = x.data.dtype
+        out = _conv1d_forward(x.data, (weight.data * scale[:, None, None]).astype(dt, copy=False))
+        out += (bias.data * scale + shift).astype(dt, copy=False)[:, None, None]
         return Tensor(np.maximum(out, 0.0, out=out))
 
     gamma, beta = bn.gamma, bn.beta
@@ -506,12 +515,12 @@ class MultiHeadSelfAttention(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.dim:
             raise ShapeMismatch("mhsa", x.shape, (self.dim,))
-        batch = x.shape[0]
-        w_qkv = np.concatenate([self.w_q.data, self.w_k.data, self.w_v.data], axis=1)
+        batch, dt = x.shape[0], x.data.dtype
+        w_qkv = np.concatenate([self.w_q.data, self.w_k.data, self.w_v.data], axis=1, dtype=dt)
         x2 = x.data.reshape(-1, self.dim)
         qkv, p = _attention_rows(x2, w_qkv, batch, self.heads)
         merged = _unfold_heads(np.matmul(p, qkv[2])[None], batch)
-        out = (merged @ self.w_o.data).reshape(x.shape)
+        out = (merged @ self.w_o.data.astype(dt, copy=False)).reshape(x.shape)
         w_q, w_k, w_v, w_o = self.w_q, self.w_k, self.w_v, self.w_o
 
         def backward(g, x=x):
@@ -545,12 +554,13 @@ class FeedForward(Module):
         w1, b1, w2, b2 = self.lin1.weight, self.lin1.bias, self.lin2.weight, self.lin2.bias
         if x.shape[-1] != w1.shape[0]:
             raise ShapeMismatch("feedforward", x.shape, w1.shape)
+        dt = x.data.dtype
         rows = x.data.reshape(-1, x.shape[-1])
-        h = rows @ w1.data
-        h += b1.data
+        h = rows @ w1.data.astype(dt, copy=False)
+        h += b1.data.astype(dt, copy=False)
         np.maximum(h, 0.0, out=h)
-        out = h @ w2.data
-        out += b2.data
+        out = h @ w2.data.astype(dt, copy=False)
+        out += b2.data.astype(dt, copy=False)
 
         def backward(g, x=x):
             g_rows, gw1, gb1, gw2, gb2 = _feedforward_grads(g.reshape(-1, g.shape[-1]), rows, h, w1.data, w2.data)
@@ -598,8 +608,8 @@ class LayerNorm(Module):
         inv_std = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + NORM_EPS)
         x_hat = np.subtract(s, mean, out=s)
         x_hat *= inv_std
-        out = x_hat * gamma.data
-        out += beta.data
+        out = x_hat * gamma.data.astype(s.dtype, copy=False)
+        out += beta.data.astype(s.dtype, copy=False)
 
         def backward(g, x=x, f=f):
             gs, ggamma, gbeta = _layernorm_grads(g, x_hat, inv_std, gamma.data)

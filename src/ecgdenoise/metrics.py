@@ -118,9 +118,10 @@ def evaluate(model, pairs, batch_size: int = INFER_BATCH) -> MetricReport:
     """Run eval-mode inference over segment pairs and score each one.
 
     `model` is any object with ``predict(noisy)`` mapping an (N, L) array to
-    its (N, L) estimates (`TransformerUNet1D.predict`); pairs are scored in
-    their stored (normalized) domain, `batch_size` at a time, so memory
-    follows the batch and not the split.
+    its (N, L) float64 estimates (`TransformerUNet1D.predict`, which infers
+    in float32); pairs are scored in float64 in their stored (normalized)
+    domain, `batch_size` at a time, so memory follows the batch and not the
+    split.
     """
     if not pairs:
         raise MetricError("evaluate: empty dataset")

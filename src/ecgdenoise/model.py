@@ -13,6 +13,7 @@ the encoder.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -53,8 +54,16 @@ RETIRED = {"depth": DEPTH, "d_ff_ratio": FF_RATIO, "in_channels": 1, "out_channe
            "beta": 1.0, "eta_min": 1e-6, "weight_decay": 0.01, "adam_beta1": 0.9, "adam_beta2": 0.999,
            "adam_eps": 1e-8, "bpm_low": 55.0, "bpm_high": 100.0}
 
-# JSON types per field annotation, a string under `from __future__ import annotations`; no bool is an int
-_TAKES = {"int": (int,), "float": (int, float), "list": (list,)}
+
+def _holds(value, kind: str) -> bool:
+    """Whether the JSON `value` is of the field annotation `kind`, a string under
+    `from __future__ import annotations`: an int (no bool is one), a float (a
+    finite int or float), a str, or a list[...] of such."""
+    if kind.startswith("list[") and kind.endswith("]"):
+        return type(value) is list and all(_holds(v, kind[5:-1]) for v in value)
+    if kind == "float":
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value).__name__ == kind
 
 
 def read_config(cls, data, where: str):
@@ -64,10 +73,10 @@ def read_config(cls, data, where: str):
         raise ConfigError(f"{where}: settings must be a JSON object, got {type(data).__name__}")
     types = {f.name: f.type for f in fields(cls)}
     for key, value in data.items():
-        kind = types.get(key) or type(RETIRED.get(key)).__name__  # "NoneType" for an unknown key
-        if kind not in _TAKES:
+        if key not in types and key not in RETIRED:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        if type(value) not in _TAKES[kind]:
+        kind = types.get(key) or type(RETIRED[key]).__name__
+        if not _holds(value, kind):
             raise ConfigError(f"{where}: {key!r} must be of type {kind}, got {value!r}")
         if key not in types and value != RETIRED[key]:
             raise ConfigError(f"{where}: {key!r} is no longer a setting: it is fixed at {RETIRED[key]!r}")
@@ -160,9 +169,11 @@ class TransformerUNet1D(Module):
     """Shape-preserving denoiser for (B, 1, input_len) segments; channel-major
     (C, B, L) activations inside (module docstring).
 
-    Every inference caller (validation, `evaluate`, `denoise`) goes through
-    `predict`, and every forward pins the process's allocator policy first
-    (`heap.keep_freed_memory_in_heap`).
+    `forward` runs in its input's dtype. Training and validation run it in
+    float64; `predict`, which `evaluate` and `denoise` call, runs the eval
+    forward in float32 from the float64 weights, each op casting them per call
+    (`layers`), and returns float64. Every forward pins the process's
+    allocator policy first (`heap.keep_freed_memory_in_heap`).
     """
 
     def __init__(self, config: ModelConfig):
@@ -195,7 +206,7 @@ class TransformerUNet1D(Module):
             skips.append(down.forward(skips[-1], training))
 
         # the deepest features (d, B, T) run through the transformer as (B, T, d)
-        tokens = _permute(skips.pop(), (1, 2, 0), self.pos_table.data)
+        tokens = _permute(skips.pop(), (1, 2, 0), self.pos_table.data.astype(x.data.dtype, copy=False))
         for layer in self.enc:
             tokens = layer.forward(tokens)
         z = _permute(tokens, (2, 0, 1))
@@ -205,9 +216,11 @@ class TransformerUNet1D(Module):
         return _permute(self.out.forward(z), (1, 0, 2))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode outputs for an (N, input_len) array, in one forward; the
-        caller picks N, which bounds the activation memory."""
-        return self.forward(Tensor(x[:, None, :]), training=False).data[:, 0]
+        """Eval-mode outputs for an (N, input_len) array, in one float32
+        forward, as float64; the caller picks N, which bounds the activation
+        memory."""
+        out = self.forward(Tensor(x[:, None, :].astype(np.float32)), training=False)
+        return out.data[:, 0].astype(np.float64)
 
     def zero_grad(self) -> None:
         for _, t in self.parameters():

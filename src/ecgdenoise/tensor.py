@@ -1,4 +1,8 @@
-"""Dense float64 tensors (rank 1-3) with reverse-mode autodiff on an explicit tape.
+"""Dense tensors (rank 1-3) with reverse-mode autodiff on an explicit tape.
+
+A tensor holds float64 data, or float32 when it is handed float32: training,
+validation, gradcheck and checkpoints run in float64, and the model's
+`predict` runs its eval-mode forward in float32 (`model.TransformerUNet1D`).
 
 Gradients are recorded onto a `Tape` that is active inside a `with Tape() as t:`
 block. Ops executed while no tape is active run without recording, which is how
@@ -61,7 +65,8 @@ _ACTIVE_TAPE = None
 
 
 class Tensor:
-    """A float64 array of rank 1-3 plus optional gradient storage.
+    """A float64 or float32 array of rank 1-3 plus optional gradient storage.
+    Float32 data stays float32; any other dtype converts to float64.
 
     Tensors are value-semantic: operations never mutate their inputs (the
     optimizer updates parameter `.data` in place, but parameters are owned by
@@ -72,7 +77,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.ndim > 3:

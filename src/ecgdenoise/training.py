@@ -17,8 +17,10 @@ A run takes `input_len` and `fs` from its dataset's manifest before anything
 is checked or written, and a resumed run its widths and seed from its
 checkpoint, so the model, `resolved_config.json` and the checkpoints agree.
 
-Validation runs the model's eval-mode `predict`. The model's forward pins the
-allocator policy (`heap.keep_freed_memory_in_heap`) that keeps each step's
+Validation runs the model's eval-mode forward in float64, not the float32
+`predict`, so the logged `val_total` and the choice of the `best` checkpoint
+do not depend on float32 rounding. The model's forward pins the allocator
+policy (`heap.keep_freed_memory_in_heap`) that keeps each step's
 freed activations in the heap for the next step.
 """
 
@@ -128,12 +130,14 @@ def _train_epoch(model, pairs, optimizer, loss_cfg, rng, batch_size):
 
 
 def validation_loss(model, pairs, loss_cfg, batch_size: int = INFER_BATCH):
-    """Eval-mode loss components over the pair list, taken `batch_size` pairs at
-    a time and weighted by segment count: (time, spectral, total)."""
+    """Loss components of the float64 eval-mode forward over the pair list,
+    taken `batch_size` pairs at a time and weighted by segment count:
+    (time, spectral, total)."""
     sums = np.zeros(3)
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start : start + batch_size]
-        out = model.predict(np.stack([p.noisy for p in chunk]))
+        noisy = np.stack([p.noisy for p in chunk])[:, None, :]
+        out = model.forward(Tensor(noisy), training=False).data[:, 0]
         _, report = total_loss(Tensor(out), Tensor(np.stack([p.clean for p in chunk])), loss_cfg)
         sums += len(chunk) * np.array([report.time_loss, report.spectral_loss, report.total])
     return tuple(float(v) for v in sums / len(pairs))

@@ -87,13 +87,33 @@ def test_synth_data_rerun_identical_manifest(dataset, tmp_path):
 
 def test_synth_data_that_fails_to_build_writes_no_config(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"snr_db": ["a"]}))
+    config.write_text(json.dumps({"noise_mixes": [["xyz"]]}))
     out = tmp_path / "ds"
     assert main(["synth-data", "--config", str(config), "--out", str(out),
                  "--records", "6", "--duration", "10"]) == 2
-    assert "could not convert" in capsys.readouterr().err
+    assert "unknown noise kind" in capsys.readouterr().err
     assert not (out / "synth_config.json").exists()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source, key", [
+    ('{"snr_db": [true]}', "snr_db"),
+    ('{"snr_db": [[0]]}', "snr_db"),
+    ('{"snr_db": [NaN]}', "snr_db"),
+    ('{"snr_db": ["a"]}', "snr_db"),
+    ('{"noise_mixes": ["bw"]}', "noise_mixes"),
+    ('{"noise_mixes": [["bw", 1]]}', "noise_mixes"),
+    (["--snr", "nan"], "snr_db"),
+    (["--snr", "0,inf"], "snr_db"),
+], ids=["snr_bool", "snr_list", "snr_nan", "snr_text", "mix_text", "mix_number", "snr_flag_nan", "snr_flag_inf"])
+def test_config_list_holding_another_type_is_rejected(tmp_path, capsys, source, key):
+    argv = source
+    if isinstance(source, str):
+        (tmp_path / "config.json").write_text(source)
+        argv = ["--config", str(tmp_path / "config.json")]
+    assert main(["synth-data", *argv, "--out", str(tmp_path / "ds"), "--records", "8", "--duration", "10"]) == 2
+    assert f"{key!r} must be of type" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
 
 
 def test_synth_data_single_mix_flag(tmp_path):
@@ -350,6 +370,23 @@ def test_denoise_constant_record_passes_through_bit_for_bit(run_dir, tmp_path):
     assert main(["denoise", "--checkpoint", str(run_dir / "best"),
                  "--in", str(src), "--out", str(out), "--pad"]) == 0
     assert np.array_equal(np.fromfile(out), samples)
+
+
+def test_denoise_of_an_affine_image_is_the_affine_image_of_the_denoised(run_dir, tmp_path):
+    # each window is z-normalized in float64 before the float32 forward
+    rng = np.random.default_rng(47)
+    for i, duration in enumerate((12.5, 20.25, 33.3)):
+        x = synth_ecg(duration, 360.0, 70.0, seed=i, record_id="x").samples
+        x = x + 0.3 * rng.standard_normal(x.size)
+        a, b = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+        outs = []
+        for name, samples in (("x", x), ("ax", a * x + b)):
+            save_signal_file(tmp_path / f"{name}.f64", SignalRecord(name, 360.0, samples))
+            assert main(["denoise", "--checkpoint", str(run_dir / "best"), "--in", str(tmp_path / f"{name}.f64"),
+                         "--out", str(tmp_path / f"{name}_out.f64"), "--pad"]) == 0
+            outs.append(np.fromfile(tmp_path / f"{name}_out.f64"))
+        want = a * outs[0] + b
+        assert np.max(np.abs(outs[1] - want)) <= 1e-9 * np.max(np.abs(want)), i
 
 
 def test_denoise_rejects_truncated_f64(run_dir, tmp_path):

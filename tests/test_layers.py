@@ -624,6 +624,30 @@ def test_fused_transformer_op_matches_unfused_reference(name):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
+def _eval_ops():
+    """Every op of the eval forward, each with seeded weights and its input's shape."""
+    rng = np.random.default_rng(44)
+    attn = MultiHeadSelfAttention(16, 4, rng=rng)
+    ff = FeedForward(16, 32, rng=rng)
+    norm = LayerNorm(16)
+    norm.gamma.data[:] = rng.uniform(0.5, 1.5, 16)
+    norm.beta.data[:] = rng.standard_normal(16)
+    token_ops = {"mhsa": attn.forward, "feedforward": ff.forward, "layernorm": lambda x: norm.forward(x, x)}
+    return {**{name: (op, (3, 4, 10)) for name, op in _segment_ops().items()},
+            **{name: (op, (3, 7, 16)) for name, op in token_ops.items()}}
+
+
+@pytest.mark.parametrize("name", ["conv1d", "conv_transpose1d", "maxpool1d", "conv_bn_relu_eval",
+                                  "mhsa", "feedforward", "layernorm"])
+def test_float32_input_gives_float32_output(name):
+    # one float64 operand would promote everything after it to float64
+    op, shape = _eval_ops()[name]
+    x = np.random.default_rng(45).standard_normal(shape)
+    out, want = op(Tensor(x.astype(np.float32))).data, op(Tensor(x)).data
+    assert out.dtype == np.float32 and want.dtype == np.float64
+    assert np.max(np.abs(out - want)) <= 1e-5 * np.max(np.abs(want))
+
+
 def test_transformer_layer_records_four_tape_nodes():
     rng = np.random.default_rng(39)
     layer = TransformerEncoderLayer(8, 2, 16, rng=rng)

@@ -214,6 +214,27 @@ def test_standalone_inference_reuses_freed_memory_without_page_faults(command, t
     assert faults < 200
 
 
+def test_validation_total_is_the_dual_loss_of_the_float64_eval_forward():
+    from ecgdenoise.training import validation_loss
+
+    model = TransformerUNet1D(ModelConfig(base_channels=2, transformer_layers=1, seed=0))
+    rng = np.random.default_rng(46)
+    noisy = rng.standard_normal((7, 3600))
+    y_hat = model.forward(Tensor(noisy[:, None, :]), training=False).data[:, 0]
+    # targets as near the outputs as after long training, where the loss is
+    # small enough that float32 outputs would move it by about 1e-6 of itself
+    clean = y_hat + 1e-5 * rng.standard_normal(y_hat.shape)
+    pairs = [types.SimpleNamespace(clean=c, noisy=x) for c, x in zip(clean, noisy)]
+    cfg = LossConfig(w_time=1.0, w_spectral=0.1)
+
+    e = y_hat - clean
+    time_term = np.mean(np.where(np.abs(e) < cfg.beta, 0.5 * e * e / cfg.beta, np.abs(e) - 0.5 * cfg.beta))
+    mag = np.abs(np.fft.rfft(y_hat)) - np.abs(np.fft.rfft(clean))
+    spectral_term = np.mean((mag**2).sum(axis=-1) / mag.shape[-1])
+    want = cfg.w_time * time_term + cfg.w_spectral * spectral_term
+    assert validation_loss(model, pairs, cfg, batch_size=4)[2] == pytest.approx(want, rel=1e-8, abs=0)
+
+
 @pytest.mark.parametrize("command", ["evaluate", "validation"])
 def test_inference_memory_follows_the_batch_not_the_split(command):
     from ecgdenoise.metrics import evaluate
