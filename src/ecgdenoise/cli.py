@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as exc:  # DataError, MetricError and ConfigError among them
+    except (OSError, ValueError) as exc:  # DataError, MetricError and ConfigError among them
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:

@@ -574,6 +574,19 @@ def test_evaluate_listed_split_without_pairs_is_empty(tmp_path, capsys):
     assert "split 'test'" in err and "is empty" in err
 
 
+@pytest.mark.parametrize("command", ["synth-data", "train", "evaluate"])
+def test_out_naming_an_existing_file_is_a_data_error(command, dataset, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    args = {"synth-data": ["--records", "6", "--duration", "20", "--seed", "11"],
+            "train": ["--data", str(dataset), "--epochs", "1", "--quiet", *TINY_TRAIN],
+            "evaluate": ["--baseline", "identity", "--data", str(dataset), "--split", "test"]}[command]
+    assert main([command, *args, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(taken) in err
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_bytes() == b"not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ecgdenoise
-from ecgdenoise.cli import main
+from ecgdenoise.cli import build_parser, cmd_evaluate
 from ecgdenoise.config import RunConfig
 from ecgdenoise.data import (
     DataError,
@@ -432,10 +432,12 @@ def test_load_signal_rejects_truncated_f64(tmp_path):
 
 def _evaluate_into(out, variant):
     """`evaluate --baseline identity` writing into `out`, on a one-record dataset
-    whose seed is the variant."""
+    whose seed is the variant. It calls the command's handler, which raises the
+    write's OSError; `main` would turn it into exit 2."""
     data = out.parent / f"ds{variant}"
     build_dataset(small_records()[:1], {"test": ["rec0"]}, [0.0], [("bw",)], data, global_seed=variant)
-    assert main(["evaluate", "--baseline", "identity", "--data", str(data), "--out", str(out)]) == 0
+    args = build_parser().parse_args(["evaluate", "--baseline", "identity", "--data", str(data), "--out", str(out)])
+    assert cmd_evaluate(args) == 0
 
 
 def _save_signal(name):
