@@ -53,11 +53,12 @@ activation. Each residual sum and its layer norm, LN(x + f), is one op that
 keeps x_hat. The tests hold the unfused composition of small tape ops as the
 reference these are compared against.
 
-The parameters are float64. The eval path (`conv1d`, `conv_transpose1d`,
-`maxpool1d`, eval `conv_bn_relu`, attention, feed-forward and `LayerNorm`)
-also takes float32 input: each op casts its weights to its input's dtype per
-call, so float32 stays float32 throughout, and for float64 input the cast
-returns the same arrays. The backward rules are float64 only.
+The parameters are float64, and every op runs in its input's dtype, float64
+or float32: it casts its weights to that dtype per call, and its backward
+rule reuses the cast its forward made, so a float32 forward and backward stay
+float32 throughout and hand back float32 gradients for the float64
+parameters. For float64 input the cast returns the same arrays. Batchnorm's
+running estimates stay float64 whatever the input.
 
 `Module` names parameters (trainable tensors) and buffers (ndarrays) by
 attribute, in assignment order: child module ``a`` adds the prefix ``a.``, the
@@ -208,11 +209,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     k odd, zero padding k // 2 at each end of every segment: (C_out, B, L)."""
     _check_conv1d(x, weight)
     dt = x.data.dtype
-    out_data = _conv1d_forward(x.data, weight.data.astype(dt, copy=False))
+    w = weight.data.astype(dt, copy=False)
+    out_data = _conv1d_forward(x.data, w)
     out_data += bias.data.astype(dt, copy=False)[:, None, None]
 
     def backward(g, x=x, weight=weight, bias=bias):
-        gx, gw, gb = _conv1d_grads(g, x.data, weight.data)
+        gx, gw, gb = _conv1d_grads(g, x.data, w)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         accumulate_grad(bias, gb)
@@ -251,11 +253,12 @@ def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="kernel length must be 2")
 
     dt = x.data.dtype
-    out_data = _conv_transpose1d_forward(x.data, weight.data.astype(dt, copy=False))
+    w = weight.data.astype(dt, copy=False)
+    out_data = _conv_transpose1d_forward(x.data, w)
     out_data += bias.data.astype(dt, copy=False)[:, None, None]
 
     def backward(g, x=x, weight=weight, bias=bias):
-        gx, gw, gb = _conv_transpose1d_grads(g, x.data, weight.data)
+        gx, gw, gb = _conv_transpose1d_grads(g, x.data, w)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         accumulate_grad(bias, gb)
@@ -274,7 +277,7 @@ def maxpool1d(x: Tensor) -> Tensor:
 
     def backward(g, x=x):
         first = x.data[:, :, 0::2] >= x.data[:, :, 1::2]
-        gx = np.empty(x.shape)
+        gx = np.empty_like(x.data)
         gx[:, :, 0::2] = np.where(first, g, 0.0)
         gx[:, :, 1::2] = np.where(first, 0.0, g)
         accumulate_grad(x, gx)
@@ -351,17 +354,19 @@ class BatchNorm1d(Module):
     def forward(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim != 3 or x.shape[0] != self.gamma.size:
             raise ShapeMismatch("batchnorm1d", x.shape, (self.gamma.size,))
+        dt = x.data.dtype
         if not training:
-            scale, shift = self._eval_affine()
-            return Tensor(x.data * scale[:, None, None] + shift[:, None, None])
+            scale, shift = (a.astype(dt, copy=False)[:, None, None] for a in self._eval_affine())
+            return Tensor(x.data * scale + shift)
 
         gamma, beta = self.gamma, self.beta
+        gamma_dt = gamma.data.astype(dt, copy=False)
         x_hat, inv_std = self._normalize_batch(x.data)
-        out_data = x_hat * gamma.data[:, None, None]
-        out_data += beta.data[:, None, None]
+        out_data = x_hat * gamma_dt[:, None, None]
+        out_data += beta.data.astype(dt, copy=False)[:, None, None]
 
         def backward(g, x=x, x_hat=x_hat, inv_std=inv_std):
-            gx, ggamma, gbeta = _batchnorm_grads(g, x_hat, inv_std, gamma.data)
+            gx, ggamma, gbeta = _batchnorm_grads(g, x_hat, inv_std, gamma_dt)
             accumulate_grad(x, gx)
             accumulate_grad(gamma, ggamma)
             accumulate_grad(beta, gbeta)
@@ -375,24 +380,25 @@ def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Te
     _check_conv1d(x, weight)
     if weight.shape[0] != bn.gamma.size:
         raise ShapeMismatch("conv_bn_relu", weight.shape, (bn.gamma.size,))
+    dt = x.data.dtype
     if not training:
         scale, shift = bn._eval_affine()  # folded in float64, then cast to the input's dtype
-        dt = x.data.dtype
         out = _conv1d_forward(x.data, (weight.data * scale[:, None, None]).astype(dt, copy=False))
         out += (bias.data * scale + shift).astype(dt, copy=False)[:, None, None]
         return Tensor(np.maximum(out, 0.0, out=out))
 
     gamma, beta = bn.gamma, bn.beta
-    y = _conv1d_forward(x.data, weight.data)
-    y += bias.data[:, None, None]
+    w, gamma_dt = weight.data.astype(dt, copy=False), gamma.data.astype(dt, copy=False)
+    y = _conv1d_forward(x.data, w)
+    y += bias.data.astype(dt, copy=False)[:, None, None]
     x_hat, inv_std = bn._normalize_batch(y, out=y)
-    out = x_hat * gamma.data[:, None, None]
-    out += beta.data[:, None, None]
+    out = x_hat * gamma_dt[:, None, None]
+    out += beta.data.astype(dt, copy=False)[:, None, None]
     np.maximum(out, 0.0, out=out)
 
     def backward(g, x=x, x_hat=x_hat, inv_std=inv_std, out=out):
-        g, ggamma, gbeta = _batchnorm_grads(g * (out > 0.0), x_hat, inv_std, gamma.data)
-        gx, gw, gb = _conv1d_grads(g, x.data, weight.data)
+        g, ggamma, gbeta = _batchnorm_grads(g * (out > 0.0), x_hat, inv_std, gamma_dt)
+        gx, gw, gb = _conv1d_grads(g, x.data, w)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         accumulate_grad(bias, gb)
@@ -545,11 +551,12 @@ class MultiHeadSelfAttention(Module):
         x2 = x.data.reshape(-1, self.dim)
         qkv, p = _attention_rows(x2, w_qkv, batch, self.heads)
         merged = _unfold_heads(np.matmul(p, qkv[2])[None], batch)
-        out = (merged @ self.w_o.data.astype(dt, copy=False)).reshape(x.shape)
+        w_o_dt = self.w_o.data.astype(dt, copy=False)
+        out = (merged @ w_o_dt).reshape(x.shape)
         w_q, w_k, w_v, w_o = self.w_q, self.w_k, self.w_v, self.w_o
 
         def backward(g, x=x):
-            gx2, gw_qkv, gw_o = _mhsa_grads(g.reshape(x2.shape), x2, w_qkv, w_o.data, qkv, p, merged, batch)
+            gx2, gw_qkv, gw_o = _mhsa_grads(g.reshape(x2.shape), x2, w_qkv, w_o_dt, qkv, p, merged, batch)
             accumulate_grad(x, gx2.reshape(x.shape))
             accumulate_grad(w_q, gw_qkv[:, : self.dim])
             accumulate_grad(w_k, gw_qkv[:, self.dim : 2 * self.dim])
@@ -580,15 +587,16 @@ class FeedForward(Module):
         if x.shape[-1] != w1.shape[0]:
             raise ShapeMismatch("feedforward", x.shape, w1.shape)
         dt = x.data.dtype
+        w1_dt, w2_dt = w1.data.astype(dt, copy=False), w2.data.astype(dt, copy=False)
         rows = x.data.reshape(-1, x.shape[-1])
-        h = rows @ w1.data.astype(dt, copy=False)
+        h = rows @ w1_dt
         h += b1.data.astype(dt, copy=False)
         np.maximum(h, 0.0, out=h)
-        out = h @ w2.data.astype(dt, copy=False)
+        out = h @ w2_dt
         out += b2.data.astype(dt, copy=False)
 
         def backward(g, x=x):
-            g_rows, gw1, gb1, gw2, gb2 = _feedforward_grads(g.reshape(-1, g.shape[-1]), rows, h, w1.data, w2.data)
+            g_rows, gw1, gb1, gw2, gb2 = _feedforward_grads(g.reshape(-1, g.shape[-1]), rows, h, w1_dt, w2_dt)
             accumulate_grad(x, g_rows.reshape(x.shape))
             accumulate_grad(w1, gw1)
             accumulate_grad(b1, gb1)
@@ -633,11 +641,12 @@ class LayerNorm(Module):
         inv_std = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + NORM_EPS)
         x_hat = np.subtract(s, mean, out=s)
         x_hat *= inv_std
-        out = x_hat * gamma.data.astype(s.dtype, copy=False)
+        gamma_dt = gamma.data.astype(s.dtype, copy=False)
+        out = x_hat * gamma_dt
         out += beta.data.astype(s.dtype, copy=False)
 
         def backward(g, x=x, f=f):
-            gs, ggamma, gbeta = _layernorm_grads(g, x_hat, inv_std, gamma.data)
+            gs, ggamma, gbeta = _layernorm_grads(g, x_hat, inv_std, gamma_dt)
             accumulate_grad(x, gs)
             accumulate_grad(f, gs)
             accumulate_grad(gamma, ggamma)

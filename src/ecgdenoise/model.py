@@ -169,11 +169,12 @@ class TransformerUNet1D(Module):
     """Shape-preserving denoiser for (B, 1, input_len) segments; channel-major
     (C, B, L) activations inside (module docstring).
 
-    `forward` runs in its input's dtype. Training and validation run it in
-    float64; `predict`, which `evaluate` and `denoise` call, runs the eval
-    forward in float32 from the float64 weights, each op casting them per call
-    (`layers`), and returns float64. Every forward pins the process's
-    allocator policy first (`heap.keep_freed_memory_in_heap`).
+    `forward` runs in its input's dtype from the float64 weights, each op
+    casting them per call (`layers`). Training runs it in float32 and
+    validation in float64 (`training`); `predict`, which `evaluate` and
+    `denoise` call, runs the eval forward in float32 and returns float64.
+    Every forward pins the process's allocator policy first
+    (`heap.keep_freed_memory_in_heap`).
     """
 
     def __init__(self, config: ModelConfig):

@@ -59,7 +59,7 @@ class AdamW:
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, p in self.params:
-            g = p.grad
+            g = np.asarray(p.grad, dtype=np.float64)  # in float32, g * g underflows below about 1e-23
             m = self.m[name]
             v = self.v[name]
             m[...] = self.beta1 * m + (1.0 - self.beta1) * g

@@ -1,8 +1,9 @@
 """Dense tensors (rank 1-3) with reverse-mode autodiff on an explicit tape.
 
-A tensor holds float64 data, or float32 when it is handed float32: training,
-validation, gradcheck and checkpoints run in float64, and the model's
-`predict` runs its eval-mode forward in float32 (`model.TransformerUNet1D`).
+A tensor holds float64 data, or float32 when it is handed float32: training
+steps and the model's `predict` compute in float32 from float64 weights,
+while validation, gradcheck and checkpoints stay float64
+(`model.TransformerUNet1D`, `training`).
 
 Gradients are recorded onto a `Tape` that is active inside a `with Tape() as t:`
 block. Ops executed while no tape is active run without recording, which is how
@@ -12,7 +13,8 @@ already topologically sorted and every node is visited exactly once.
 
 Backward starts from the root's gradient: the `grad` handed to
 `Tape.backward(root, grad)`, else one the caller already stored in
-`root.grad`, else 1 for a scalar root. It frees as it goes. Each node is
+`root.grad`, else 1 for a scalar root, cast to the root's dtype, so a float32
+forward runs a float32 backward. It frees as it goes. Each node is
 popped off the tape before its backward runs, and its output's `.grad` is
 dropped once that backward has run. A node's saved activations and its
 upstream gradient are therefore released as soon as no node further up the
@@ -155,7 +157,7 @@ class Tape:
             if root.size != 1:
                 raise ShapeMismatch("backward", root.shape, detail="root must be scalar unless seeded")
             grad = np.ones_like(root.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=root.data.dtype)
         if grad.shape != root.shape:
             raise ShapeMismatch("backward", root.shape, grad.shape, detail="seed differs from root")
         if root._tape is not self:

@@ -17,6 +17,15 @@ A run takes `input_len` and `fs` from its dataset's manifest before anything
 is checked or written, and a resumed run its widths and seed from its
 checkpoint, so the model, `resolved_config.json` and the checkpoints agree.
 
+Training computes in float32 over float64 master weights. `_stack` hands
+each step float32 noisy inputs, the only place float32 enters, and every op
+and backward rule follows its input's dtype (`layers`). The step's output
+is upcast once, so the loss, its gradient and the cap are float64; the
+backward casts that seed back to float32, and AdamW upcasts the float32
+parameter gradients. The parameters, the AdamW moments and the checkpoints
+stay float64. `train_step` runs in its batch's dtype, so a float64 batch
+takes the float64 step.
+
 Validation runs the model's eval-mode forward in float64, not the float32
 `predict`, so the logged `val_total` and the choice of the `best` checkpoint
 do not depend on float32 rounding. The model's forward pins the allocator
@@ -62,7 +71,9 @@ class TrainResult:
 
 
 def _stack(pairs, indices):
-    x = np.stack([pairs[i].noisy for i in indices])[:, None, :]
+    """A training batch: float32 noisy inputs, so the step computes in float32
+    (module docstring), and float64 clean targets."""
+    x = np.stack([pairs[i].noisy for i in indices], dtype=np.float32)[:, None, :]
     y = np.stack([pairs[i].clean for i in indices])[:, None, :]
     return x, y
 
@@ -98,11 +109,13 @@ def output_gradient(y_hat: np.ndarray, y: np.ndarray, loss_cfg):
 
 
 def train_step(model, optimizer, x, y, loss_cfg, context: str = "training"):
-    """One optimizer step on a batch; returns (loss report, pre-cap gradient norms)."""
+    """One optimizer step on a batch, its forward and backward in `x`'s dtype;
+    returns (loss report, pre-cap gradient norms)."""
     optimizer.zero_grad()
     with Tape() as tape:
         out = model.forward(Tensor(x), training=True)
-        report, time_grad, spectral_grad = loss_and_gradients(out.data, y, loss_cfg)
+        y_hat = out.data.astype(np.float64, copy=False)
+        report, time_grad, spectral_grad = loss_and_gradients(y_hat, y, loss_cfg)
         _check_finite(report.total, context)
         grad, time_norm, spectral_norm = _capped_sum(time_grad, spectral_grad, loss_cfg)
         out.grad = grad  # backward starts from the output's stored gradient

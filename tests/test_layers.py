@@ -649,6 +649,57 @@ def test_float32_input_gives_float32_output(name):
     assert np.max(np.abs(out - want)) <= 1e-5 * np.max(np.abs(want))
 
 
+def _training_ops():
+    """Every op of the training forward: (op, its parameters, its input's shape)."""
+    rng = np.random.default_rng(47)
+    conv = Conv1d(3, 4, 5, rng=rng)
+    tconv = ConvTranspose1d(3, 4, rng=rng)
+    stage_conv, bn = _stage(12)
+    attn = MultiHeadSelfAttention(16, 4, rng=rng)
+    ff = FeedForward(16, 32, rng=rng)
+    norm = LayerNorm(16)
+    norm.gamma.data[:] = rng.uniform(0.5, 1.5, 16)
+    norm.beta.data[:] = rng.standard_normal(16)
+
+    def params(*modules):
+        return [t for m in modules for _, t in m.parameters()]
+
+    segment, token = (3, 4, 10), (3, 7, 16)
+    return {
+        "conv1d": (conv.forward, params(conv), segment),
+        "conv_transpose1d": (tconv.forward, params(tconv), segment),
+        "maxpool1d": (maxpool1d, [], segment),
+        "conv_bn_relu": (lambda x: conv_bn_relu(x, stage_conv, bn, True), params(stage_conv, bn), segment),
+        "batchnorm": (lambda x: bn.forward(x, True), params(bn), (4, 4, 10)),
+        "mhsa": (attn.forward, params(attn), token),
+        "feedforward": (ff.forward, params(ff), token),
+        "layernorm": (lambda x: norm.forward(x, x), params(norm), token),
+    }
+
+
+@pytest.mark.parametrize("name", ["conv1d", "conv_transpose1d", "maxpool1d", "conv_bn_relu", "batchnorm",
+                                  "mhsa", "feedforward", "layernorm"])
+def test_float32_backward_gives_float32_gradients(name):
+    # one float64 weight in a backward rule would promote its gradients to float64
+    op, params, shape = _training_ops()[name]
+    rng = np.random.default_rng(48)
+    x = rng.standard_normal(shape)
+    probe = rng.standard_normal(op(Tensor(x)).shape)
+    grads = {}
+    for dt in (np.float64, np.float32):
+        inp = Tensor(x.astype(dt), requires_grad=True)
+        for t in params:
+            t.zero_grad()
+        with Tape() as tape:
+            tape.backward(op(inp), probe)
+        grads[dt] = [inp.grad, *(t.grad for t in params)]
+    # relative to the op's largest gradient: batchnorm cancels the conv bias's to rounding
+    scale = max(np.max(np.abs(g)) for g in grads[np.float64])
+    for got, want in zip(grads[np.float32], grads[np.float64]):
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-5 * scale
+
+
 def test_transformer_layer_records_four_tape_nodes():
     rng = np.random.default_rng(39)
     layer = TransformerEncoderLayer(8, 2, 16, rng=rng)

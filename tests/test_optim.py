@@ -66,6 +66,24 @@ def test_steps_are_bitwise_deterministic():
     assert np.array_equal(run(), run())
 
 
+def test_float32_gradient_steps_as_its_float64_upcast():
+    # the moments are formed in float64: in float32, g * g underflows to 0 for
+    # |g| below about 1e-23, and v would never see those entries
+    rng = np.random.default_rng(9)
+    grads = [(rng.standard_normal(6) * 10.0 ** rng.integers(-30, 2, 6)).astype(np.float32) for _ in range(5)]
+    assert all(g.dtype == np.float32 for g in grads)
+    steps = []
+    for upcast in (False, True):
+        named, p = make_param(np.linspace(-1.0, 1.0, 6))
+        opt = AdamW([named], lr=0.01, weight_decay=0.01)
+        for g in grads:
+            p.grad = g.astype(np.float64) if upcast else g
+            opt.step()
+        steps.append((p.data.tobytes(), opt.m["p"].tobytes(), opt.v["p"].tobytes()))
+        assert p.data.dtype == opt.m["p"].dtype == opt.v["p"].dtype == np.float64
+    assert steps[0] == steps[1]
+
+
 def test_quadratic_convergence_sanity():
     # single-parameter quadratic reaches its minimum within 1e-6 in <= 2000 steps
     named, p = make_param([5.0])

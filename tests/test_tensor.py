@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, rel_err, tape_grads
-from ecgdenoise.tensor import ShapeMismatch, Tape, TapeError, Tensor, concat_channels
+from ecgdenoise.tensor import ShapeMismatch, Tape, TapeError, Tensor, apply_op, concat_channels
 from reference import add, bmm, matmul, mul, relu, softmax_last, sum_all, transpose_last
 
 
@@ -160,6 +160,20 @@ def test_backward_seeds_from_a_stored_root_gradient():
         y.grad = np.array([1.0, -1.0, 0.5])
         tape.backward(y)
     np.testing.assert_array_equal(x.grad, [2.0, -2.0, 1.0])
+
+
+@pytest.mark.parametrize("seeding", ["argument", "stored", "scalar root"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_seeds_in_the_roots_dtype(dtype, seeding):
+    other = np.float64 if dtype == np.float32 else np.float32
+    x = Tensor(np.ones(1, dtype=dtype), requires_grad=True)
+    seen = []
+    with Tape() as tape:
+        y = apply_op(2.0 * x.data, (x,), seen.append)
+        if seeding == "stored":
+            y.grad = np.full(1, 0.5, dtype=other)
+        tape.backward(y, np.full(1, 0.5, dtype=other) if seeding == "argument" else None)
+    assert y.data.dtype == seen[0].dtype == dtype
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 4), (1,)])
