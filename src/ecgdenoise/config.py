@@ -51,7 +51,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "overfit_steps"):
+        for name in ("batch_size", "epochs", "overfit_steps", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

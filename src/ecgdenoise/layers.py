@@ -32,16 +32,17 @@ maximum of even and odd samples; its backward rebuilds the tie rule from the
 input. The norms' momentum and eps are module constants.
 
 The network's conv -> batchnorm -> relu stages run as one op,
-`conv_bn_relu`. In training it normalizes the conv output in place with the
-batch statistics (that buffer becomes x_hat), writes the affine map into one
-output buffer and applies ReLU there in place; the tape keeps only the input,
-x_hat and the output. Its backward masks the upstream gradient with
-``out > 0``, applies the batchnorm closed form (built in x_hat's buffer), then
-the conv backward. In eval the running statistics fold into the conv weights
-and bias, ReLU runs in place, and nothing is recorded. `BatchNorm1d.forward`
-is the unfused reference the tests compare against (the gradient checker's
-`batchnorm1d` entry checks the fused op itself); it shares the statistics
-and the eval fold with the fused op.
+`conv_bn_relu`. Its conv has no bias, which batchnorm's mean would cancel. In
+training it normalizes the conv output in place with the batch statistics
+(that buffer becomes x_hat), writes the affine map into one output buffer and
+applies ReLU there in place; the tape keeps only the input, x_hat and the
+output. Its backward masks the upstream gradient with ``out > 0``, applies the
+batchnorm closed form (built in x_hat's buffer), then the conv backward. In
+eval the running statistics fold into the conv weights (``w * scale``) and
+one per-channel shift, ReLU runs in place, and nothing is recorded.
+`BatchNorm1d.forward` is the unfused reference the tests compare against (the
+gradient checker's `batchnorm1d` entry checks the fused op itself); it shares
+the statistics and the eval fold with the fused op.
 
 The transformer encoder layer is four ops, each keeping for its backward
 only what that backward reads. Attention projects q, k and v with one GEMM
@@ -92,6 +93,7 @@ __all__ = [
     "conv_transpose1d",
     "maxpool1d",
     "positional_encoding",
+    "uniform_param",
 ]
 
 
@@ -117,9 +119,10 @@ class Module:
         return list(self._walk(lambda v: isinstance(v, np.ndarray)))
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def uniform_param(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+    """A trainable tensor of `shape`, drawn uniform within 1/sqrt(fan_in)."""
     bound = math.sqrt(1.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +194,7 @@ def _conv1d_grads(g, x, w):
     for t, _, _ in _tap_spans(x.shape[2], w.shape[2]):
         shift = t - w.shape[2] // 2
         gw[:, :, t] = _segment_products(g, x, shift) if shift >= 0 else _segment_products(x, g, -shift).T
-    gb = np.einsum("cbl->c", g)
-    return gx, gw, gb
+    return gx, gw
 
 
 def _check_conv1d(x: Tensor, weight: Tensor) -> None:
@@ -214,10 +216,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out_data += bias.data.astype(dt, copy=False)[:, None, None]
 
     def backward(g, x=x, weight=weight, bias=bias):
-        gx, gw, gb = _conv1d_grads(g, x.data, w)
+        gx, gw = _conv1d_grads(g, x.data, w)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
-        accumulate_grad(bias, gb)
+        accumulate_grad(bias, np.einsum("cbl->c", g))
 
     return apply_op(out_data, (x, weight, bias), backward)
 
@@ -374,9 +376,8 @@ class BatchNorm1d(Module):
         return apply_op(out_data, (x, gamma, beta), backward)
 
 
-def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Tensor:
-    """relu(bn.forward(conv.forward(x), training)) as one op (module docstring)."""
-    weight, bias = conv.weight, conv.bias
+def conv_bn_relu(x: Tensor, weight: Tensor, bn: BatchNorm1d, training: bool) -> Tensor:
+    """relu(bn.forward(conv1d(x, weight, 0), training)) as one op (module docstring)."""
     _check_conv1d(x, weight)
     if weight.shape[0] != bn.gamma.size:
         raise ShapeMismatch("conv_bn_relu", weight.shape, (bn.gamma.size,))
@@ -384,13 +385,12 @@ def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Te
     if not training:
         scale, shift = bn._eval_affine()  # folded in float64, then cast to the input's dtype
         out = _conv1d_forward(x.data, (weight.data * scale[:, None, None]).astype(dt, copy=False))
-        out += (bias.data * scale + shift).astype(dt, copy=False)[:, None, None]
+        out += shift.astype(dt, copy=False)[:, None, None]
         return Tensor(np.maximum(out, 0.0, out=out))
 
     gamma, beta = bn.gamma, bn.beta
     w, gamma_dt = weight.data.astype(dt, copy=False), gamma.data.astype(dt, copy=False)
     y = _conv1d_forward(x.data, w)
-    y += bias.data.astype(dt, copy=False)[:, None, None]
     x_hat, inv_std = bn._normalize_batch(y, out=y)
     out = x_hat * gamma_dt[:, None, None]
     out += beta.data.astype(dt, copy=False)[:, None, None]
@@ -398,14 +398,13 @@ def conv_bn_relu(x: Tensor, conv: Conv1d, bn: BatchNorm1d, training: bool) -> Te
 
     def backward(g, x=x, x_hat=x_hat, inv_std=inv_std, out=out):
         g, ggamma, gbeta = _batchnorm_grads(g * (out > 0.0), x_hat, inv_std, gamma_dt)
-        gx, gw, gb = _conv1d_grads(g, x.data, w)
+        gx, gw = _conv1d_grads(g, x.data, w)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
-        accumulate_grad(bias, gb)
         accumulate_grad(gamma, ggamma)
         accumulate_grad(beta, gbeta)
 
-    return apply_op(out, (x, weight, bias, gamma, beta), backward)
+    return apply_op(out, (x, weight, gamma, beta), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +415,7 @@ class Conv1d(Module):
     """Length-preserving conv (`conv1d`) with an odd `kernel_size`."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *, rng: np.random.Generator):
-        fan_in = in_channels * kernel_size
-        self.weight = Tensor(
-            _uniform_init(rng, (out_channels, in_channels, kernel_size), fan_in),
-            requires_grad=True,
-        )
+        self.weight = uniform_param(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -431,10 +426,7 @@ class ConvTranspose1d(Module):
     """2x up-sampling transposed conv (`conv_transpose1d`): kernel 2, stride 2."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
-        self.weight = Tensor(
-            _uniform_init(rng, (in_channels, out_channels, 2), in_channels * 2),
-            requires_grad=True,
-        )
+        self.weight = uniform_param(rng, (in_channels, out_channels, 2), in_channels * 2)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -446,10 +438,7 @@ class Linear(Module):
     `FeedForward` applies inside its fused op."""
 
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
-        self.weight = Tensor(
-            _uniform_init(rng, (in_features, out_features), in_features),
-            requires_grad=True,
-        )
+        self.weight = uniform_param(rng, (in_features, out_features), in_features)
         self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
 
@@ -538,10 +527,10 @@ class MultiHeadSelfAttention(Module):
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.w_q = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
-        self.w_k = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
-        self.w_v = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
-        self.w_o = Tensor(_uniform_init(rng, (dim, dim), dim), requires_grad=True)
+        self.w_q = uniform_param(rng, (dim, dim), dim)
+        self.w_k = uniform_param(rng, (dim, dim), dim)
+        self.w_v = uniform_param(rng, (dim, dim), dim)
+        self.w_o = uniform_param(rng, (dim, dim), dim)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.dim:

@@ -30,6 +30,7 @@ from .layers import (
     conv_bn_relu,
     maxpool1d,
     positional_encoding,
+    uniform_param,
 )
 from .tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op, concat_channels
 
@@ -130,12 +131,13 @@ def _permute(a: Tensor, axes, table=None) -> Tensor:
 
 
 class DoubleConv(Module):
-    """Two (length-preserving conv k3 -> batchnorm -> relu) stages, each one fused op."""
+    """Two (length-preserving conv k3 -> batchnorm -> relu) stages, each one fused
+    op; `conv1` and `conv2` are the weights of its convs, which have no bias."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
-        self.conv1 = Conv1d(in_channels, out_channels, 3, rng=rng)
+        self.conv1 = uniform_param(rng, (out_channels, in_channels, 3), in_channels * 3)
         self.bn1 = BatchNorm1d(out_channels)
-        self.conv2 = Conv1d(out_channels, out_channels, 3, rng=rng)
+        self.conv2 = uniform_param(rng, (out_channels, out_channels, 3), out_channels * 3)
         self.bn2 = BatchNorm1d(out_channels)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
@@ -232,7 +234,7 @@ class TransformerUNet1D(Module):
 # checkpoints: <prefix>.ckpt holds the JSON header's length as 8 little-endian
 # bytes, the header, then every entry's array as little-endian f64 in entry order
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class _NoDraw:
@@ -287,7 +289,8 @@ def load_checkpoint(prefix: str):
         try:
             header = json.loads(header_bytes)
             if header.get("format_version") != FORMAT_VERSION:
-                raise ConfigError(f"{prefix}: unknown format_version {header.get('format_version')!r}")
+                raise ConfigError(f"{prefix}: checkpoint format_version {header.get('format_version')!r} does "
+                                  f"not load, only {FORMAT_VERSION}; retrain from the run's resolved_config.json")
             config = read_config(ModelConfig, header["config"], f"{prefix} config")
             entries = [(e["kind"], e["name"], e["shape"], int(np.prod(e["shape"]))) for e in header["entries"]]
             if any(type(d) is not int or d < 0 for _, _, shape, _ in entries for d in shape):

@@ -7,14 +7,16 @@ feed-forward and residual-plus-layernorm blocks became one op each, and the
 dual loss as its two terms weighted by `mul` and summed by `add`, as the
 package built it before `loss.total_loss` became one op. The functions read
 the parameters of the package's modules, so a reference and a fused forward
-of the same module share every weight.
+of the same module share every weight. `conv_bn_relu` is the unfused
+conv -> batchnorm -> relu stage: `conv1d` with a constant zero bias, the
+stage's conv having none, then `BatchNorm1d.forward` and `relu`.
 """
 
 import math
 
 import numpy as np
 
-from ecgdenoise.layers import NORM_EPS
+from ecgdenoise.layers import NORM_EPS, conv1d
 from ecgdenoise.loss import LossReport, spectral_loss
 from ecgdenoise.tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op
 
@@ -87,6 +89,11 @@ def relu(a: Tensor) -> Tensor:
         accumulate_grad(a, g * (out > 0.0))
 
     return apply_op(out_data, (a,), backward)
+
+
+def conv_bn_relu(x: Tensor, weight: Tensor, bn, training: bool) -> Tensor:
+    """relu(bn.forward(conv1d(x, weight, 0), training)), three tape nodes."""
+    return relu(bn.forward(conv1d(x, weight, Tensor(np.zeros(weight.shape[0]))), training))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -623,8 +623,8 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     true_grads = ecgdenoise.layers._conv1d_grads
 
     def corrupted(*args, **kwargs):
-        gx, gw, gb = true_grads(*args, **kwargs)
-        return gx * 1.5, gw, gb  # wrong input gradient
+        gx, gw = true_grads(*args, **kwargs)
+        return gx * 1.5, gw  # wrong input gradient
 
     monkeypatch.setattr(ecgdenoise.layers, "_conv1d_grads", corrupted)
     assert main(["gradcheck"]) == 3
@@ -687,6 +687,7 @@ def test_non_positive_batch_size_and_t_max_are_rejected(dataset, tmp_path, capsy
     ["--epochs", "0"],
     ["--overfit-steps", "0"],
     ["--transformer-layers", "-1"],
+    ["--patience", "0"],
 ])
 def test_rejected_train_config_leaves_no_run_directory(dataset, tmp_path, flags, mode):
     out = tmp_path / "D"
@@ -758,6 +759,26 @@ def test_format_1_checkpoint_is_rejected(run_dir, dataset, tmp_path, capsys):
     (old / "last.manifest.json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
     (old / "last.params.bin").write_bytes(blob[8 + length :])
     prefix = str(old / "last")
+    _assert_every_command_rejects(prefix, dataset, tmp_path, capsys, [f"{prefix}.ckpt"])
+    assert sorted(p.name for p in old.iterdir()) == ["last.manifest.json", "last.params.bin"]
+
+
+def test_format_2_checkpoint_is_rejected(run_dir, dataset, tmp_path, capsys):
+    """Format 2, whose double-conv stages had conv biases, does not load; the
+    message names the run's resolved_config.json to retrain from."""
+    old = tmp_path / "old"
+    old.mkdir()
+    shutil.copy(run_dir / "last.ckpt", old / "last.ckpt")
+    prefix = str(old / "last")
+    edit_checkpoint_header(prefix, lambda h: h.update(format_version=2))
+    blob = (old / "last.ckpt").read_bytes()
+    _assert_every_command_rejects(prefix, dataset, tmp_path, capsys, ["format_version 2", "resolved_config.json"])
+    assert (old / "last.ckpt").read_bytes() == blob
+
+
+def _assert_every_command_rejects(prefix, dataset, tmp_path, capsys, messages):
+    """`denoise`, `evaluate` and `train --resume` given the checkpoint `prefix`
+    in `tmp_path/old` exit 2 with every one of `messages` and write nothing."""
     record = tmp_path / "in.f64"
     save_signal_file(record, synth_ecg(10.0, record_id="in"))
     for argv in (["denoise", "--checkpoint", prefix, "--in", str(record), "--out", str(tmp_path / "out.f64")],
@@ -765,9 +786,9 @@ def test_format_1_checkpoint_is_rejected(run_dir, dataset, tmp_path, capsys):
                  ["train", "--data", str(dataset), "--out", str(tmp_path / "run"), "--resume", prefix,
                   "--epochs", "3", "--quiet"]):
         assert main(argv) == 2
-        assert f"{prefix}.ckpt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(message in err for message in messages), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.f64", "in.f64.json", "old"]
-    assert sorted(p.name for p in old.iterdir()) == ["last.manifest.json", "last.params.bin"]
 
 
 def test_missing_dataset_is_data_error(tmp_path):
@@ -802,7 +823,7 @@ def test_fixed_values_are_the_ones_the_package_uses():
     d = c * 2 ** RETIRED["depth"]
     assert model.config.token_count == 3600 // 2 ** RETIRED["depth"] == 225
     assert shapes["enc1.ff.lin1.weight"] == (d, RETIRED["d_ff_ratio"] * d) == (32, 128)
-    assert shapes["inc.conv1.weight"] == (c, RETIRED["in_channels"], 3) == (2, 1, 3)
+    assert shapes["inc.conv1"] == (c, RETIRED["in_channels"], 3) == (2, 1, 3)
     assert shapes["out.weight"] == (RETIRED["out_channels"], c, 1) == (1, 2, 1)
 
     adamw = inspect.signature(AdamW).parameters

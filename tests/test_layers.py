@@ -22,9 +22,10 @@ from ecgdenoise.layers import (
     conv_transpose1d,
     maxpool1d,
     positional_encoding,
+    uniform_param,
 )
 from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor
-from reference import mul, relu, sum_all
+from reference import mul, sum_all
 
 
 def ref_cross_correlation(x, w, b, stride, padding):
@@ -332,20 +333,15 @@ def test_batchnorm_gradients_vs_fd():
 
 
 def _stage(seed):
-    """A conv k3 and batchnorm pair with non-trivial gamma, beta and running stats."""
+    """A k3 conv weight and batchnorm pair with non-trivial gamma, beta and running stats."""
     rng = np.random.default_rng(seed)
-    conv = Conv1d(3, 4, 3, rng=rng)
-    conv.bias.data[:] = rng.standard_normal(4)
+    weight = uniform_param(rng, (4, 3, 3), 9)
     bn = BatchNorm1d(4)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, 4)
     bn.beta.data[:] = rng.standard_normal(4)
     bn.running_mean[:] = rng.standard_normal(4)
     bn.running_var[:] = rng.uniform(0.5, 2.0, 4)
-    return conv, bn
-
-
-def _unfused(x, conv, bn, training):
-    return relu(bn.forward(conv.forward(x), training))
+    return weight, bn
 
 
 def _same_bits(a, b):
@@ -357,57 +353,54 @@ def test_conv_bn_relu_training_matches_unfused_bitwise():
     x0 = rng.standard_normal((3, 2, 40))
     probe = rng.standard_normal((4, 2, 40))
     runs = []
-    for op in (conv_bn_relu, _unfused):
-        conv, bn = _stage(7)
+    for op in (conv_bn_relu, reference.conv_bn_relu):
+        weight, bn = _stage(7)
         x = Tensor(x0.copy(), requires_grad=True)
-        tensors = [x, conv.weight, conv.bias, bn.gamma, bn.beta]
+        tensors = [x, weight, bn.gamma, bn.beta]
         with Tape() as tape:
-            out = op(x, conv, bn, True)
+            out = op(x, weight, bn, True)
             tape.backward(sum_all(mul(out, Tensor(probe))))
         runs.append([out.data, bn.running_mean, bn.running_var] + [t.grad for t in tensors])
     assert 0 < (runs[0][0] == 0.0).mean() < 1  # ReLU clips some outputs, not all
-    for fused, reference in zip(*runs):
-        assert _same_bits(fused, reference)
+    for fused, want in zip(*runs):
+        assert _same_bits(fused, want)
 
 
 def test_conv_bn_relu_eval_folds_batchnorm_into_the_conv():
-    conv, bn = _stage(8)
+    weight, bn = _stage(8)
     x = Tensor(np.random.default_rng(32).standard_normal((3, 3, 50)), requires_grad=True)
     with Tape() as tape:
-        out = conv_bn_relu(x, conv, bn, False)
+        out = conv_bn_relu(x, weight, bn, False)
     assert len(tape) == 0  # inference only: nothing is recorded
     assert not out.requires_grad
-    reference = _unfused(x, conv, bn, False).data
-    assert 0 < (reference == 0.0).mean() < 1
+    want = reference.conv_bn_relu(x, weight, bn, False).data
+    assert 0 < (want == 0.0).mean() < 1
     # the fold only reorders roundings: a few ulps of the largest output
-    assert np.max(np.abs(out.data - reference)) <= 1e-15 * np.max(np.abs(reference))
+    assert np.max(np.abs(out.data - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_conv_bn_relu_gradients_vs_fd():
-    conv, bn = _stage(9)
+    weight, bn = _stage(9)
     rng = np.random.default_rng(33)
     x = Tensor(rng.standard_normal((3, 2, 8)), requires_grad=True)
     probe = rng.standard_normal((4, 2, 8))
 
     def run():
-        return conv_bn_relu(x, conv, bn, True)
+        return conv_bn_relu(x, weight, bn, True)
 
-    tensors = [x, conv.weight, conv.bias, bn.gamma, bn.beta]
+    tensors = [x, weight, bn.gamma, bn.beta]
     grads = tape_grads(lambda: sum_all(mul(run(), Tensor(probe))), tensors)
     for tensor, grad in zip(tensors, grads):
         state = (bn.running_mean.copy(), bn.running_var.copy())
         fd = fd_wrt(tensor, lambda: scalar_through(run, probe))
         bn.running_mean, bn.running_var = state
-        if tensor is conv.bias:  # batchnorm removes any per-channel shift
-            assert np.max(np.abs(grad)) < 1e-12 and np.max(np.abs(fd)) < 1e-8
-        else:
-            assert rel_err(grad, fd) < 1e-5
+        assert rel_err(grad, fd) < 1e-5
 
 
 def test_conv_bn_relu_rejects_mismatched_batchnorm():
-    conv, _ = _stage(10)
+    weight, _ = _stage(10)
     with pytest.raises(ShapeMismatch):
-        conv_bn_relu(Tensor(np.zeros((3, 1, 8))), conv, BatchNorm1d(5), True)
+        conv_bn_relu(Tensor(np.zeros((3, 1, 8))), weight, BatchNorm1d(5), True)
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +412,12 @@ def _segment_ops():
     rng = np.random.default_rng(40)
     conv = Conv1d(3, 4, 5, rng=rng)  # taps shifted by 1 and 2 samples
     tconv = ConvTranspose1d(3, 4, rng=rng)
-    stage_conv, bn = _stage(11)
+    stage_weight, bn = _stage(11)
     return {
         "conv1d": lambda x: conv1d(x, conv.weight, conv.bias),
         "conv_transpose1d": lambda x: conv_transpose1d(x, tconv.weight, tconv.bias),
         "maxpool1d": maxpool1d,
-        "conv_bn_relu_eval": lambda x: conv_bn_relu(x, stage_conv, bn, False),
+        "conv_bn_relu_eval": lambda x: conv_bn_relu(x, stage_weight, bn, False),
     }
 
 
@@ -654,7 +647,7 @@ def _training_ops():
     rng = np.random.default_rng(47)
     conv = Conv1d(3, 4, 5, rng=rng)
     tconv = ConvTranspose1d(3, 4, rng=rng)
-    stage_conv, bn = _stage(12)
+    stage_weight, bn = _stage(12)
     attn = MultiHeadSelfAttention(16, 4, rng=rng)
     ff = FeedForward(16, 32, rng=rng)
     norm = LayerNorm(16)
@@ -669,7 +662,7 @@ def _training_ops():
         "conv1d": (conv.forward, params(conv), segment),
         "conv_transpose1d": (tconv.forward, params(tconv), segment),
         "maxpool1d": (maxpool1d, [], segment),
-        "conv_bn_relu": (lambda x: conv_bn_relu(x, stage_conv, bn, True), params(stage_conv, bn), segment),
+        "conv_bn_relu": (lambda x: conv_bn_relu(x, stage_weight, bn, True), [stage_weight, *params(bn)], segment),
         "batchnorm": (lambda x: bn.forward(x, True), params(bn), (4, 4, 10)),
         "mhsa": (attn.forward, params(attn), token),
         "feedforward": (ff.forward, params(ff), token),
@@ -693,7 +686,7 @@ def test_float32_backward_gives_float32_gradients(name):
         with Tape() as tape:
             tape.backward(op(inp), probe)
         grads[dt] = [inp.grad, *(t.grad for t in params)]
-    # relative to the op's largest gradient: batchnorm cancels the conv bias's to rounding
+    # relative to the op's largest gradient, the scale of float32's rounding in its sums
     scale = max(np.max(np.abs(g)) for g in grads[np.float64])
     for got, want in zip(grads[np.float32], grads[np.float64]):
         assert got.dtype == np.float32 and want.dtype == np.float64
@@ -732,13 +725,13 @@ def test_conv_bn_relu_traced_peak_is_bounded():
     # GEMM with the taps stacked on the smaller channel side; 9.7 MB when the
     # input gradient stacks its larger side, the 16 channels of the upstream
     rng = np.random.default_rng(47)
-    conv, bn = Conv1d(8, 16, 3, rng=rng), BatchNorm1d(16)
+    weight, bn = uniform_param(rng, (16, 8, 3), 24), BatchNorm1d(16)
     x = Tensor(rng.standard_normal((8, 8, 1800)), requires_grad=True)
     probe = rng.standard_normal((16, 8, 1800))
     tracemalloc.start()
     try:
         with Tape() as tape:
-            tape.backward(conv_bn_relu(x, conv, bn, True), probe)
+            tape.backward(conv_bn_relu(x, weight, bn, True), probe)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

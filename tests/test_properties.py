@@ -49,13 +49,12 @@ def conv_cases(draw, transposed=False, dtypes=(np.float64,)):
     return x, w, rng
 
 
-def _assert_adjoint(y, g, x, gx, w, gw, gb, scale):
+def _assert_adjoint(y, g, x, gx, w, gw, scale):
     """scale bounds every product summed by the three inner products."""
     tol = 1e-12 * max(scale, 1e-300)
     assert gx.shape == x.shape and gw.shape == w.shape
     assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= tol
     assert abs(np.vdot(y, g) - np.vdot(w, gw)) <= tol
-    np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=1e-12, atol=1e-12)
 
 
 @PROPERTY
@@ -75,9 +74,9 @@ def test_conv1d_grads_are_adjoint_to_the_forward(case):
         return  # the backward rules are float64 only
     np.testing.assert_allclose(y, reference, rtol=1e-12, atol=1e-12)
     g = rng.standard_normal(y.shape)
-    gx, gw, gb = _conv1d_grads(g, x, w)
+    gx, gw = _conv1d_grads(g, x, w)
     scale = np.vdot(_conv1d_forward(np.abs(x), np.abs(w)), np.abs(g))
-    _assert_adjoint(y, g, x, gx, w, gw, gb, scale)
+    _assert_adjoint(y, g, x, gx, w, gw, scale)
 
 
 @PROPERTY
@@ -89,7 +88,8 @@ def test_conv_transpose1d_grads_are_adjoint_to_the_forward(case):
     g = rng.standard_normal(y.shape)
     gx, gw, gb = _conv_transpose1d_grads(g, x, w)
     scale = np.vdot(_conv_transpose1d_forward(np.abs(x), np.abs(w)), np.abs(g))
-    _assert_adjoint(y, g, x, gx, w, gw, gb, scale)
+    _assert_adjoint(y, g, x, gx, w, gw, scale)
+    np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=1e-12, atol=1e-12)
 
 
 @st.composite
