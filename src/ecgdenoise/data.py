@@ -3,6 +3,9 @@
 A synthetic ECG generator stands in for real recordings so everything runs
 self-contained; real signals can be ingested from CSV (one float per line) or
 raw little-endian float64 files with a JSON sidecar ``{"id": ..., "fs": ...}``.
+The synthesis draws each record's jitter at once, in the per-beat order, and
+sums overlapping bumps in beat order, so it is bit-identical to the per-beat
+loops in `tests/reference.py`; so are the bw and em noise generators.
 
 Pipeline order per segment: window the clean record, z-normalize the window,
 generate a seeded noise instance, scale it to the target SNR against the
@@ -128,6 +131,11 @@ _BEAT_BUMPS = (
 )
 
 
+def _uniform(u, low, high):
+    """`Generator.uniform(low, high)` from its standard draw `u`, bit for bit."""
+    return low + (high - low) * u
+
+
 def synth_ecg(duration_s: float, fs: float = 360.0, bpm: float = 60.0,
               seed: int = 0, record_id: str | None = None) -> SignalRecord:
     """Gaussian-bump ECG: five bumps per beat, RR intervals jittered <= 2%.
@@ -136,30 +144,50 @@ def synth_ecg(duration_s: float, fs: float = 360.0, bpm: float = 60.0,
     width by up to 10% around the template (like real beat-to-beat morphology
     drift), so a denoiser has to read the waveform out of the observation
     instead of memorizing one cycle.
+
+    The draws come in per-beat order: each bump's amplitude then its width,
+    five times, then the next RR interval. Overlapping bumps add in beat
+    order, so the samples are bit-identical to a loop over beats and bumps
+    (`tests/reference.py`).
     """
     if duration_s <= 0:
         raise DataError(f"duration must be positive, got {duration_s}")
+    if not fs > 0:
+        raise DataError(f"fs must be positive, got {fs}")
     if not 30.0 <= bpm <= 220.0:
         raise DataError(f"bpm out of range [30, 220]: {bpm}")
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * fs))
-    t = np.arange(n) / fs
-    signal = np.zeros(n)
     period = 60.0 / bpm
+    offset, width, amp = (np.array(col) for col in zip(*_BEAT_BUMPS))
 
-    beat = 0.5 * period  # keep the first beat fully inside the record
-    while beat < duration_s + 0.5 * period:
-        for offset, width, amp in _BEAT_BUMPS:
-            amp = amp * (1.0 + rng.uniform(-0.2, 0.2))
-            width = width * (1.0 + rng.uniform(-0.1, 0.1))
-            center = beat + offset
-            lo = max(0, int((center - 5 * width) * fs))
-            hi = min(n, int((center + 5 * width) * fs) + 1)
-            if lo < hi:
-                seg = t[lo:hi] - center
-                signal[lo:hi] += amp * np.exp(-0.5 * (seg / width) ** 2)
-        beat += period * (1.0 + rng.uniform(-0.02, 0.02))
+    # every RR interval is at least 0.98 periods, so these rows hold every beat
+    # before duration_s + period / 2, where the first beat past it ends the record
+    u = rng.random((int(duration_s / (0.97 * period)) + 2, 11))
+    steps = period * (1.0 + _uniform(u[:-1, 10], -0.02, 0.02))
+    beats = np.cumsum(np.concatenate(([0.5 * period], steps)))  # the first beat fully inside
+    u = u[: np.count_nonzero(beats < duration_s + 0.5 * period)]
+    amp = (amp * (1.0 + _uniform(u[:, 0:10:2], -0.2, 0.2))).ravel()
+    width = (width * (1.0 + _uniform(u[:, 1:10:2], -0.1, 0.1))).ravel()
+    center = (beats[: len(u), None] + offset).ravel()
 
+    # each bump covers samples lo..hi-1; its samples run beat by beat, bump by bump
+    lo = np.maximum(0, ((center - 5 * width) * fs).astype(np.int64))
+    hi = np.minimum(n, ((center + 5 * width) * fs).astype(np.int64) + 1)
+    size = np.maximum(hi - lo, 0)
+    ends = np.cumsum(size)
+    index = np.arange(ends[-1]) + np.repeat(lo - (ends - size), size)
+    # amp * exp(-0.5 * ((t - center) / width) ** 2) in place, op for op
+    z = index / fs
+    z -= np.repeat(center, size)
+    z /= np.repeat(width, size)
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    z *= np.repeat(amp, size)
+    # bincount adds each sample's bumps in input order, starting from zero, so
+    # they round in beat order, as the loop in `tests/reference.py` adds them
+    signal = np.bincount(index, weights=z, minlength=n)
     return SignalRecord(record_id or f"synth{seed:04d}", fs, signal)
 
 
@@ -168,13 +196,12 @@ def synth_ecg(duration_s: float, fs: float = 360.0, bpm: float = 60.0,
 
 
 def _gen_bw(rng, n, fs):
-    # three sinusoids of 0.05-0.5 Hz
+    # three sinusoids of 0.05-0.5 Hz, each drawing its frequency, amplitude, phase
     t = np.arange(n) / fs
+    params = _uniform(rng.random((3, 3)), np.array([0.05, 0.5, 0.0]), np.array([0.5, 1.5, 2.0 * np.pi]))
     x = np.zeros(n)
-    for _ in range(3):
-        freq = rng.uniform(0.05, 0.5)
-        amp = rng.uniform(0.5, 1.5)
-        x += amp * np.sin(2.0 * np.pi * freq * t + rng.uniform(0.0, 2.0 * np.pi))
+    for freq, amp, phase in params.tolist():
+        x += amp * np.sin(2.0 * np.pi * freq * t + phase)
     return x
 
 
@@ -205,7 +232,8 @@ def _gen_em(rng, n, fs):
     while t_arrival < duration:
         i = int(t_arrival * fs)
         tau = rng.uniform(0.01, 0.15)
-        amp = rng.uniform(1.0, 3.0) * rng.choice((-1.0, 1.0))
+        # the draw `rng.choice((-1.0, 1.0))` makes, without its array set-up
+        amp = rng.uniform(1.0, 3.0) * (-1.0, 1.0)[rng.integers(2)]
         span = min(n - i, int(6.0 * tau * fs) + 1)
         decay = np.exp(-np.arange(span) / (tau * fs))
         x[i : i + span] += amp * decay

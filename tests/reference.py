@@ -10,12 +10,18 @@ the parameters of the package's modules, so a reference and a fused forward
 of the same module share every weight. `conv_bn_relu` is the unfused
 conv -> batchnorm -> relu stage: `conv1d` with a constant zero bias, the
 stage's conv having none, then `BatchNorm1d.forward` and `relu`.
+
+`synth_ecg`, `gen_bw` and `gen_em` are the synthesis loops as the package
+ran them before it drew each record's jitter at once: one beat, one bump and
+one electrode pop per iteration, each scalar drawn where the loop reaches it.
+The package's vectorized synthesis must match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from ecgdenoise.data import _BEAT_BUMPS
 from ecgdenoise.layers import NORM_EPS, conv1d
 from ecgdenoise.loss import LossReport, spectral_loss
 from ecgdenoise.tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op
@@ -280,3 +286,53 @@ def total_loss(y_hat: Tensor, y: Tensor, config) -> tuple[Tensor, LossReport]:
     report = LossReport(time_loss=time_value, spectral_loss=spectral_value,
                         total=time_value * config.w_time + spectral_value * config.w_spectral)
     return total, report
+
+
+def synth_ecg(duration_s: float, fs: float, bpm: float, seed: int) -> np.ndarray:
+    """The samples of `data.synth_ecg`, one beat and one bump at a time."""
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * fs))
+    t = np.arange(n) / fs
+    signal = np.zeros(n)
+    period = 60.0 / bpm
+
+    beat = 0.5 * period
+    while beat < duration_s + 0.5 * period:
+        for offset, width, amp in _BEAT_BUMPS:
+            amp = amp * (1.0 + rng.uniform(-0.2, 0.2))
+            width = width * (1.0 + rng.uniform(-0.1, 0.1))
+            center = beat + offset
+            lo = max(0, int((center - 5 * width) * fs))
+            hi = min(n, int((center + 5 * width) * fs) + 1)
+            if lo < hi:
+                seg = t[lo:hi] - center
+                signal[lo:hi] += amp * np.exp(-0.5 * (seg / width) ** 2)
+        beat += period * (1.0 + rng.uniform(-0.02, 0.02))
+    return signal
+
+
+def gen_bw(rng, n, fs):
+    """`data._gen_bw`, drawing each sinusoid's parameters as it adds it."""
+    t = np.arange(n) / fs
+    x = np.zeros(n)
+    for _ in range(3):
+        freq = rng.uniform(0.05, 0.5)
+        amp = rng.uniform(0.5, 1.5)
+        x += amp * np.sin(2.0 * np.pi * freq * t + rng.uniform(0.0, 2.0 * np.pi))
+    return x
+
+
+def gen_em(rng, n, fs):
+    """`data._gen_em`, drawing each pop's sign with `Generator.choice`."""
+    x = 0.15 * rng.standard_normal(n)
+    t_arrival = rng.exponential(1.0)
+    duration = n / fs
+    while t_arrival < duration:
+        i = int(t_arrival * fs)
+        tau = rng.uniform(0.01, 0.15)
+        amp = rng.uniform(1.0, 3.0) * rng.choice((-1.0, 1.0))
+        span = min(n - i, int(6.0 * tau * fs) + 1)
+        decay = np.exp(-np.arange(span) / (tau * fs))
+        x[i : i + span] += amp * decay
+        t_arrival += rng.exponential(1.0)
+    return x

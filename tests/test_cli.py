@@ -96,6 +96,16 @@ def test_synth_data_that_fails_to_build_writes_no_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_data_with_a_non_positive_rate_names_fs(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fs": -360.0}))
+    out = tmp_path / "ds"
+    assert main(["synth-data", "--config", str(config), "--out", str(out),
+                 "--records", "6", "--duration", "10"]) == 2
+    assert "fs must be positive, got -360.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source, key", [
     ('{"snr_db": [true]}', "snr_db"),
     ('{"snr_db": [[0]]}', "snr_db"),

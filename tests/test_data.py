@@ -70,6 +70,9 @@ def test_synth_ecg_rejects_bad_args():
         synth_ecg(0.0)
     with pytest.raises(DataError):
         synth_ecg(10.0, bpm=500.0)
+    for fs in (0.0, -360.0):
+        with pytest.raises(DataError, match="fs must be positive"):
+            synth_ecg(10.0, fs=fs)
 
 
 # ---------------------------------------------------------------------------

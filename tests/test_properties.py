@@ -4,9 +4,14 @@ Both convolutions are bilinear in (input, weight), so their backward rules
 must be adjoint to the forward: for any upstream g,
 <conv(x, w), g> = <x, gx> = <w, gw>, and the bias gradient is g summed over
 batch and length. Batch, channels, length and the conv's odd kernel are drawn
-at random, lengths down to 1, shorter than the kernel's reach. The conv's
-forward is also drawn in float32, which the eval path runs, and checked
-against a float64 reference at a float32 tolerance.
+at random, lengths down to 1, shorter than the kernel's reach. The conv is
+also drawn in float32, which inference and every training step run: its
+forward is checked against a float64 reference and its backward's adjoint
+identity holds, both at a float32 tolerance.
+
+The synthesis (`synth_ecg` and the bw and em noise generators) must be
+bit-identical to the loops in `tests/reference.py` for any seed, rate,
+heart rate and length, records shorter than one beat among them.
 
 `mix_at_snr` must hit its target SNR, SNR and PRD must obey
 SNR = -20 log10(PRD / 100), and a checkpoint must round-trip bitwise with
@@ -22,7 +27,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ecgdenoise.data import mix_at_snr  # noqa: E402
+import reference  # noqa: E402
+from ecgdenoise.data import _gen_bw, _gen_em, mix_at_snr, synth_ecg  # noqa: E402
 from ecgdenoise.layers import (  # noqa: E402
     _conv1d_forward,
     _conv1d_grads,
@@ -49,10 +55,12 @@ def conv_cases(draw, transposed=False, dtypes=(np.float64,)):
     return x, w, rng
 
 
-def _assert_adjoint(y, g, x, gx, w, gw, scale):
-    """scale bounds every product summed by the three inner products."""
-    tol = 1e-12 * max(scale, 1e-300)
+def _assert_adjoint(y, g, x, gx, w, gw, scale, rtol=1e-12):
+    """scale bounds every product summed by the three inner products, which
+    are taken in float64 whatever the arrays' dtype."""
+    tol = rtol * max(scale, 1e-300)
     assert gx.shape == x.shape and gw.shape == w.shape
+    y, g, x, gx, w, gw = (a.astype(np.float64) for a in (y, g, x, gx, w, gw))
     assert abs(np.vdot(y, g) - np.vdot(x, gx)) <= tol
     assert abs(np.vdot(y, g) - np.vdot(w, gw)) <= tol
 
@@ -62,20 +70,23 @@ def _assert_adjoint(y, g, x, gx, w, gw, scale):
 def test_conv1d_grads_are_adjoint_to_the_forward(case):
     x, w, rng = case
     y = _conv1d_forward(x, w)
-    assert y.dtype == x.dtype
-    kernel, length = w.shape[2], x.shape[2]
-    x, w = x.astype(np.float64), w.astype(np.float64)  # the reference sums in float64
-    padded = np.pad(x.transpose(1, 0, 2), ((0, 0), (0, 0), (kernel // 2, kernel // 2)))
-    reference = sum(np.matmul(w[:, :, t], padded[:, :, t : t + length]) for t in range(kernel)).transpose(1, 0, 2)
-    if y.dtype == np.float32:
-        # the eval path's conv: each output sums at most 28 rounded products,
-        # so its error stays far below 1e-5 of the sum of their magnitudes
-        assert np.all(np.abs(y - reference) <= 1e-5 * _conv1d_forward(np.abs(x), np.abs(w)))
-        return  # the backward rules are float64 only
-    np.testing.assert_allclose(y, reference, rtol=1e-12, atol=1e-12)
-    g = rng.standard_normal(y.shape)
+    g = rng.standard_normal(y.shape).astype(x.dtype)
     gx, gw = _conv1d_grads(g, x, w)
-    scale = np.vdot(_conv1d_forward(np.abs(x), np.abs(w)), np.abs(g))
+    assert y.dtype == gx.dtype == gw.dtype == x.dtype
+    kernel, length = w.shape[2], x.shape[2]
+    x64, w64 = x.astype(np.float64), w.astype(np.float64)  # the reference sums in float64
+    padded = np.pad(x64.transpose(1, 0, 2), ((0, 0), (0, 0), (kernel // 2, kernel // 2)))
+    reference = sum(np.matmul(w64[:, :, t], padded[:, :, t : t + length]) for t in range(kernel)).transpose(1, 0, 2)
+    bound = _conv1d_forward(np.abs(x64), np.abs(w64))
+    scale = np.vdot(bound, np.abs(g))
+    if y.dtype == np.float32:
+        # the float32 conv of inference and training: an output or input-gradient
+        # entry sums at most 28 rounded products, a weight-gradient entry at most
+        # 72, so each identity's error stays far below 1e-5 of the magnitudes' sum
+        assert np.all(np.abs(y - reference) <= 1e-5 * bound)
+        _assert_adjoint(y, g, x, gx, w, gw, scale, rtol=1e-5)
+        return
+    np.testing.assert_allclose(y, reference, rtol=1e-12, atol=1e-12)
     _assert_adjoint(y, g, x, gx, w, gw, scale)
 
 
@@ -90,6 +101,25 @@ def test_conv_transpose1d_grads_are_adjoint_to_the_forward(case):
     scale = np.vdot(_conv_transpose1d_forward(np.abs(x), np.abs(w)), np.abs(g))
     _assert_adjoint(y, g, x, gx, w, gw, scale)
     np.testing.assert_allclose(gb, g.sum(axis=(1, 2)), rtol=1e-12, atol=1e-12)
+
+
+SEEDS = st.integers(0, 2**63 - 1)
+RATES = st.sampled_from((128.0, 250.0, 360.0, 500.0, 1000.0))
+
+
+@PROPERTY
+@given(st.one_of(st.floats(0.1, 2.0), st.floats(0.1, 700.0)), RATES, st.floats(30.0, 220.0), SEEDS)
+def test_synth_ecg_is_bit_identical_to_the_beat_loop(duration_s, fs, bpm, seed):
+    samples = synth_ecg(duration_s, fs, bpm, seed).samples
+    assert samples.tobytes() == reference.synth_ecg(duration_s, fs, bpm, seed).tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from(("bw", "em")), st.integers(1, 216_000), RATES, SEEDS)
+def test_noise_generators_are_bit_identical_to_their_loops(kind, n, fs, seed):
+    package, loop = {"bw": (_gen_bw, reference.gen_bw), "em": (_gen_em, reference.gen_em)}[kind]
+    x = package(np.random.default_rng(seed), n, fs)
+    assert x.tobytes() == loop(np.random.default_rng(seed), n, fs).tobytes()
 
 
 @st.composite
