@@ -77,8 +77,8 @@ class SignalRecord:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.fs <= 0:
-            raise DataError(f"sample rate must be positive, got {self.fs}")
+        if not (np.isfinite(self.fs) and self.fs > 0):
+            raise DataError(f"record {self.id}: sample rate must be finite and positive, got {self.fs} Hz")
         if self.samples.size == 0 or not np.all(np.isfinite(self.samples)):
             raise DataError(f"record {self.id}: samples must be non-empty and finite")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import layers
 from .loss import LossConfig, total_loss
-from .model import ModelConfig, TransformerUNet1D
+from .model import DoubleConv, ModelConfig, TransformerUNet1D
 from .tensor import Tape, Tensor
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_ORDER"]
@@ -113,15 +113,17 @@ def check_maxpool1d(rng) -> float:
 
 
 def check_batchnorm1d(rng) -> float:
-    """The fused conv -> batchnorm -> relu stage the model trains with."""
-    weight = layers.uniform_param(rng, (3, 2, 3), 6)
-    bn = layers.BatchNorm1d(3)
-    bn.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
-    bn.beta.data[:] = rng.standard_normal(3)
+    """The fused conv -> batchnorm -> relu stages of a double conv, as the model
+    trains them: the backward's recomputed middle output and its ReLU mask are
+    differentiated too."""
+    block = DoubleConv(2, 3, rng=rng)
+    for bn in (block.bn1, block.bn2):
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
+        bn.beta.data[:] = rng.standard_normal(3)
     x = Tensor(rng.standard_normal((2, 2, 6)), requires_grad=True)
     probe = rng.standard_normal((3, 2, 6))
-    forward = _restoring_buffers(bn, lambda: layers.conv_bn_relu(x, weight, bn, training=True))
-    return _worst_err(forward, [x, weight, bn.gamma, bn.beta], probe)
+    forward = _restoring_buffers(block, lambda: block.forward(x, training=True))
+    return _worst_err(forward, [x] + [t for _, t in block.parameters()], probe)
 
 
 def check_layernorm(rng) -> float:

@@ -27,22 +27,35 @@ there. The weight gradient stays one GEMM per tap over the unshifted rows
 (`_segment_products`): forming it from the same stack measured no faster.
 The transposed convolution up-samples 2x
 (kernel 2, stride 2) as pooling down-samples with window 2: one GEMM computes
-both taps, written interleaved into the output. Pooling is the pairwise
+both taps, written interleaved into the first channels of the output. Given a
+skip, as every decoder level gives it, the op copies the skip after them, so
+the decoder's concatenation is no op of its own and keeps no second copy of
+the up-sampled features; its backward hands the first channels' gradient to
+the transposed-conv rule and the rest to the skip. Pooling is the pairwise
 maximum of even and odd samples; its backward rebuilds the tie rule from the
 input. The norms' momentum and eps are module constants.
 
-The network's conv -> batchnorm -> relu stages run as one op,
-`conv_bn_relu`. Its conv has no bias, which batchnorm's mean would cancel. In
-training it normalizes the conv output in place with the batch statistics
-(that buffer becomes x_hat), writes the affine map into one output buffer and
-applies ReLU there in place; the tape keeps only the input, x_hat and the
-output. Its backward masks the upstream gradient with ``out > 0``, applies the
-batchnorm closed form (built in x_hat's buffer), then the conv backward. In
-eval the running statistics fold into the conv weights (``w * scale``) and
-one per-channel shift, ReLU runs in place, and nothing is recorded.
-`BatchNorm1d.forward` is the unfused reference the tests compare against (the
-gradient checker's `batchnorm1d` entry checks the fused op itself); it shares
-the statistics and the eval fold with the fused op.
+The network's conv -> batchnorm -> relu stages run as one op per double conv,
+`conv_bn_relu`, over a sequence of (weight, bn) stages; one stage is the
+one-element case. Its convs have no bias, which batchnorm's mean would cancel.
+In training each stage normalizes its conv output in place with the batch
+statistics (that buffer becomes x_hat) and writes the affine map, then ReLU in
+place, into one new buffer, the next stage's input. The tape keeps the op's
+input, each stage's x_hat and inverse std, and the last stage's output. The
+backward masks the upstream gradient with ``out > 0``, then per stage, last
+first, applies the batchnorm closed form (built in x_hat's buffer) and forms
+the conv's input gradient. Only then does it recompute the stage's input, the
+stage before's output, from that stage's x_hat with the forward's own calls,
+so the same bits: it serves the conv's weight gradient and the stage before's
+ReLU mask, and is dropped. Formed after the input gradient, it does not sit
+beside that gradient's tap stack, and each stage's saved arrays go as the
+stage ends: the backward of the widest double conv sets the training step's
+traced peak. In eval each stage's running statistics
+fold into its conv weights (``w * scale``) and one per-channel shift, ReLU runs
+in place, and nothing is recorded. `BatchNorm1d.forward` is the unfused
+reference the tests compare against (the gradient checker's `batchnorm1d`
+entry checks a two-stage fused op itself); it shares the statistics and the
+eval fold with the fused op.
 
 The transformer encoder layer is four ops, each keeping for its backward
 only what that backward reads. Attention projects q, k and v with one GEMM
@@ -187,29 +200,36 @@ def _segment_products(a, b, shift):
     return out
 
 
-def _conv1d_grads(g, x, w):
-    # gx is the conv of g with the channel-swapped, tap-reversed weights
-    gx = _conv1d_forward(g, w.transpose(1, 0, 2)[:, :, ::-1])
+def _conv1d_input_grad(g, w):
+    """The conv of upstream g with the channel-swapped, tap-reversed weights."""
+    return _conv1d_forward(g, w.transpose(1, 0, 2)[:, :, ::-1])
+
+
+def _conv1d_weight_grad(g, x, w):
     gw = np.zeros_like(w)  # a tap that reads only padding has zero gradient
     for t, _, _ in _tap_spans(x.shape[2], w.shape[2]):
         shift = t - w.shape[2] // 2
         gw[:, :, t] = _segment_products(g, x, shift) if shift >= 0 else _segment_products(x, g, -shift).T
-    return gx, gw
+    return gw
 
 
-def _check_conv1d(x: Tensor, weight: Tensor) -> None:
-    if x.ndim != 3 or weight.ndim != 3:
-        raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="expects rank-3 input and weight")
-    if x.shape[0] != weight.shape[1]:
-        raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="channel counts differ")
-    if weight.shape[2] % 2 == 0:
-        raise ShapeMismatch("conv1d", x.shape, weight.shape, detail="kernel length must be odd")
+def _conv1d_grads(g, x, w):
+    return _conv1d_input_grad(g, w), _conv1d_weight_grad(g, x, w)
+
+
+def _check_conv1d(x_shape, w_shape) -> None:
+    if len(x_shape) != 3 or len(w_shape) != 3:
+        raise ShapeMismatch("conv1d", x_shape, w_shape, detail="expects rank-3 input and weight")
+    if x_shape[0] != w_shape[1]:
+        raise ShapeMismatch("conv1d", x_shape, w_shape, detail="channel counts differ")
+    if w_shape[2] % 2 == 0:
+        raise ShapeMismatch("conv1d", x_shape, w_shape, detail="kernel length must be odd")
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlate channel-major (C_in, B, L) with (C_out, C_in, k) weights,
     k odd, zero padding k // 2 at each end of every segment: (C_out, B, L)."""
-    _check_conv1d(x, weight)
+    _check_conv1d(x.shape, weight.shape)
     dt = x.data.dtype
     w = weight.data.astype(dt, copy=False)
     out_data = _conv1d_forward(x.data, w)
@@ -224,14 +244,21 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return apply_op(out_data, (x, weight, bias), backward)
 
 
-def _conv_transpose1d_forward(x, w):
+def _conv_transpose1d_forward(x, w, skip=None):
+    """The transposed conv of (C_in, B, L) `x`, its two taps interleaved into
+    the first C_out channels of a (C_out + C_skip, B, 2L) buffer, and the
+    (C_skip, B, 2L) `skip`, if one is given, copied after them."""
     c_in, batch, length = x.shape
     c_out = w.shape[1]
     # both taps at once: (C_out*2, C_in) @ (C_in, B*L); tap t lands on samples 2i + t
     taps = (w.reshape(c_in, c_out * 2).T @ _rows(x)).reshape(c_out, 2, batch, length)
-    out = np.empty((c_out, batch, length, 2), dtype=taps.dtype)
-    out[..., 0], out[..., 1] = taps[:, 0], taps[:, 1]
-    return out.reshape(c_out, batch, 2 * length)
+    c_skip = 0 if skip is None else skip.shape[0]
+    out = np.empty((c_out + c_skip, batch, length, 2), dtype=taps.dtype)
+    out[:c_out, ..., 0], out[:c_out, ..., 1] = taps[:, 0], taps[:, 1]
+    out = out.reshape(c_out + c_skip, batch, 2 * length)
+    if c_skip:
+        out[c_out:] = skip
+    return out
 
 
 def _conv_transpose1d_grads(g, x, w):
@@ -245,27 +272,34 @@ def _conv_transpose1d_grads(g, x, w):
     return gx, gw, gb
 
 
-def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Adjoint of a kernel-2, stride-2 conv: channel-major (C_in, B, L) -> (C_out, B, 2L)."""
+def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, skip: Tensor | None = None) -> Tensor:
+    """Adjoint of a kernel-2, stride-2 conv: channel-major (C_in, B, L) -> (C_out, B, 2L),
+    followed along the channel axis by `skip` (C_skip, B, 2L) when one is given."""
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape)
     if x.shape[0] != weight.shape[0]:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="channel counts differ")
     if weight.shape[2] != 2:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="kernel length must be 2")
+    if skip is not None and (skip.ndim != 3 or skip.shape[1:] != (x.shape[1], 2 * x.shape[2])):
+        raise ShapeMismatch("conv_transpose1d", x.shape, skip.shape, detail="skip is not (C, B, 2L)")
 
     dt = x.data.dtype
+    c_out = weight.shape[1]
     w = weight.data.astype(dt, copy=False)
-    out_data = _conv_transpose1d_forward(x.data, w)
-    out_data += bias.data.astype(dt, copy=False)[:, None, None]
+    out_data = _conv_transpose1d_forward(x.data, w, None if skip is None else skip.data)
+    out_data[:c_out] += bias.data.astype(dt, copy=False)[:, None, None]
 
-    def backward(g, x=x, weight=weight, bias=bias):
-        gx, gw, gb = _conv_transpose1d_grads(g, x.data, w)
+    def backward(g, x=x, weight=weight, bias=bias, skip=skip):
+        gx, gw, gb = _conv_transpose1d_grads(g[:c_out], x.data, w)
         accumulate_grad(x, gx)
         accumulate_grad(weight, gw)
         accumulate_grad(bias, gb)
+        if skip is not None:
+            accumulate_grad(skip, g[c_out:])
 
-    return apply_op(out_data, (x, weight, bias), backward)
+    inputs = (x, weight, bias) if skip is None else (x, weight, bias, skip)
+    return apply_op(out_data, inputs, backward)
 
 
 def maxpool1d(x: Tensor) -> Tensor:
@@ -376,35 +410,66 @@ class BatchNorm1d(Module):
         return apply_op(out_data, (x, gamma, beta), backward)
 
 
-def conv_bn_relu(x: Tensor, weight: Tensor, bn: BatchNorm1d, training: bool) -> Tensor:
-    """relu(bn.forward(conv1d(x, weight, 0), training)) as one op (module docstring)."""
-    _check_conv1d(x, weight)
-    if weight.shape[0] != bn.gamma.size:
-        raise ShapeMismatch("conv_bn_relu", weight.shape, (bn.gamma.size,))
+def _bn_relu(gamma, beta, x_hat):
+    """relu(x_hat * gamma + beta) per channel: a stage's output. The backward
+    recomputes it with these very calls, so it gets the forward's bits."""
+    h = x_hat * gamma[:, None, None]
+    h += beta[:, None, None]
+    return np.maximum(h, 0.0, out=h)
+
+
+def conv_bn_relu(x: Tensor, stages, training: bool) -> Tensor:
+    """The conv -> batchnorm -> relu `stages`, a sequence of (weight, bn), in
+    turn as one op, each stage relu(bn.forward(conv1d(h, weight, 0), training))
+    (module docstring)."""
+    shape = x.shape
+    for weight, bn in stages:
+        _check_conv1d(shape, weight.shape)
+        if weight.shape[0] != bn.gamma.size:
+            raise ShapeMismatch("conv_bn_relu", weight.shape, (bn.gamma.size,))
+        shape = (weight.shape[0], *shape[1:])
     dt = x.data.dtype
+    h = x.data
     if not training:
-        scale, shift = bn._eval_affine()  # folded in float64, then cast to the input's dtype
-        out = _conv1d_forward(x.data, (weight.data * scale[:, None, None]).astype(dt, copy=False))
-        out += shift.astype(dt, copy=False)[:, None, None]
-        return Tensor(np.maximum(out, 0.0, out=out))
+        for weight, bn in stages:
+            scale, shift = bn._eval_affine()  # folded in float64, then cast to the input's dtype
+            h = _conv1d_forward(h, (weight.data * scale[:, None, None]).astype(dt, copy=False))
+            h += shift.astype(dt, copy=False)[:, None, None]
+            np.maximum(h, 0.0, out=h)
+        return Tensor(h)
 
-    gamma, beta = bn.gamma, bn.beta
-    w, gamma_dt = weight.data.astype(dt, copy=False), gamma.data.astype(dt, copy=False)
-    y = _conv1d_forward(x.data, w)
-    x_hat, inv_std = bn._normalize_batch(y, out=y)
-    out = x_hat * gamma_dt[:, None, None]
-    out += beta.data.astype(dt, copy=False)[:, None, None]
-    np.maximum(out, 0.0, out=out)
+    saved = []  # per stage: w, gamma and beta in the input's dtype, x_hat, inv_std
+    for weight, bn in stages:
+        w, gamma, beta = (a.data.astype(dt, copy=False) for a in (weight, bn.gamma, bn.beta))
+        y = _conv1d_forward(h, w)
+        x_hat, inv_std = bn._normalize_batch(y, out=y)
+        saved.append((w, gamma, beta, x_hat, inv_std))
+        h = _bn_relu(gamma, beta, x_hat)
+    out = h
 
-    def backward(g, x=x, x_hat=x_hat, inv_std=inv_std, out=out):
-        g, ggamma, gbeta = _batchnorm_grads(g * (out > 0.0), x_hat, inv_std, gamma_dt)
-        gx, gw = _conv1d_grads(g, x.data, w)
-        accumulate_grad(x, gx)
-        accumulate_grad(weight, gw)
-        accumulate_grad(gamma, ggamma)
-        accumulate_grad(beta, gbeta)
+    def backward(g, x=x):
+        g = g * (out > 0.0)
+        while saved:
+            # each array goes once spent: g before the input gradient builds its
+            # tap stack, the stage's saved arrays as the stage ends. The stage
+            # input is recomputed after that stack is gone, never beside it.
+            weight, bn = stages[len(saved) - 1]
+            w, gamma, _, x_hat, inv_std = saved.pop()
+            gy, ggamma, gbeta = _batchnorm_grads(g, x_hat, inv_std, gamma)
+            del g, x_hat
+            g = _conv1d_input_grad(gy, w)
+            # the stage's input: x, or the stage before's output, recomputed
+            h = _bn_relu(*saved[-1][1:4]) if saved else x.data
+            accumulate_grad(weight, _conv1d_weight_grad(gy, h, w))
+            accumulate_grad(bn.gamma, ggamma)
+            accumulate_grad(bn.beta, gbeta)
+            if saved:
+                g *= h > 0.0
+            del gy, h
+        accumulate_grad(x, g)
 
-    return apply_op(out, (x, weight, gamma, beta), backward)
+    params = [t for weight, bn in stages for t in (weight, bn.gamma, bn.beta)]
+    return apply_op(out, (x, *params), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +494,8 @@ class ConvTranspose1d(Module):
         self.weight = uniform_param(rng, (in_channels, out_channels, 2), in_channels * 2)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return conv_transpose1d(x, self.weight, self.bias)
+    def forward(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
+        return conv_transpose1d(x, self.weight, self.bias, skip)
 
 
 class Linear(Module):

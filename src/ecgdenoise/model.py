@@ -6,8 +6,10 @@ layers take (see `layers`); the (B, 1, L) input and output of `forward` change
 layout by moving the unit channel axis, which copies nothing. The deepest feature
 map (d, B, T) is flipped to token-major (B, T, d) layout, enriched with a
 fixed sinusoidal positional table, run through the transformer encoder stack,
-flipped back to channel-major, and decoded with skip concatenations mirroring
-the encoder.
+flipped back to channel-major, and decoded level by level mirroring the
+encoder: each transposed conv writes its output and the encoder's skip into
+one buffer (`layers.conv_transpose1d`), and each double conv is one op
+(`layers.conv_bn_relu`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .layers import (
     positional_encoding,
     uniform_param,
 )
-from .tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op, concat_channels
+from .tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op
 
 __all__ = ["INFER_BATCH", "ModelConfig", "TransformerUNet1D", "save_checkpoint", "load_checkpoint"]
 
@@ -131,8 +133,9 @@ def _permute(a: Tensor, axes, table=None) -> Tensor:
 
 
 class DoubleConv(Module):
-    """Two (length-preserving conv k3 -> batchnorm -> relu) stages, each one fused
-    op; `conv1` and `conv2` are the weights of its convs, which have no bias."""
+    """Two (length-preserving conv k3 -> batchnorm -> relu) stages as one fused
+    op (`layers.conv_bn_relu`); `conv1` and `conv2` are the weights of its
+    convs, which have no bias."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         self.conv1 = uniform_param(rng, (out_channels, in_channels, 3), in_channels * 3)
@@ -141,8 +144,7 @@ class DoubleConv(Module):
         self.bn2 = BatchNorm1d(out_channels)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        x = conv_bn_relu(x, self.conv1, self.bn1, training)
-        return conv_bn_relu(x, self.conv2, self.bn2, training)
+        return conv_bn_relu(x, ((self.conv1, self.bn1), (self.conv2, self.bn2)), training)
 
 
 class Down(Module):
@@ -156,15 +158,15 @@ class Down(Module):
 
 
 class Up(Module):
-    """Double the length by transposed conv, concatenate the skip, double-conv."""
+    """Double the length by transposed conv, written beside the skip in one
+    buffer, then double-conv."""
 
     def __init__(self, in_channels: int, *, rng: np.random.Generator):
         self.tconv = ConvTranspose1d(in_channels, in_channels // 2, rng=rng)
         self.block = DoubleConv(in_channels, in_channels // 2, rng=rng)
 
     def forward(self, x: Tensor, skip: Tensor, training: bool) -> Tensor:
-        up = self.tconv.forward(x)
-        return self.block.forward(concat_channels(up, skip), training)
+        return self.block.forward(self.tconv.forward(x, skip), training)
 
 
 class TransformerUNet1D(Module):

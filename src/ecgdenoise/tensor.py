@@ -5,6 +5,11 @@ steps and the model's `predict` compute in float32 from float64 weights,
 while validation, gradcheck and checkpoints stay float64
 (`model.TransformerUNet1D`, `training`).
 
+The module records no op of its own. Every recorded op is a layer's
+(`layers`), the loss's or one of the model's layout changes, wrapped by
+`apply_op`; even the decoder's skip concatenation is part of the transposed
+conv (`layers.conv_transpose1d`).
+
 Gradients are recorded onto a `Tape` that is active inside a `with Tape() as t:`
 block. Ops executed while no tape is active run without recording, which is how
 eval-mode inference keeps no activation for a backward. Backward replays the
@@ -38,7 +43,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeMismatch",
-    "concat_channels",
     "apply_op",
     "accumulate_grad",
 ]
@@ -195,19 +199,3 @@ def apply_op(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     if requires and _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE._record(out, backward_fn)
     return out
-
-
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Stack channel-major (C1, B, L) and (C2, B, L) into (C1+C2, B, L), a's
-    channels first: two contiguous blocks one after the other."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="expects rank 3")
-    if a.shape[1:] != b.shape[1:]:
-        raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="batch/length differ")
-    split = a.shape[0]
-
-    def backward(g, a=a, b=b):
-        accumulate_grad(a, g[:split])
-        accumulate_grad(b, g[split:])
-
-    return apply_op(np.concatenate([a.data, b.data]), (a, b), backward)

@@ -5,6 +5,7 @@ independent of every backward rule it is used to check.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,16 @@ def fd_wrt(tensor, scalar_fn, eps: float = 1e-5) -> np.ndarray:
     g = central_diff(f, base.copy(), eps)
     tensor.data[...] = base
     return g
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that `fn()` holds at once of what it allocates itself, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def edit_checkpoint_header(prefix, edit) -> None:

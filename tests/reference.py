@@ -7,9 +7,12 @@ feed-forward and residual-plus-layernorm blocks became one op each, and the
 dual loss as its two terms weighted by `mul` and summed by `add`, as the
 package built it before `loss.total_loss` became one op. The functions read
 the parameters of the package's modules, so a reference and a fused forward
-of the same module share every weight. `conv_bn_relu` is the unfused
-conv -> batchnorm -> relu stage: `conv1d` with a constant zero bias, the
-stage's conv having none, then `BatchNorm1d.forward` and `relu`.
+of the same module share every weight. `conv_bn_relu` runs its stages as
+unfused conv -> batchnorm -> relu ops: `conv1d` with a constant zero bias, the
+stage's conv having none, then `BatchNorm1d.forward` and `relu`, each op
+keeping its output. `concat_channels` joins the transposed conv's output and
+the skip as the package did before `conv_transpose1d` wrote both into one
+buffer.
 
 `synth_ecg`, `gen_bw` and `gen_em` are the synthesis loops as the package
 ran them before it drew each record's jitter at once: one beat, one bump and
@@ -97,9 +100,28 @@ def relu(a: Tensor) -> Tensor:
     return apply_op(out_data, (a,), backward)
 
 
-def conv_bn_relu(x: Tensor, weight: Tensor, bn, training: bool) -> Tensor:
-    """relu(bn.forward(conv1d(x, weight, 0), training)), three tape nodes."""
-    return relu(bn.forward(conv1d(x, weight, Tensor(np.zeros(weight.shape[0]))), training))
+def conv_bn_relu(x: Tensor, stages, training: bool) -> Tensor:
+    """relu(bn.forward(conv1d(x, weight, 0), training)) for each (weight, bn) of
+    `stages` in turn, three tape nodes per stage."""
+    for weight, bn in stages:
+        x = relu(bn.forward(conv1d(x, weight, Tensor(np.zeros(weight.shape[0]))), training))
+    return x
+
+
+def concat_channels(a: Tensor, b: Tensor) -> Tensor:
+    """Stack channel-major (C1, B, L) and (C2, B, L) into (C1+C2, B, L), a's
+    channels first: two contiguous blocks one after the other."""
+    if a.ndim != 3 or b.ndim != 3:
+        raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="expects rank 3")
+    if a.shape[1:] != b.shape[1:]:
+        raise ShapeMismatch("concat_channels", a.shape, b.shape, detail="batch/length differ")
+    split = a.shape[0]
+
+    def backward(g, a=a, b=b):
+        accumulate_grad(a, g[:split])
+        accumulate_grad(b, g[split:])
+
+    return apply_op(np.concatenate([a.data, b.data]), (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -431,6 +431,19 @@ def test_denoise_rejects_a_malformed_sidecar(run_dir, tmp_path, capsys, sidecar)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.f64", "in.f64.json"]
 
 
+@pytest.mark.parametrize("rate, shown", [("NaN", "nan"), ("Infinity", "inf")])
+def test_denoise_rejects_a_sidecar_rate_that_is_not_finite(run_dir, tmp_path, capsys, rate, shown):
+    # Python's json reads NaN and Infinity, so the sidecar itself loads
+    src = tmp_path / "in.f64"
+    save_signal_file(src, synth_ecg(10.0, 360.0, 70.0, seed=7, record_id="in"))
+    (tmp_path / "in.f64.json").write_text(f'{{"id": "in", "fs": {rate}}}')
+    out = tmp_path / "out.f64"
+    assert main(["denoise", "--checkpoint", str(run_dir / "best"), "--in", str(src), "--out", str(out), "--pad"]) == 2
+    err = capsys.readouterr().err
+    assert f"{shown} Hz" in err and "finite and positive" in err
+    assert not out.exists()
+
+
 def test_checkpoint_without_a_rate_means_360_hz(run_dir, tmp_path):
     assert load_checkpoint(str(run_dir / "best"))[0].config.fs == 360.0
     shutil.copy(run_dir / "best.ckpt", tmp_path / "old.ckpt")

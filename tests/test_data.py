@@ -148,6 +148,12 @@ def test_mix_rejects_zero_power():
         mix_at_snr(np.ones(10), np.zeros(10), 0.0)
 
 
+@pytest.mark.parametrize("fs", [0.0, -360.0, float("nan"), float("inf")])
+def test_signal_record_rejects_a_rate_that_is_not_finite_and_positive(fs):
+    with pytest.raises(DataError, match=f"got {fs} Hz"):
+        SignalRecord("r", fs, np.ones(10))
+
+
 # ---------------------------------------------------------------------------
 # windowing
 

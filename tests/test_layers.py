@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
-from conftest import fd_wrt, rel_err, tape_grads
+from conftest import fd_wrt, rel_err, tape_grads, traced_peak
 from ecgdenoise.layers import (
     BN_MOMENTUM,
     NORM_EPS,
@@ -214,6 +213,28 @@ def test_conv_transpose_gradients_vs_fd():
         assert rel_err(grad, fd) < 1e-5
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_transpose_with_skip_is_the_concat_of_both_bitwise(dtype):
+    rng = np.random.default_rng(23)
+    x0, skip0 = rng.standard_normal((4, 3, 7)), rng.standard_normal((5, 3, 14))
+    probe = rng.standard_normal((7, 3, 14)).astype(dtype)
+    tconv = ConvTranspose1d(4, 2, rng=rng)
+    tconv.bias.data[:] = rng.standard_normal(2)
+    runs = []
+    for op in (lambda x, skip: tconv.forward(x, skip),
+               lambda x, skip: reference.concat_channels(tconv.forward(x), skip)):
+        x, skip = (Tensor(a.astype(dtype), requires_grad=True) for a in (x0, skip0))
+        tensors = [x, skip, tconv.weight, tconv.bias]
+        for t in tensors:
+            t.zero_grad()
+        with Tape() as tape:
+            out = op(x, skip)
+            tape.backward(out, probe)
+        runs.append([out.data] + [t.grad for t in tensors])
+    for fused, want in zip(*runs):
+        assert _same_bits(fused, want)
+
+
 # ---------------------------------------------------------------------------
 # maxpool
 
@@ -358,9 +379,32 @@ def test_conv_bn_relu_training_matches_unfused_bitwise():
         x = Tensor(x0.copy(), requires_grad=True)
         tensors = [x, weight, bn.gamma, bn.beta]
         with Tape() as tape:
-            out = op(x, weight, bn, True)
+            out = op(x, [(weight, bn)], True)
             tape.backward(sum_all(mul(out, Tensor(probe))))
         runs.append([out.data, bn.running_mean, bn.running_var] + [t.grad for t in tensors])
+    assert 0 < (runs[0][0] == 0.0).mean() < 1  # ReLU clips some outputs, not all
+    for fused, want in zip(*runs):
+        assert _same_bits(fused, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_two_stage_conv_bn_relu_matches_two_unfused_stages_bitwise(dtype):
+    # the backward recomputes the middle output from x_hat; it must be the
+    # forward's bits, or its ReLU mask and the second conv's weight gradient move
+    rng = np.random.default_rng(34)
+    x0 = rng.standard_normal((3, 2, 40)).astype(dtype)
+    probe = rng.standard_normal((4, 2, 40)).astype(dtype)
+    runs = []
+    for op in (conv_bn_relu, reference.conv_bn_relu):
+        (weight, bn), (_, bn2) = _stage(7), _stage(8)
+        second = uniform_param(np.random.default_rng(35), (4, 4, 3), 12)
+        x = Tensor(x0.copy(), requires_grad=True)
+        tensors = [x, weight, bn.gamma, bn.beta, second, bn2.gamma, bn2.beta]
+        with Tape() as tape:
+            out = op(x, [(weight, bn), (second, bn2)], True)
+            tape.backward(out, probe)
+        runs.append([out.data, bn.running_mean, bn.running_var, bn2.running_mean, bn2.running_var]
+                    + [t.grad for t in tensors])
     assert 0 < (runs[0][0] == 0.0).mean() < 1  # ReLU clips some outputs, not all
     for fused, want in zip(*runs):
         assert _same_bits(fused, want)
@@ -370,10 +414,10 @@ def test_conv_bn_relu_eval_folds_batchnorm_into_the_conv():
     weight, bn = _stage(8)
     x = Tensor(np.random.default_rng(32).standard_normal((3, 3, 50)), requires_grad=True)
     with Tape() as tape:
-        out = conv_bn_relu(x, weight, bn, False)
+        out = conv_bn_relu(x, [(weight, bn)], False)
     assert len(tape) == 0  # inference only: nothing is recorded
     assert not out.requires_grad
-    want = reference.conv_bn_relu(x, weight, bn, False).data
+    want = reference.conv_bn_relu(x, [(weight, bn)], False).data
     assert 0 < (want == 0.0).mean() < 1
     # the fold only reorders roundings: a few ulps of the largest output
     assert np.max(np.abs(out.data - want)) <= 1e-15 * np.max(np.abs(want))
@@ -386,7 +430,7 @@ def test_conv_bn_relu_gradients_vs_fd():
     probe = rng.standard_normal((4, 2, 8))
 
     def run():
-        return conv_bn_relu(x, weight, bn, True)
+        return conv_bn_relu(x, [(weight, bn)], True)
 
     tensors = [x, weight, bn.gamma, bn.beta]
     grads = tape_grads(lambda: sum_all(mul(run(), Tensor(probe))), tensors)
@@ -400,7 +444,7 @@ def test_conv_bn_relu_gradients_vs_fd():
 def test_conv_bn_relu_rejects_mismatched_batchnorm():
     weight, _ = _stage(10)
     with pytest.raises(ShapeMismatch):
-        conv_bn_relu(Tensor(np.zeros((3, 1, 8))), weight, BatchNorm1d(5), True)
+        conv_bn_relu(Tensor(np.zeros((3, 1, 8))), [(weight, BatchNorm1d(5))], True)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +461,7 @@ def _segment_ops():
         "conv1d": lambda x: conv1d(x, conv.weight, conv.bias),
         "conv_transpose1d": lambda x: conv_transpose1d(x, tconv.weight, tconv.bias),
         "maxpool1d": maxpool1d,
-        "conv_bn_relu_eval": lambda x: conv_bn_relu(x, stage_weight, bn, False),
+        "conv_bn_relu_eval": lambda x: conv_bn_relu(x, [(stage_weight, bn)], False),
     }
 
 
@@ -662,7 +706,7 @@ def _training_ops():
         "conv1d": (conv.forward, params(conv), segment),
         "conv_transpose1d": (tconv.forward, params(tconv), segment),
         "maxpool1d": (maxpool1d, [], segment),
-        "conv_bn_relu": (lambda x: conv_bn_relu(x, stage_weight, bn, True), [stage_weight, *params(bn)], segment),
+        "conv_bn_relu": (lambda x: conv_bn_relu(x, [(stage_weight, bn)], True), [stage_weight, *params(bn)], segment),
         "batchnorm": (lambda x: bn.forward(x, True), params(bn), (4, 4, 10)),
         "mhsa": (attn.forward, params(attn), token),
         "feedforward": (ff.forward, params(ff), token),
@@ -709,14 +753,12 @@ def test_transformer_layer_traced_peak_is_bounded():
     layer = TransformerEncoderLayer(64, 4, 256, rng=rng)
     x = Tensor(rng.standard_normal((4, 225, 64)), requires_grad=True)
     probe = rng.standard_normal((4, 225, 64))
-    tracemalloc.start()
-    try:
+
+    def step():
         with Tape() as tape:
             tape.backward(layer.forward(x), probe)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20
+
+    assert traced_peak(step) < 24 * 2**20
 
 
 def test_conv_bn_relu_traced_peak_is_bounded():
@@ -728,14 +770,30 @@ def test_conv_bn_relu_traced_peak_is_bounded():
     weight, bn = uniform_param(rng, (16, 8, 3), 24), BatchNorm1d(16)
     x = Tensor(rng.standard_normal((8, 8, 1800)), requires_grad=True)
     probe = rng.standard_normal((16, 8, 1800))
-    tracemalloc.start()
-    try:
+
+    def step():
         with Tape() as tape:
-            tape.backward(conv_bn_relu(x, weight, bn, True), probe)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+            tape.backward(conv_bn_relu(x, [(weight, bn)], True), probe)
+
+    assert traced_peak(step) < 8 * 2**20
+
+
+def test_double_conv_traced_peak_is_bounded():
+    # the desk model's first double conv, 1 -> 8 -> 8 channels on 8 float32
+    # segments of 3600 samples: 7.0 MB traced peak as two ops, each keeping its
+    # output; 6.2 MB as one op that recomputes the middle output after forming
+    # the input gradient of the second conv
+    rng = np.random.default_rng(49)
+    stages = [(uniform_param(rng, (8, 1, 3), 3), BatchNorm1d(8)),
+              (uniform_param(rng, (8, 8, 3), 24), BatchNorm1d(8))]
+    x = Tensor(rng.standard_normal((1, 8, 3600)).astype(np.float32), requires_grad=True)
+    probe = rng.standard_normal((8, 8, 3600)).astype(np.float32)
+
+    def step():
+        with Tape() as tape:
+            tape.backward(conv_bn_relu(x, stages, True), probe)
+
+    assert traced_peak(step) < 6.6 * 2**20
 
 
 @pytest.mark.parametrize("c_in, c_out, kernel", [(2, 5, 3), (5, 2, 3), (3, 3, 5), (2, 5, 1), (5, 2, 1)])

@@ -226,13 +226,20 @@ def test_fused_stages_train_bitwise_like_the_unfused_reference(monkeypatch):
     cfg = dict(base_channels=4, transformer_layers=1, heads=2, input_len=128, seed=2)
     runs = []
     for stage in (model_module.conv_bn_relu, unfused_conv_bn_relu):
-        monkeypatch.setattr(model_module, "conv_bn_relu", stage)
+        stage_counts = []  # stages per call: every double conv must run through `stage`
+
+        def counted(x, stages, training, stage=stage):
+            stage_counts.append(len(stages))
+            return stage(x, stages, training)
+
+        monkeypatch.setattr(model_module, "conv_bn_relu", counted)
         model = TransformerUNet1D(ModelConfig(**cfg))
         optimizer = AdamW(model.parameters(), lr=1e-3)
         totals = [train_step(model, optimizer, x, y, LossConfig())[0].total for _ in range(3)]
         arrays = [t.data for _, t in model.parameters()] + [a for _, a in model.state_arrays()]
         eval_out = model.forward(Tensor(x), training=False).data
         runs.append((totals, arrays, eval_out))
+        assert stage_counts == [2] * 9 * 4  # 9 double convs in each of 3 training forwards and 1 eval
     (totals, arrays, eval_out), (ref_totals, ref_arrays, ref_eval) = runs
     assert totals == ref_totals
     assert len(arrays) == len(ref_arrays)
@@ -245,12 +252,13 @@ def test_training_forward_tape_node_count_is_pinned():
     model = TransformerUNet1D(ModelConfig(**TINY))
     with Tape() as tape:
         model.forward(Tensor(np.zeros((2, 1, 32))), training=True)
-    # 18 fused conv-batchnorm-relu stages, 4 pools, 4 transposed convs, 4 skip
-    # concatenations, the output conv, 3 layout changes (to token-major with the
-    # positional add, back to channel-major, and the output to (B, 1, L)) and
-    # 4 fused ops in the encoder layer (attention, feed-forward and two
-    # residual layer norms; 28 unfused)
-    assert len(tape) == 38
+    # 9 double convs (each one op over its two conv-batchnorm-relu stages), 4
+    # pools, 4 transposed convs (each writing its skip beside its output), the
+    # output conv, 3 layout changes (to token-major with the positional add,
+    # back to channel-major, and the output to (B, 1, L)) and 4 fused ops in the
+    # encoder layer (attention, feed-forward and two residual layer norms; 28
+    # unfused)
+    assert len(tape) == 25
 
 
 def test_end_to_end_gradients_vs_fd_sampled_params():

@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import central_diff, rel_err, tape_grads
-from ecgdenoise.tensor import ShapeMismatch, Tape, TapeError, Tensor, apply_op, concat_channels
-from reference import add, bmm, matmul, mul, relu, softmax_last, sum_all, transpose_last
+from conftest import central_diff, rel_err, tape_grads, traced_peak
+from ecgdenoise.tensor import ShapeMismatch, Tape, TapeError, Tensor, apply_op
+from reference import add, bmm, concat_channels, matmul, mul, relu, softmax_last, sum_all, transpose_last
 
 
 def test_relu_definition():
@@ -201,20 +199,13 @@ def _backward_excess(length, size=1 << 16):
     """Traced bytes allocated by backward over a chain of `length` full-size
     ops beyond what the forward holds, in units of one activation."""
     x = Tensor(np.ones(size), requires_grad=True)
-    tracemalloc.start()
-    try:
-        with Tape() as tape:
-            y = x
-            for _ in range(length):
-                y = mul(y, 1.5)
-            seed = np.ones(size)
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            tape.backward(y, seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return (peak - start) / (8 * size)
+    with Tape() as tape:
+        y = x
+        for _ in range(length):
+            y = mul(y, 1.5)
+        seed = np.ones(size)
+        peak = traced_peak(lambda: tape.backward(y, seed))
+    return peak / (8 * size)
 
 
 def test_backward_peak_does_not_grow_with_chain_length():

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 import types
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import pytest
 
 import ecgdenoise
 
-from conftest import tape_grads
+from conftest import tape_grads, traced_peak
 from ecgdenoise import training
 from ecgdenoise.data import make_pair, segment_and_normalize, synth_ecg
 from ecgdenoise.loss import LossConfig, loss_and_gradients
@@ -336,11 +335,6 @@ def test_inference_memory_follows_the_batch_not_the_split(command):
              for c in rng.standard_normal((256, 3600))]
     run = {"evaluate": lambda p: evaluate(model, p),
            "validation": lambda p: validation_loss(model, p, LossConfig())}[command]
-    peaks = []
-    for n in (64, 256):
-        tracemalloc.start()
-        run(pairs[:n])
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
+    peaks = [traced_peak(lambda: run(pairs[:n])) for n in (64, 256)]
     # holding the whole split adds ~11 MB from 64 to 256 segments
     assert peaks[1] - peaks[0] < 2e6
