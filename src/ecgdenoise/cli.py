@@ -23,7 +23,6 @@ from .data import (
     normalize_windows,
     save_signal_file,
     stable_seed,
-    synth_ecg,
     write_atomically,
 )
 from .gradcheck import run_all_checks
@@ -76,15 +75,13 @@ BPM_RANGE = (55.0, 100.0)  # heart rates of the stand-in recordings
 
 
 def make_records(cfg: RunConfig):
-    """Synthesize the stand-in recordings, one seeded generator per record."""
+    """The `synth_ecg` keyword arguments of the stand-in recordings, one seed per record."""
     records = []
     for i in range(cfg.records):
         rec_seed = stable_seed("ecg", cfg.seed, i)
         bpm = float(np.random.default_rng(rec_seed).uniform(*BPM_RANGE))
-        records.append(
-            synth_ecg(cfg.record_duration_s, cfg.fs, bpm, seed=rec_seed,
-                      record_id=f"rec{i:04d}")
-        )
+        records.append(dict(record_id=f"rec{i:04d}", duration_s=cfg.record_duration_s, fs=cfg.fs,
+                            bpm=bpm, seed=rec_seed))
     return records
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .data import write_atomically
 from .loss import LossConfig
-from .model import ModelConfig, read_config
+from .model import ConfigError, ModelConfig, read_config
 from .optim import CosineSchedule
 
 __all__ = ["RunConfig"]
@@ -54,6 +54,12 @@ class RunConfig:
         for name in ("batch_size", "epochs", "overfit_steps", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("train_frac", "val_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if self.lr < CosineSchedule.eta_min:
+            raise ConfigError(f"lr must be at least {CosineSchedule.eta_min:g}, the fixed floor (eta_min) "
+                              f"of its cosine schedule, got {self.lr:g}")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

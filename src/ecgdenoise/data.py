@@ -14,11 +14,11 @@ which keeps the achieved SNR exact. Per-segment seeds are stable hashes of
 (global seed, record id, offset, SNR, mix), so rebuilds are byte-identical
 and independent of iteration order.
 
-A dataset is one file per split, (N, 2, window) float64 rows that
-`load_split` memory-maps, and a `manifest.json` listing each row's metadata
-and naming each split's file. A split file is named after a digest of its
-bytes, so a rebuild writes new files beside the old ones and the manifest's
-replacement switches the whole dataset at once.
+A dataset is its recipe: `manifest.json` holds the build settings, each
+record's `synth_ecg` arguments and an entry per pair, and nothing else is
+written. `load_split` synthesizes a split's records again and makes each pair
+with `make_pair` in the build's order, so its pairs are bit for bit the ones
+the build listed; an entry the recipe does not derive is a `DataError`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -59,10 +58,7 @@ log = logging.getLogger(__name__)
 NOISE_KINDS = ("bw", "em", "ma", "pli")
 
 WINDOW = 3600
-DATASET_FORMAT = 3
-# a split file, `<split>-<16 hex digits of its sha256>.f64`, or one of format 2,
-# `<split>.f64`, which a rebuild into the same directory removes
-_SPLIT_FILE = re.compile(r"(?P<split>.+?)(-[0-9a-f]{16})?\.f64")
+DATASET_FORMAT = 4
 
 
 class DataError(ValueError):
@@ -100,8 +96,8 @@ class SegmentPair:
         self.noise_mix = tuple(self.noise_mix)
 
 
-# a manifest entry holds a pair's split and these fields: all but its samples
-_ENTRY_FIELDS = [f.name for f in fields(SegmentPair) if f.name not in ("clean", "noisy")]
+# a manifest entry holds a pair's split and these fields: all but its samples and noise scale
+_ENTRY_FIELDS = [f.name for f in fields(SegmentPair) if f.name not in ("clean", "noisy", "scale")]
 
 
 @dataclass
@@ -354,123 +350,113 @@ def make_pair(record_id, offset, window, mean, std, snr, mix, global_seed, fs) -
     )
 
 
-def _write_split_file(out_dir: Path, split_name: str, chunks) -> str:
-    """Write byte `chunks` under a staging name, then rename the file to
-    `<split_name>-<digest>.f64`, the digest the first 16 hex digits of the
-    bytes' sha256, taken as they stream; returns that name."""
-    digest = hashlib.sha256()
+def _derive(manifest: dict, split_name: str):
+    """Each pair of the split in the build's order, from the manifest's recipe:
+    its manifest entry and the `make_pair` arguments that make it. The split's
+    records are synthesized again; no noise is drawn."""
+    records = {args["record_id"]: args for args in manifest["records"]}
+    for rid in manifest["split_records"][split_name]:
+        record = synth_ecg(**records[rid])
+        for offset, win, mean, std in segment_and_normalize(record, manifest["window"], manifest["stride"]):
+            for mix in manifest["mixes"]:
+                mix = tuple(sorted(mix))
+                for snr in manifest["snr_list"]:
+                    entry = {"split": split_name, "record_id": rid, "offset": offset, "noise_mix": list(mix),
+                             "target_snr_db": snr, "clean_mean": mean, "clean_std": std,
+                             "seed": segment_seed(manifest["global_seed"], rid, offset, snr, mix)}
+                    yield entry, (rid, offset, win, mean, std, snr, mix, manifest["global_seed"], record.fs)
 
-    def write(fh):
-        for chunk in chunks:
-            digest.update(chunk)
-            fh.write(chunk)
 
-    staged = out_dir / f"{split_name}.f64.new"
-    write_atomically(staged, write)
-    name = f"{split_name}-{digest.hexdigest()[:16]}.f64"
-    os.replace(staged, out_dir / name)
-    return name
-
-
-def _remove_files(out_dir: Path, names) -> None:
-    for name in names:
-        (out_dir / name).unlink(missing_ok=True)
+def _format_3_split_files(out_dir: Path) -> list:
+    """The split files named by a format-3 manifest in `out_dir`, if one is there."""
+    try:
+        with open(out_dir / "manifest.json") as fh:
+            old = json.load(fh)
+    except (OSError, ValueError):  # no manifest, or not JSON
+        return []
+    if not (isinstance(old, dict) and old.get("format_version") == 3 and isinstance(old.get("split_files"), dict)):
+        return []
+    return [name for name in old["split_files"].values()
+            if isinstance(name, str) and name.endswith(".f64") and Path(name).name == name]
 
 
 def build_dataset(records, split: dict, snr_list, mixes, out_dir,
                   global_seed: int = 0, window: int = WINDOW, stride: int = WINDOW) -> dict:
-    """Write one split file per split, then a provenance `manifest.json`.
+    """Write the dataset, its recipe and pair list, as one `manifest.json`; returns it.
 
-    `split` maps split name -> list of record ids (disjoint); `mixes` is a
-    list of noise-kind tuples. A split file holds (N, 2, window) little-endian
-    float64 rows, clean then noisy, in the order the manifest lists that
-    split's pairs, and is named `<split>-<digest of its bytes>.f64`. The
-    manifest, written last with `write_atomically`, names each split's file
-    under `split_files`; until it lands, the previous manifest and the files
-    it names stay whole. A build that fails removes the files it added, and
-    `out_dir` if the build made it; one that succeeds removes the split files
-    its manifest does not name. Records of two sampling rates are a
-    `DataError` before anything is written.
+    `records` holds each record's `synth_ecg` keyword arguments, `record_id`
+    and `fs` among them; `split` maps split name -> list of record ids
+    (disjoint); `mixes` is a list of noise-kind tuples. The build synthesizes
+    the split records only to list their windows and draws no noise:
+    `load_split` derives the pairs. The manifest is written with
+    `write_atomically`, so a rebuild switches the whole dataset at once; a
+    build that fails leaves the previous one, and removes `out_dir` if it made
+    it. A rebuild over a format-3 dataset removes the split files its manifest
+    names. Records of two sampling rates, and a mix that is empty or names an
+    unknown kind, are a `DataError` before anything is written.
     """
+    for mix in mixes:
+        if not mix:
+            raise DataError("a noise mix names no kind")
+        for kind in mix:
+            if kind not in NOISE_KINDS:
+                raise DataError(f"unknown noise kind {kind!r}; expected one of {NOISE_KINDS}")
     seen = {}
     for name, ids in split.items():
         for rid in ids:
             if rid in seen:
                 raise DataError(f"record {rid!r} appears in splits {seen[rid]!r} and {name!r}")
             seen[rid] = name
-    by_id = {rec.id: rec for rec in records}
+    by_id = {args["record_id"]: args for args in records}
     missing = [rid for rid in seen if rid not in by_id]
     if missing:
         raise DataError(f"split references unknown records: {missing}")
     rates = {}
     for rid in seen:
-        rates.setdefault(by_id[rid].fs, rid)
+        rates.setdefault(by_id[rid]["fs"], rid)
     if len(rates) > 1:
         raise DataError("a dataset holds one sampling rate, but records "
                         + " and ".join(f"{rid} ({fs:g} Hz)" for fs, rid in rates.items()) + " differ")
 
+    manifest = {
+        "format_version": DATASET_FORMAT,
+        "global_seed": global_seed,
+        "window": window,
+        "stride": stride,
+        "fs": next(iter(rates), None),
+        "snr_list": [float(s) for s in snr_list],
+        "mixes": [list(m) for m in mixes],
+        "split_records": {name: list(ids) for name, ids in split.items()},
+        "records": [dict(by_id[rid]) for rid in seen],
+    }
+    manifest["pairs"] = [entry for name in split for entry, _ in _derive(manifest, name)]
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
     out_dir = Path(out_dir)
     created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
+    stale = _format_3_split_files(out_dir)
     try:
-        previous = load_manifest(out_dir)["split_files"]
-    except (OSError, ValueError):  # no dataset there, or none this build can read
-        previous = {}
-    entries = []
-
-    def split_rows(split_name):
-        for rid in split[split_name]:
-            rec = by_id[rid]
-            for offset, win, mean, std in segment_and_normalize(rec, window, stride):
-                for mix in mixes:
-                    for snr in snr_list:
-                        pair = make_pair(rid, offset, win, mean, std, float(snr),
-                                         tuple(mix), global_seed, rec.fs)
-                        entries.append({"split": split_name,
-                                        **{k: getattr(pair, k) for k in _ENTRY_FIELDS}})
-                        yield np.concatenate([pair.clean, pair.noisy]).astype("<f8").tobytes()
-
-    split_files = {}
-    try:
-        for split_name in split:
-            split_files[split_name] = _write_split_file(out_dir, split_name, split_rows(split_name))
-        manifest = {
-            "format_version": DATASET_FORMAT,
-            "global_seed": global_seed,
-            "window": window,
-            "stride": stride,
-            "fs": next(iter(rates), None),
-            "snr_list": [float(s) for s in snr_list],
-            "mixes": [list(m) for m in mixes],
-            "split_records": {name: list(ids) for name, ids in split.items()},
-            "split_files": split_files,
-            "pairs": entries,
-        }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         write_atomically(out_dir / "manifest.json", lambda fh: fh.write(text.encode()))
     except BaseException:
-        _remove_files(out_dir, set(split_files.values()) - set(previous.values()))
         if created:
             shutil.rmtree(out_dir, ignore_errors=True)
         raise
-    names = set(previous) | set(split)
-    _remove_files(out_dir, {
-        path.name for path in out_dir.glob("*.f64")
-        if (match := _SPLIT_FILE.fullmatch(path.name)) and match["split"] in names
-    } - set(split_files.values()))
+    for name in stale:
+        (out_dir / name).unlink(missing_ok=True)
     return manifest
 
 
 # the keys readers take from a manifest, and their JSON types (no records: a null fs)
-_MANIFEST_KEYS = {"window": int, "fs": (int, float, type(None)), "split_records": dict, "split_files": dict,
-                  "pairs": list}
+_MANIFEST_KEYS = {"global_seed": int, "window": int, "stride": int, "fs": (int, float, type(None)),
+                  "snr_list": list, "mixes": list, "split_records": dict, "records": list, "pairs": list}
 _PAIR_KEYS = {"split", *_ENTRY_FIELDS}
 
 
 def load_manifest(dataset_dir) -> dict:
-    """The dataset's manifest: a format-3 JSON object holding `_MANIFEST_KEYS`,
-    a file for each split it lists, and each pair's split and entry fields;
-    else a `DataError` naming what is missing."""
+    """The dataset's manifest: a format-4 JSON object holding `_MANIFEST_KEYS`
+    and each pair's split and entry fields; else a `DataError` naming what is
+    missing."""
     path = Path(dataset_dir) / "manifest.json"
     if not path.exists():
         raise DataError(f"no manifest.json under {dataset_dir}")
@@ -484,31 +470,36 @@ def load_manifest(dataset_dir) -> dict:
     for key, kind in _MANIFEST_KEYS.items():
         if key not in manifest or not isinstance(manifest[key], kind):
             raise DataError(f"{path}: the manifest lacks {key!r} or holds it as another type")
-    unfiled = [name for name in manifest["split_records"] if name not in manifest["split_files"]]
-    if unfiled:
-        raise DataError(f"{path}: split_files names no file for split {unfiled[0]!r}")
     if not all(isinstance(e, dict) and _PAIR_KEYS <= e.keys() for e in manifest["pairs"]):
         raise DataError(f"{path}: a pair lacks one of {sorted(_PAIR_KEYS)}")
     return manifest
 
 
 def load_split(dataset_dir, split_name: str):
-    """The split's pairs in manifest order; `clean` and `noisy` are read-only views
-    of the memory-mapped split file the manifest names. A split the manifest does
-    not list, or a file that does not hold exactly its listed pairs, is a `DataError`."""
+    """The split's pairs in manifest order, derived from the manifest's recipe:
+    the split's records synthesized again and each pair made by `make_pair`
+    in the build's order, so the pairs the build listed, bit for bit. A split
+    the manifest does not list, or a listed entry that is not the one its
+    recipe derives, is a `DataError`."""
     manifest = load_manifest(dataset_dir)
     if split_name not in manifest["split_records"]:
         raise DataError(f"no split {split_name!r} under {dataset_dir}; it lists "
                         f"{', '.join(manifest['split_records'])}")
-    entries = [e for e in manifest["pairs"] if e["split"] == split_name]
-    shape = (len(entries), 2, manifest["window"])
-    path = Path(dataset_dir) / manifest["split_files"][split_name]
-    if path.stat().st_size != 8 * np.prod(shape):
-        raise DataError(f"{path}: {path.stat().st_size} bytes, expected {shape} float64 samples")
-    # an empty file cannot be mapped
-    rows = np.asarray(np.memmap(path, dtype="<f8", mode="r", shape=shape)) if entries else []
-    return [SegmentPair(row[0], row[1], **{k: e[k] for k in _ENTRY_FIELDS})
-            for row, e in zip(rows, entries)]
+    listed = [e for e in manifest["pairs"] if e["split"] == split_name]
+    try:
+        derived = list(_derive(manifest, split_name))
+    except (KeyError, TypeError) as exc:  # a recipe edited to lack a record or hold another type
+        raise DataError(f"{dataset_dir}: the recipe does not derive split {split_name!r}: {exc!r}") from None
+    for i, ((entry, _), want) in enumerate(zip(derived, listed)):
+        if entry != want:
+            key = next(k for k in sorted(entry.keys() | want.keys()) if entry.get(k) != want.get(k))
+            raise DataError(f"{dataset_dir}: {split_name} pair {i} ({entry['record_id']} at offset "
+                            f"{entry['offset']}) lists {key} {want.get(key)!r}, but its recipe derives "
+                            f"{entry.get(key)!r}; rerun synth-data to rebuild the dataset")
+    if len(derived) != len(listed):
+        raise DataError(f"{dataset_dir}: split {split_name!r} lists {len(listed)} pairs, but its recipe "
+                        f"derives {len(derived)}; rerun synth-data to rebuild the dataset")
+    return [make_pair(*args) for _, args in derived]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ from ecgdenoise.model import RETIRED, ModelConfig, TransformerUNet1D, load_check
 from ecgdenoise.optim import AdamW, CosineSchedule
 
 
+# one 10 s record at 360 Hz, as `synth_ecg` keyword arguments
+ONE_RECORD = dict(record_id="r", duration_s=10.0, fs=360.0, bpm=60.0, seed=0)
+
 TINY_TRAIN = [
     "--batch-size", "4", "--base-channels", "2", "--transformer-layers", "1",
     "--seed", "11",
@@ -61,8 +64,10 @@ def test_synth_data_split_files_disjoint(dataset):
     assert set(splits) == {"train", "val", "test"}
     all_ids = [rid for ids in splits.values() for rid in ids]
     assert len(all_ids) == len(set(all_ids))
-    for name in splits:
-        assert (dataset / manifest["split_files"][name]).is_file()
+
+
+def test_synth_data_writes_only_its_manifest_and_config(dataset):
+    assert sorted(p.name for p in dataset.iterdir()) == ["manifest.json", "synth_config.json"]
 
 
 def test_synth_data_flags_control_plan(dataset):
@@ -590,7 +595,7 @@ def test_evaluate_missing_split(run_dir, dataset, capsys):
 
 
 def test_evaluate_listed_split_without_pairs_is_empty(tmp_path, capsys):
-    build_dataset([synth_ecg(10.0, record_id="r")], {"train": ["r"], "test": []},
+    build_dataset([ONE_RECORD], {"train": ["r"], "test": []},
                   [0.0], [("bw",)], tmp_path)
     assert main(["evaluate", "--baseline", "identity", "--data", str(tmp_path), "--split", "test"]) == 2
     err = capsys.readouterr().err
@@ -706,17 +711,20 @@ def test_non_positive_batch_size_and_t_max_are_rejected(dataset, tmp_path, capsy
     ["--t-max", "0"],
     ["--w-time", "-1"],
     ["--base-channels", "0"],
-    ["--lr", "-1"],  # below eta_min
+    ["--lr", "-1"],  # below the fixed eta_min
     ["--epochs", "0"],
     ["--overfit-steps", "0"],
     ["--transformer-layers", "-1"],
     ["--patience", "0"],
 ])
-def test_rejected_train_config_leaves_no_run_directory(dataset, tmp_path, flags, mode):
+def test_rejected_train_config_leaves_no_run_directory(dataset, tmp_path, capsys, flags, mode):
     out = tmp_path / "D"
     assert main(["train", "--data", str(dataset), "--out", str(out), *TINY_TRAIN, "--epochs", "1",
                  "--overfit-steps", "1", "--quiet", *mode, *flags]) == 2
     assert not out.exists()
+    if flags[0] == "--lr":  # the setting the user gave, and the floor it is under
+        assert "lr must be at least 1e-06, the fixed floor (eta_min) of its cosine schedule, got -1" \
+            in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("split, mode, message", [
@@ -725,7 +733,7 @@ def test_rejected_train_config_leaves_no_run_directory(dataset, tmp_path, flags,
     ({"train": [], "val": ["r"]}, ["--overfit-one-batch"], "no training pairs"),
 ])
 def test_training_on_an_empty_split_writes_nothing(tmp_path, capsys, split, mode, message):
-    build_dataset([synth_ecg(10.0, record_id="r")], split, [0.0], [("bw",)], tmp_path / "ds")
+    build_dataset([ONE_RECORD], split, [0.0], [("bw",)], tmp_path / "ds")
     out = tmp_path / "run"
     assert main(["train", "--data", str(tmp_path / "ds"), "--out", str(out), *TINY_TRAIN,
                  "--epochs", "1", "--overfit-steps", "1", "--quiet", *mode]) == 2
@@ -749,8 +757,14 @@ def test_format_1_dataset_is_rejected(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("edit, message", [
     pytest.param(lambda m: {k: v for k, v in m.items() if k != "window"}, "'window'", id="no_window"),
     pytest.param(lambda m: [], "JSON object", id="a_list"),
-    pytest.param(lambda m: {**m, "split_files": {k: v for k, v in m["split_files"].items() if k != "test"}},
-                 "split 'test'", id="a_split_without_a_file"),
+    # pairs 32-39 are val's: rec0004, 2 windows x 2 mixes x 2 SNRs
+    pytest.param(lambda m: {**m, "pairs": [{**e, "clean_mean": e["clean_mean"] + 1e-9} if i == 33 else e
+                                           for i, e in enumerate(m["pairs"])]},
+                 "val pair 1 (rec0004 at offset 0) lists clean_mean", id="edited_clean_mean"),
+    pytest.param(lambda m: {**m, "global_seed": m["global_seed"] + 1}, "at offset 0) lists seed",
+                 id="edited_global_seed"),
+    pytest.param(lambda m: {**m, "records": [r for r in m["records"] if r["record_id"] != "rec0004"]},
+                 "does not derive split 'val': KeyError('rec0004')", id="a_record_without_its_arguments"),
 ])
 def test_malformed_dataset_manifest_is_a_data_error(dataset, tmp_path, capsys, edit, message):
     ds = tmp_path / "ds"
@@ -759,7 +773,7 @@ def test_malformed_dataset_manifest_is_a_data_error(dataset, tmp_path, capsys, e
     (ds / "manifest.json").write_text(json.dumps(edit(manifest)))
     before = sorted(p.name for p in ds.iterdir())
     for argv in (["train", *TINY_TRAIN, "--epochs", "1", "--out", str(tmp_path / "run"), "--quiet"],
-                 ["evaluate", "--baseline", "identity", "--out", str(tmp_path / "eval")]):
+                 ["evaluate", "--baseline", "identity", "--split", "val", "--out", str(tmp_path / "eval")]):
         assert main([*argv, "--data", str(ds)]) == 2
         assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
@@ -868,10 +882,7 @@ def test_config_naming_removed_keys_builds_and_trains_byte_identically(dataset, 
 
     assert main(["synth-data", "--config", str(config), "--out", str(tmp_path / "ds")]) == 0
     assert json.loads((tmp_path / "ds" / "synth_config.json").read_text()) == trimmed
-    manifest = load_manifest(tmp_path / "ds")
-    assert manifest == load_manifest(dataset)
-    for name in manifest["split_files"].values():
-        assert (tmp_path / "ds" / name).read_bytes() == (dataset / name).read_bytes()
+    assert (tmp_path / "ds" / "manifest.json").read_bytes() == (dataset / "manifest.json").read_bytes()
 
     out = tmp_path / "run"
     assert main(["train", "--config", str(config), "--data", str(dataset), "--out", str(out), "--quiet"]) == 0
@@ -893,6 +904,16 @@ def test_removed_key_at_another_value_is_rejected(dataset, tmp_path, capsys, com
     assert main([command, "--config", str(config), "--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert repr(key) in err and f"fixed at {fixed}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("train_frac", -2.0), ("val_frac", 1.5)])
+def test_split_fraction_outside_0_1_is_rejected(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train_frac": 0.5, "val_frac": 0.0, key: value}))
+    out = tmp_path / "ds"
+    assert main(["synth-data", "--config", str(config), "--out", str(out), "--records", "6", "--duration", "10"]) == 2
+    assert f"{key} must lie in [0, 1], got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 

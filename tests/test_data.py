@@ -1,8 +1,9 @@
 import ast
 import errno
+import hashlib
 import json
 import os
-import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -221,7 +222,8 @@ def test_short_record_rejected():
 
 
 def small_records():
-    return [synth_ecg(20.0, bpm=60.0 + 10 * i, seed=i, record_id=f"rec{i}") for i in range(3)]
+    """Three 20 s records at 360 Hz as `synth_ecg` keyword arguments, two windows each."""
+    return [dict(record_id=f"rec{i}", duration_s=20.0, fs=360.0, bpm=60.0 + 10 * i, seed=i) for i in range(3)]
 
 
 def test_build_dataset_combinatorial_count(tmp_path):
@@ -252,7 +254,7 @@ def test_build_dataset_rejects_overlapping_splits(tmp_path):
 
 def test_build_dataset_rejects_records_at_two_sampling_rates(tmp_path):
     records = small_records()
-    records[1] = synth_ecg(20.0, fs=250.0, seed=1, record_id="rec1")
+    records[1] = {**records[1], "fs": 250.0}
     with pytest.raises(DataError, match=r"rec0 \(360 Hz\) and rec1 \(250 Hz\)"):
         build_dataset(records, split={"train": ["rec0", "rec1"], "test": ["rec2"]},
                       snr_list=[0.0], mixes=[("bw",)], out_dir=tmp_path / "ds")
@@ -295,44 +297,6 @@ def test_pairs_hit_target_snr_and_reconstruct_noise(tmp_path):
         np.testing.assert_allclose(pair.noisy - pair.clean, pair.scale * noise, atol=1e-12)
 
 
-def test_build_dataset_writes_one_read_only_file_per_split(tmp_path):
-    build_dataset(
-        small_records(),
-        split={"train": ["rec0", "rec1"], "val": [], "test": ["rec2"]},
-        snr_list=[0.0, 5.0],
-        mixes=[("bw",)],
-        out_dir=tmp_path / "ds",
-    )
-    files = load_manifest(tmp_path / "ds")["split_files"]
-    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == sorted(["manifest.json", *files.values()])
-    assert all(re.fullmatch(rf"{name}-[0-9a-f]{{16}}\.f64", files[name]) for name in ("train", "val", "test"))
-    # 2 records x 2 windows x 2 SNRs, clean and noisy
-    assert (tmp_path / "ds" / files["train"]).stat().st_size == 8 * 8 * 2 * 3600
-    assert load_split(tmp_path / "ds", "val") == []
-    pair = load_split(tmp_path / "ds", "train")[0]
-    assert type(pair.noisy) is np.ndarray
-    with pytest.raises(ValueError, match="read-only"):
-        pair.noisy[0] = 0.0
-
-
-@pytest.mark.parametrize("resize", [
-    pytest.param(lambda blob: blob[:-8], id="truncated"),
-    pytest.param(lambda blob: blob + bytes(16), id="overlong"),
-])
-def test_load_split_rejects_split_file_of_wrong_size(tmp_path, resize):
-    build_dataset(
-        small_records(),
-        split={"train": ["rec0"]},
-        snr_list=[0.0],
-        mixes=[("bw",)],
-        out_dir=tmp_path / "ds",
-    )
-    path = tmp_path / "ds" / load_manifest(tmp_path / "ds")["split_files"]["train"]
-    path.write_bytes(resize(path.read_bytes()))
-    with pytest.raises(DataError, match="bytes, expected"):
-        load_split(tmp_path / "ds", "train")
-
-
 def _build(out_dir, snr, mix, **kwargs):
     return build_dataset(small_records(), split={"train": ["rec0", "rec1"], "test": ["rec2"]},
                          snr_list=[snr], mixes=[mix], out_dir=out_dir, **kwargs)
@@ -362,35 +326,76 @@ def test_rebuild_that_dies_before_its_manifest_loads_the_old_dataset_whole(tmp_p
         assert abs(measured_snr_db(pair.clean, pair.noisy)) < 1e-9
 
 
-def test_killed_rebuild_leaves_the_old_dataset_and_the_next_build_removes_its_files(tmp_path):
-    # a build killed after its split files: they lie beside the old ones,
-    # named by their own bytes, and the old manifest does not name them
-    first, second = tmp_path / "first", tmp_path / "second"
-    _build(first, 0.0, ("bw",))
-    _build(second, 10.0, ("em",))
-    for path in second.glob("*.f64"):
-        path.rename(first / path.name)
-    assert [p.noise_mix for p in load_split(first, "test")] == [("bw",)] * 2
-    _build(first, 5.0, ("ma",))
-    files = load_manifest(first)["split_files"]
-    assert sorted(p.name for p in first.iterdir()) == sorted(["manifest.json", *files.values()])
-    assert {p.target_snr_db for p in load_split(first, "train")} == {5.0}
+def test_load_split_draws_noise_at_the_record_rate(tmp_path):
+    record = {**small_records()[0], "fs": 250.0}
+    build_dataset([record], {"train": ["rec0"]}, [0.0], [("bw", "em", "pli")], tmp_path / "ds")
+    (pair,) = load_split(tmp_path / "ds", "train")
+    noise = _composite_noise(0, "rec0", 0, 0.0, ("bw", "em", "pli"), 3600, 250.0)
+    np.testing.assert_allclose(pair.noisy - pair.clean, pair.scale * noise, atol=1e-12)
 
 
-def test_format_2_dataset_is_rejected_and_a_rebuild_replaces_its_files(tmp_path):
-    # format 2 named each split file `<split>.f64`
+def test_build_dataset_writes_only_its_manifest(tmp_path):
+    manifest = build_dataset(
+        small_records(),
+        split={"train": ["rec0", "rec1"], "val": [], "test": ["rec2"]},
+        snr_list=[0.0, 5.0],
+        mixes=[("bw",)],
+        out_dir=tmp_path / "ds",
+    )
+    assert [p.name for p in (tmp_path / "ds").iterdir()] == ["manifest.json"]
+    assert manifest == load_manifest(tmp_path / "ds")
+    assert manifest["records"] == small_records()
+    assert load_split(tmp_path / "ds", "val") == []
+    # 2 records x 2 windows x 2 SNRs
+    assert len(load_split(tmp_path / "ds", "train")) == 8
+
+
+@pytest.mark.parametrize("mix, message", [
+    ((), "names no kind"),
+    (("bw", "xyz"), "unknown noise kind 'xyz'"),
+], ids=["empty", "unknown_kind"])
+def test_build_dataset_rejects_a_bad_mix_before_writing(tmp_path, mix, message):
+    with pytest.raises(DataError, match=message):
+        build_dataset(small_records(), split={"train": ["rec0"]}, snr_list=[0.0],
+                      mixes=[("bw",), mix], out_dir=tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+# A build of 3 records, windows overlapping by half, 2 SNRs and 2 mixes, one split each.
+PINNED_BUILD = dict(records=small_records(), split={"train": ["rec0"], "val": ["rec1"], "test": ["rec2"]},
+                    snr_list=[0.0, 6.0], mixes=[("bw",), ("bw", "em", "ma")], global_seed=25, stride=1800)
+
+
+def test_load_split_is_bit_for_bit_the_pinned_pairs(tmp_path):
+    """The sha256 over every split's pairs, in order: clean and noisy bytes and
+    every other field, noise scale included. The hex is what the format-3
+    datasets, which stored these samples, loaded for the same build."""
+    build_dataset(out_dir=tmp_path / "ds", **PINNED_BUILD)
+    digest = hashlib.sha256()
+    for split in PINNED_BUILD["split"]:
+        pairs = load_split(tmp_path / "ds", split)
+        assert len(pairs) == 12  # 3 windows x 2 mixes x 2 SNRs
+        for pair in pairs:
+            digest.update(pair.clean.tobytes())
+            digest.update(pair.noisy.tobytes())
+            digest.update(json.dumps({f.name: getattr(pair, f.name) for f in fields(pair)
+                                      if f.name not in ("clean", "noisy")}, sort_keys=True).encode())
+    assert digest.hexdigest() == "8548982defca1ab8c4f6c1a195f0436da7572830f267c27ee2605850eaf969c0"
+
+
+def test_format_3_dataset_is_rejected_and_a_rebuild_removes_its_split_files(tmp_path):
+    # format 3 stored each split's samples in a file its manifest named under split_files
     ds = tmp_path / "ds"
-    _build(ds, 0.0, ("bw",))
-    manifest = load_manifest(ds)
-    for name, file in manifest.pop("split_files").items():
-        (ds / file).rename(ds / f"{name}.f64")
-    manifest["format_version"] = 2
-    (ds / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="rerun synth-data"):
+    ds.mkdir()
+    files = {"train": "train-0123456789abcdef.f64", "test": "test-fedcba9876543210.f64"}
+    for name in [*files.values(), "other-0123456789abcdef.f64", "notes.txt"]:
+        (ds / name).write_bytes(bytes(16))
+    (ds / "manifest.json").write_text(json.dumps({"format_version": 3, "split_files": files, "pairs": []}))
+    with pytest.raises(DataError, match="format_version 3 is not 4; rerun synth-data"):
         load_split(ds, "train")
     _build(ds, 0.0, ("bw",))
-    files = load_manifest(ds)["split_files"]
-    assert sorted(p.name for p in ds.iterdir()) == sorted(["manifest.json", *files.values()])
+    assert sorted(p.name for p in ds.iterdir()) == ["manifest.json", "notes.txt", "other-0123456789abcdef.f64"]
+    assert len(load_split(ds, "train")) == 4
 
 
 def test_segment_seed_stable_and_distinct():
