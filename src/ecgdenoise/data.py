@@ -46,6 +46,7 @@ __all__ = [
     "build_dataset",
     "load_manifest",
     "load_split",
+    "split_pairs",
     "load_signal_file",
     "save_signal_file",
     "segment_seed",
@@ -476,12 +477,17 @@ def load_manifest(dataset_dir) -> dict:
 
 
 def load_split(dataset_dir, split_name: str):
-    """The split's pairs in manifest order, derived from the manifest's recipe:
-    the split's records synthesized again and each pair made by `make_pair`
-    in the build's order, so the pairs the build listed, bit for bit. A split
-    the manifest does not list, or a listed entry that is not the one its
-    recipe derives, is a `DataError`."""
-    manifest = load_manifest(dataset_dir)
+    """The split's pairs, derived from the dataset's manifest (`split_pairs`)."""
+    return split_pairs(load_manifest(dataset_dir), split_name, dataset_dir)
+
+
+def split_pairs(manifest: dict, split_name: str, dataset_dir):
+    """The split's pairs in manifest order, derived from `manifest`, the one
+    `load_manifest(dataset_dir)` returned: the split's records synthesized
+    again and each pair made by `make_pair` in the build's order, so the pairs
+    the build listed, bit for bit. A split the manifest does not list, or a
+    listed entry that is not the one its recipe derives, is a `DataError`
+    naming `dataset_dir`."""
     if split_name not in manifest["split_records"]:
         raise DataError(f"no split {split_name!r} under {dataset_dir}; it lists "
                         f"{', '.join(manifest['split_records'])}")

@@ -28,20 +28,25 @@ there. The weight gradient stays one GEMM per tap over the unshifted rows
 The transposed convolution up-samples 2x
 (kernel 2, stride 2) as pooling down-samples with window 2: one GEMM computes
 both taps, written interleaved into the first channels of the output. Given a
-skip, as every decoder level gives it, the op copies the skip after them, so
-the decoder's concatenation is no op of its own and keeps no second copy of
-the up-sampled features; its backward hands the first channels' gradient to
-the transposed-conv rule and the rest to the skip. Pooling is the pairwise
-maximum of even and odd samples; its backward rebuilds the tie rule from the
-input. The norms' momentum and eps are module constants.
+skip, as every decoder level gives it, the op writes them into the head of
+the buffer whose tail is the skip: the encoder's double conv wrote the skip
+there, leaving that room (`conv_bn_relu`'s `room`). So the decoder's
+concatenation is no op of its own and copies nothing, and neither the
+up-sampled features nor the skip are held twice; a skip laid out otherwise
+is a `ShapeMismatch`, not a copy. The backward hands the first channels'
+gradient to the transposed-conv rule and the rest to the skip. Pooling is
+the pairwise maximum of even and odd samples; its backward rebuilds the tie
+rule from the input. The norms' momentum and eps are module constants.
 
 The network's conv -> batchnorm -> relu stages run as one op per double conv,
 `conv_bn_relu`, over a sequence of (weight, bn) stages; one stage is the
 one-element case. Its convs have no bias, which batchnorm's mean would cancel.
 In training each stage normalizes its conv output in place with the batch
 statistics (that buffer becomes x_hat) and writes the affine map, then ReLU in
-place, into one new buffer, the next stage's input. The tape keeps the op's
-input, each stage's x_hat and inverse std, and the last stage's output. The
+place, into one new buffer, the next stage's input; the last stage's buffer
+leaves `room` channels ahead of its output for a transposed conv, in
+training and in eval. The tape keeps the op's input, each stage's x_hat and
+inverse std, and the last stage's output. The
 backward masks the upstream gradient with ``out > 0``, then per stage, last
 first, applies the batchnorm closed form (built in x_hat's buffer) and forms
 the conv's input gradient. Only then does it recompute the stage's input, the
@@ -64,8 +69,11 @@ axis once, and runs softmax and its backward in place; it keeps q, k, v, the
 attention rows and the merged heads, and forms its input gradient as one GEMM
 against the stacked weights. The feed-forward keeps its post-ReLU hidden
 activation. Each residual sum and its layer norm, LN(x + f), is one op that
-keeps x_hat. The tests hold the unfused composition of small tape ops as the
-reference these are compared against.
+forms its output in the sum's buffer and keeps only the per-token mean and
+inverse std; its backward recomputes x_hat from x and f, which the tape
+holds anyway, with the forward's own calls, so the same bits. The tests hold
+the unfused composition of small tape ops as the reference these are
+compared against, and the layer norm that kept x_hat.
 
 The parameters are float64, and every op runs in its input's dtype, float64
 or float32: it casts its weights to that dtype per call, and its backward
@@ -159,12 +167,13 @@ def _tap_spans(length, kernel):
             yield t, slice(out0, out0 + n), slice(in0, in0 + n)
 
 
-def _conv1d_forward(x, w):
-    # One GEMM whose k taps are stacked on the smaller channel side; the
-    # output is allocated first (module docstring).
+def _conv1d_forward(x, w, out=None):
+    # One GEMM whose k taps are stacked on the smaller channel side, written to
+    # `out`; the output is allocated first when none is given (module docstring).
     c_out, c_in, kernel = w.shape
     _, batch, length = x.shape
-    out = np.empty((c_out, batch, length), dtype=np.result_type(x, w))
+    if out is None:
+        out = np.empty((c_out, batch, length), dtype=np.result_type(x, w))
     if kernel == 1:
         np.matmul(w[:, :, 0], _rows(x), out=_rows(out))
     elif c_in <= c_out:
@@ -244,21 +253,37 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return apply_op(out_data, (x, weight, bias), backward)
 
 
-def _conv_transpose1d_forward(x, w, skip=None):
+def _conv_transpose1d_forward(x, w, out=None):
     """The transposed conv of (C_in, B, L) `x`, its two taps interleaved into
-    the first C_out channels of a (C_out + C_skip, B, 2L) buffer, and the
-    (C_skip, B, 2L) `skip`, if one is given, copied after them."""
+    the first C_out channels of `out`, a C-contiguous (C, B, 2L) buffer, or of
+    a new (C_out, B, 2L) one."""
     c_in, batch, length = x.shape
     c_out = w.shape[1]
+    if out is None:
+        out = np.empty((c_out, batch, 2 * length), dtype=np.result_type(x, w))
     # both taps at once: (C_out*2, C_in) @ (C_in, B*L); tap t lands on samples 2i + t
     taps = (w.reshape(c_in, c_out * 2).T @ _rows(x)).reshape(c_out, 2, batch, length)
-    c_skip = 0 if skip is None else skip.shape[0]
-    out = np.empty((c_out + c_skip, batch, length, 2), dtype=taps.dtype)
-    out[:c_out, ..., 0], out[:c_out, ..., 1] = taps[:, 0], taps[:, 1]
-    out = out.reshape(c_out + c_skip, batch, 2 * length)
-    if c_skip:
-        out[c_out:] = skip
+    pairs = out.reshape(out.shape[0], batch, length, 2)
+    pairs[:c_out, ..., 0], pairs[:c_out, ..., 1] = taps[:, 0], taps[:, 1]
     return out
+
+
+def _tail(room, shape, dtype):
+    """An uninitialized array of (C, B, L) `shape`: the last C channels of a new
+    (room + C, B, L) buffer, whose first `room` channels are left for a
+    transposed conv to write into (`conv_transpose1d`)."""
+    return np.empty((room + shape[0], *shape[1:]), dtype=dtype)[room:]
+
+
+def _buffer_of(skip, c_out, dtype):
+    """The `dtype` (c_out + C, B, L) buffer whose tail is the (C, B, L) array
+    `skip`, as `_tail` makes it, or None when `skip` is no such tail."""
+    buf = skip.base
+    if (isinstance(buf, np.ndarray) and buf.dtype == skip.dtype == dtype and buf.flags.c_contiguous
+            and skip.flags.c_contiguous and buf.shape == (c_out + skip.shape[0], *skip.shape[1:])
+            and buf[c_out:].ctypes.data == skip.ctypes.data):
+        return buf
+    return None
 
 
 def _conv_transpose1d_grads(g, x, w):
@@ -274,20 +299,29 @@ def _conv_transpose1d_grads(g, x, w):
 
 def conv_transpose1d(x: Tensor, weight: Tensor, bias: Tensor, skip: Tensor | None = None) -> Tensor:
     """Adjoint of a kernel-2, stride-2 conv: channel-major (C_in, B, L) -> (C_out, B, 2L),
-    followed along the channel axis by `skip` (C_skip, B, 2L) when one is given."""
+    followed along the channel axis by `skip` (C_skip, B, 2L) when one is given.
+    The skip must be the tail of a (C_out + C_skip, B, 2L) buffer of the input's
+    dtype (`conv_bn_relu`'s `room`): the op writes into that buffer's head and
+    returns the whole buffer, so the skip is never copied."""
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape)
     if x.shape[0] != weight.shape[0]:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="channel counts differ")
     if weight.shape[2] != 2:
         raise ShapeMismatch("conv_transpose1d", x.shape, weight.shape, detail="kernel length must be 2")
-    if skip is not None and (skip.ndim != 3 or skip.shape[1:] != (x.shape[1], 2 * x.shape[2])):
-        raise ShapeMismatch("conv_transpose1d", x.shape, skip.shape, detail="skip is not (C, B, 2L)")
-
     dt = x.data.dtype
     c_out = weight.shape[1]
+    buf = None
+    if skip is not None:
+        if skip.ndim != 3 or skip.shape[1:] != (x.shape[1], 2 * x.shape[2]):
+            raise ShapeMismatch("conv_transpose1d", x.shape, skip.shape, detail="skip is not (C, B, 2L)")
+        buf = _buffer_of(skip.data, c_out, dt)
+        if buf is None:
+            raise ShapeMismatch("conv_transpose1d", x.shape, skip.shape,
+                                detail=f"skip is not the tail of a ({c_out} + C, B, 2L) {dt} buffer")
+
     w = weight.data.astype(dt, copy=False)
-    out_data = _conv_transpose1d_forward(x.data, w, None if skip is None else skip.data)
+    out_data = _conv_transpose1d_forward(x.data, w, buf)
     out_data[:c_out] += bias.data.astype(dt, copy=False)[:, None, None]
 
     def backward(g, x=x, weight=weight, bias=bias, skip=skip):
@@ -410,18 +444,21 @@ class BatchNorm1d(Module):
         return apply_op(out_data, (x, gamma, beta), backward)
 
 
-def _bn_relu(gamma, beta, x_hat):
-    """relu(x_hat * gamma + beta) per channel: a stage's output. The backward
-    recomputes it with these very calls, so it gets the forward's bits."""
-    h = x_hat * gamma[:, None, None]
+def _bn_relu(gamma, beta, x_hat, out=None):
+    """relu(x_hat * gamma + beta) per channel, written to `out` if given: a
+    stage's output. The backward recomputes it with these very calls, so it
+    gets the forward's bits."""
+    h = np.multiply(x_hat, gamma[:, None, None], out=out)
     h += beta[:, None, None]
     return np.maximum(h, 0.0, out=h)
 
 
-def conv_bn_relu(x: Tensor, stages, training: bool) -> Tensor:
+def conv_bn_relu(x: Tensor, stages, training: bool, room: int = 0) -> Tensor:
     """The conv -> batchnorm -> relu `stages`, a sequence of (weight, bn), in
     turn as one op, each stage relu(bn.forward(conv1d(h, weight, 0), training))
-    (module docstring)."""
+    (module docstring). The last stage writes its (C, B, L) output as the tail
+    of a (room + C, B, L) buffer, whose head a transposed conv given the output
+    as its skip fills (`conv_transpose1d`)."""
     shape = x.shape
     for weight, bn in stages:
         _check_conv1d(shape, weight.shape)
@@ -429,22 +466,24 @@ def conv_bn_relu(x: Tensor, stages, training: bool) -> Tensor:
             raise ShapeMismatch("conv_bn_relu", weight.shape, (bn.gamma.size,))
         shape = (weight.shape[0], *shape[1:])
     dt = x.data.dtype
+    last = len(stages) - 1
     h = x.data
     if not training:
-        for weight, bn in stages:
+        for i, (weight, bn) in enumerate(stages):
             scale, shift = bn._eval_affine()  # folded in float64, then cast to the input's dtype
-            h = _conv1d_forward(h, (weight.data * scale[:, None, None]).astype(dt, copy=False))
+            w = (weight.data * scale[:, None, None]).astype(dt, copy=False)
+            h = _conv1d_forward(h, w, _tail(room, (w.shape[0], *h.shape[1:]), dt) if i == last else None)
             h += shift.astype(dt, copy=False)[:, None, None]
             np.maximum(h, 0.0, out=h)
         return Tensor(h)
 
     saved = []  # per stage: w, gamma and beta in the input's dtype, x_hat, inv_std
-    for weight, bn in stages:
+    for i, (weight, bn) in enumerate(stages):
         w, gamma, beta = (a.data.astype(dt, copy=False) for a in (weight, bn.gamma, bn.beta))
         y = _conv1d_forward(h, w)
         x_hat, inv_std = bn._normalize_batch(y, out=y)
         saved.append((w, gamma, beta, x_hat, inv_std))
-        h = _bn_relu(gamma, beta, x_hat)
+        h = _bn_relu(gamma, beta, x_hat, _tail(room, y.shape, dt) if i == last else None)
     out = h
 
     def backward(g, x=x):
@@ -676,11 +715,20 @@ def _layernorm_grads(g, x_hat, inv_std, gamma):
     return gs, ggamma, gbeta
 
 
+def _normalized(s, mean, inv_std):
+    """x_hat = (s - mean) * inv_std, in `s`'s buffer. The backward recomputes
+    x_hat with these very calls, so it gets the forward's bits."""
+    np.subtract(s, mean, out=s)
+    s *= inv_std
+    return s
+
+
 class LayerNorm(Module):
     """Residual sum and layer normalization as one op: LN(x + f), normalized
-    over the last (feature) axis one token at a time. The sum is normalized
-    in place, so the tape keeps x_hat, the per-token inverse std and the
-    output."""
+    over the last (feature) axis one token at a time. The output is formed in
+    the sum's buffer, and the tape keeps only the per-token mean and inverse
+    std: the backward recomputes x_hat from x and f, which the tape holds as
+    the outputs of earlier ops."""
 
     def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
@@ -693,13 +741,12 @@ class LayerNorm(Module):
         s = x.data + f.data
         mean = s.mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + NORM_EPS)
-        x_hat = np.subtract(s, mean, out=s)
-        x_hat *= inv_std
         gamma_dt = gamma.data.astype(s.dtype, copy=False)
-        out = x_hat * gamma_dt
+        out = np.multiply(_normalized(s, mean, inv_std), gamma_dt, out=s)
         out += beta.data.astype(s.dtype, copy=False)
 
         def backward(g, x=x, f=f):
+            x_hat = _normalized(x.data + f.data, mean, inv_std)
             gs, ggamma, gbeta = _layernorm_grads(g, x_hat, inv_std, gamma_dt)
             accumulate_grad(x, gs)
             accumulate_grad(f, gs)

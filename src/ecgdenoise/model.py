@@ -7,9 +7,10 @@ layout by moving the unit channel axis, which copies nothing. The deepest featur
 map (d, B, T) is flipped to token-major (B, T, d) layout, enriched with a
 fixed sinusoidal positional table, run through the transformer encoder stack,
 flipped back to channel-major, and decoded level by level mirroring the
-encoder: each transposed conv writes its output and the encoder's skip into
-one buffer (`layers.conv_transpose1d`), and each double conv is one op
-(`layers.conv_bn_relu`).
+encoder. Each encoder double conv but the deepest writes its output, the
+skip, as the tail of a buffer whose head the decoder's transposed conv
+fills (`layers.conv_transpose1d`), so the concatenation copies nothing; each
+double conv is one op (`layers.conv_bn_relu`).
 """
 
 from __future__ import annotations
@@ -135,7 +136,9 @@ def _permute(a: Tensor, axes, table=None) -> Tensor:
 class DoubleConv(Module):
     """Two (length-preserving conv k3 -> batchnorm -> relu) stages as one fused
     op (`layers.conv_bn_relu`); `conv1` and `conv2` are the weights of its
-    convs, which have no bias."""
+    convs, which have no bias. Given `room`, its output is the tail of a
+    buffer that leaves `room` channels ahead of it for the decoder's
+    transposed conv, which takes that output as its skip."""
 
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         self.conv1 = uniform_param(rng, (out_channels, in_channels, 3), in_channels * 3)
@@ -143,8 +146,8 @@ class DoubleConv(Module):
         self.conv2 = uniform_param(rng, (out_channels, out_channels, 3), out_channels * 3)
         self.bn2 = BatchNorm1d(out_channels)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return conv_bn_relu(x, ((self.conv1, self.bn1), (self.conv2, self.bn2)), training)
+    def forward(self, x: Tensor, training: bool, room: int = 0) -> Tensor:
+        return conv_bn_relu(x, ((self.conv1, self.bn1), (self.conv2, self.bn2)), training, room)
 
 
 class Down(Module):
@@ -153,13 +156,13 @@ class Down(Module):
     def __init__(self, in_channels: int, out_channels: int, *, rng: np.random.Generator):
         self.block = DoubleConv(in_channels, out_channels, rng=rng)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return self.block.forward(maxpool1d(x), training)
+    def forward(self, x: Tensor, training: bool, room: int = 0) -> Tensor:
+        return self.block.forward(maxpool1d(x), training, room)
 
 
 class Up(Module):
-    """Double the length by transposed conv, written beside the skip in one
-    buffer, then double-conv."""
+    """Double the length by transposed conv, written into the head of the
+    buffer whose tail is the skip (`DoubleConv`'s `room`), then double-conv."""
 
     def __init__(self, in_channels: int, *, rng: np.random.Generator):
         self.tconv = ConvTranspose1d(in_channels, in_channels // 2, rng=rng)
@@ -206,9 +209,12 @@ class TransformerUNet1D(Module):
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != cfg.input_len:
             raise ShapeMismatch("model", x.shape, (x.shape[0] if x.ndim == 3 else -1, 1, cfg.input_len))
-        skips = [self.inc.forward(_permute(x, (1, 0, 2)), training)]
-        for down in self.down:
-            skips.append(down.forward(skips[-1], training))
+        # each skip leaves room ahead of it for its decoder's transposed conv,
+        # which writes as many channels as the skip holds; the deepest is no skip
+        c = cfg.base_channels
+        skips = [self.inc.forward(_permute(x, (1, 0, 2)), training, room=c)]
+        for i, down in enumerate(self.down, start=1):
+            skips.append(down.forward(skips[-1], training, room=c * 2**i if i < DEPTH else 0))
 
         # the deepest features (d, B, T) run through the transformer as (B, T, d)
         tokens = _permute(skips.pop(), (1, 2, 0), self.pos_table.data.astype(x.data.dtype, copy=False))

@@ -76,8 +76,9 @@ class Tensor:
 
     Tensors are value-semantic: operations never mutate their inputs (the
     optimizer updates parameter `.data` in place, but parameters are owned by
-    their layer). A tensor with ``requires_grad=False`` never allocates a
-    gradient buffer.
+    their layer; a transposed conv writes into the room ahead of its skip in
+    the skip's buffer, which no tensor's data covers). A tensor with
+    ``requires_grad=False`` never allocates a gradient buffer.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_tape")

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .data import DataError, load_manifest, load_split
+from .data import DataError, load_manifest, split_pairs
 from .loss import loss_and_gradients, total_loss
 from .model import INFER_BATCH, TransformerUNet1D, load_checkpoint, save_checkpoint
 from .optim import AdamW
@@ -170,9 +170,10 @@ _SPLIT_PAIRS = {"train": "training", "val": "validation"}
 
 def _open_run(cfg: RunConfig, dataset_dir, *split_names):
     """The run's config at its dataset's window and rate, its loss config and
-    learning-rate schedule, and the pairs of each named split. Each split must
-    hold pairs; the caller then builds or loads the model, which checks the
-    model settings, so a run that cannot train is rejected before its
+    learning-rate schedule, and the pairs of each named split, all from one
+    parse of the manifest, so a rebuild meanwhile cannot mix two of them. Each
+    split must hold pairs; the caller then builds or loads the model, which
+    checks the model settings, so a run that cannot train is rejected before its
     directory is made."""
     manifest = load_manifest(dataset_dir)
     cfg = cfg.override(input_len=manifest["window"], fs=manifest["fs"])
@@ -180,7 +181,7 @@ def _open_run(cfg: RunConfig, dataset_dir, *split_names):
     loss_cfg.validate()
     splits = []
     for name in split_names:
-        pairs = load_split(dataset_dir, name)
+        pairs = split_pairs(manifest, name, dataset_dir)
         if not pairs:
             raise ValueError(f"no {_SPLIT_PAIRS[name]} pairs under {dataset_dir}")
         splits.append(pairs)

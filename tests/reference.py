@@ -10,9 +10,12 @@ the parameters of the package's modules, so a reference and a fused forward
 of the same module share every weight. `conv_bn_relu` runs its stages as
 unfused conv -> batchnorm -> relu ops: `conv1d` with a constant zero bias, the
 stage's conv having none, then `BatchNorm1d.forward` and `relu`, each op
-keeping its output. `concat_channels` joins the transposed conv's output and
-the skip as the package did before `conv_transpose1d` wrote both into one
-buffer.
+keeping its output; given room for a transposed conv, it copies its result
+into the tail of a buffer (`into_tail`), where the package's op writes it.
+`concat_channels` joins the transposed conv's output and the skip as the
+package did before `conv_transpose1d` wrote both into one buffer.
+`layer_norm_keeping_x_hat` is the residual layer norm as one op that keeps
+x_hat, as the package ran it before its backward recomputed x_hat.
 
 `synth_ecg`, `gen_bw` and `gen_em` are the synthesis loops as the package
 ran them before it drew each record's jitter at once: one beat, one bump and
@@ -25,7 +28,7 @@ import math
 import numpy as np
 
 from ecgdenoise.data import _BEAT_BUMPS
-from ecgdenoise.layers import NORM_EPS, conv1d
+from ecgdenoise.layers import NORM_EPS, _layernorm_grads, conv1d
 from ecgdenoise.loss import LossReport, spectral_loss
 from ecgdenoise.tensor import ShapeMismatch, Tensor, accumulate_grad, apply_op
 
@@ -100,12 +103,26 @@ def relu(a: Tensor) -> Tensor:
     return apply_op(out_data, (a,), backward)
 
 
-def conv_bn_relu(x: Tensor, stages, training: bool) -> Tensor:
+def conv_bn_relu(x: Tensor, stages, training: bool, room: int = 0) -> Tensor:
     """relu(bn.forward(conv1d(x, weight, 0), training)) for each (weight, bn) of
-    `stages` in turn, three tape nodes per stage."""
+    `stages` in turn, three tape nodes per stage; with `room`, the result is
+    copied into the tail of a buffer that leaves `room` channels ahead of it,
+    one node more."""
     for weight, bn in stages:
         x = relu(bn.forward(conv1d(x, weight, Tensor(np.zeros(weight.shape[0]))), training))
-    return x
+    return into_tail(x, room) if room else x
+
+
+def into_tail(a: Tensor, room: int) -> Tensor:
+    """A copy of channel-major (C, B, L) `a` as the last C channels of a new
+    (room + C, B, L) buffer: the layout `conv_transpose1d` takes its skip in."""
+    buf = np.empty((room + a.shape[0], *a.shape[1:]), dtype=a.data.dtype)
+    buf[room:] = a.data
+
+    def backward(g, a=a):
+        accumulate_grad(a, g)
+
+    return apply_op(buf[room:], (a,), backward)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -267,6 +284,30 @@ def mhsa(attn, x: Tensor) -> Tensor:
 def feedforward(ff, x: Tensor) -> Tensor:
     """`FeedForward.forward` as separate linear, ReLU and linear ops."""
     return linear(ff.lin2, relu(linear(ff.lin1, x)))
+
+
+def layer_norm_keeping_x_hat(ln, x: Tensor, f: Tensor) -> Tensor:
+    """`LayerNorm.forward(x, f)` as the package ran it before its backward
+    recomputed x_hat: one op that normalizes the sum in place and keeps that
+    x_hat for its backward, forming the output in a buffer of its own."""
+    gamma, beta = ln.gamma, ln.beta
+    s = x.data + f.data
+    mean = s.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + NORM_EPS)
+    x_hat = np.subtract(s, mean, out=s)
+    x_hat *= inv_std
+    gamma_dt = gamma.data.astype(s.dtype, copy=False)
+    out = x_hat * gamma_dt
+    out += beta.data.astype(s.dtype, copy=False)
+
+    def backward(g, x=x, f=f):
+        gs, ggamma, gbeta = _layernorm_grads(g, x_hat, inv_std, gamma_dt)
+        accumulate_grad(x, gs)
+        accumulate_grad(f, gs)
+        accumulate_grad(gamma, ggamma)
+        accumulate_grad(beta, gbeta)
+
+    return apply_op(out, (x, f, gamma, beta), backward)
 
 
 def residual_layer_norm(ln, x: Tensor, f: Tensor) -> Tensor:

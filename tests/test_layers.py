@@ -223,7 +223,10 @@ def test_conv_transpose_with_skip_is_the_concat_of_both_bitwise(dtype):
     runs = []
     for op in (lambda x, skip: tconv.forward(x, skip),
                lambda x, skip: reference.concat_channels(tconv.forward(x), skip)):
-        x, skip = (Tensor(a.astype(dtype), requires_grad=True) for a in (x0, skip0))
+        # the skip as the model lays it out: the tail of a buffer with room for the 2 output channels
+        buf = np.empty((7, 3, 14), dtype=dtype)
+        buf[2:] = skip0
+        x, skip = Tensor(x0.astype(dtype), requires_grad=True), Tensor(buf[2:], requires_grad=True)
         tensors = [x, skip, tconv.weight, tconv.bias]
         for t in tensors:
             t.zero_grad()
@@ -233,6 +236,17 @@ def test_conv_transpose_with_skip_is_the_concat_of_both_bitwise(dtype):
         runs.append([out.data] + [t.grad for t in tensors])
     for fused, want in zip(*runs):
         assert _same_bits(fused, want)
+
+
+@pytest.mark.parametrize("layout", ["own_buffer", "too_little_room", "float32_buffer", "head_of_the_buffer"])
+def test_conv_transpose_rejects_a_skip_that_is_not_the_tail_of_its_buffer(layout):
+    tconv = ConvTranspose1d(4, 2, rng=np.random.default_rng(24))
+    skip = {"own_buffer": lambda: np.zeros((5, 3, 14)),
+            "too_little_room": lambda: np.zeros((6, 3, 14))[1:],
+            "float32_buffer": lambda: np.zeros((7, 3, 14), dtype=np.float32)[2:],
+            "head_of_the_buffer": lambda: np.zeros((7, 3, 14))[:5]}[layout]()
+    with pytest.raises(ShapeMismatch, match=r"skip is not the tail of a \(2 \+ C, B, 2L\) float64 buffer"):
+        tconv.forward(Tensor(np.zeros((4, 3, 7))), Tensor(skip))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +535,30 @@ def test_layernorm_gradients_vs_fd():
     for tensor, grad in zip(tensors, grads):
         fd = fd_wrt(tensor, lambda: scalar_through(lambda: ln.forward(x, f), probe))
         assert rel_err(grad, fd) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_layernorm_recomputing_x_hat_matches_the_op_that_keeps_it_bitwise(dtype):
+    rng = np.random.default_rng(21)
+    ln = LayerNorm(16)
+    ln.gamma.data[:] = rng.uniform(0.5, 1.5, 16)
+    ln.beta.data[:] = rng.standard_normal(16)
+    x0, f0 = rng.standard_normal((2, 3, 7, 16)) * 3.0 + 1.0
+    probe = rng.standard_normal((3, 7, 16)).astype(dtype)
+    runs = []
+    for op in (ln.forward, lambda x, f: reference.layer_norm_keeping_x_hat(ln, x, f)):
+        x, f = (Tensor(a.astype(dtype), requires_grad=True) for a in (x0, f0))
+        tensors = [x, f, ln.gamma, ln.beta]
+        for t in tensors:
+            t.zero_grad()
+        with Tape() as tape:
+            out = op(x, f)
+            tape.backward(out, probe)
+        # neither op writes into its inputs' buffers
+        assert x.data.tobytes() == x0.astype(dtype).tobytes() and f.data.tobytes() == f0.astype(dtype).tobytes()
+        runs.append([out.data] + [t.grad for t in tensors])
+    for got, want in zip(*runs):
+        assert _same_bits(got, want)
 
 
 def test_layernorm_rejects_mismatched_residual():

@@ -11,7 +11,7 @@ import pytest
 
 import ecgdenoise.data as data_module
 import ecgdenoise.model as model_module
-from conftest import edit_checkpoint_header, fd_wrt, rel_err, tape_grads
+from conftest import edit_checkpoint_header, fd_wrt, rel_err, tape_grads, traced_peak
 from ecgdenoise.model import (
     ConfigError,
     ModelConfig,
@@ -19,6 +19,7 @@ from ecgdenoise.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from ecgdenoise.layers import ConvTranspose1d
 from ecgdenoise.loss import LossConfig
 from ecgdenoise.optim import AdamW
 from ecgdenoise.tensor import ShapeMismatch, Tape, Tensor
@@ -228,9 +229,9 @@ def test_fused_stages_train_bitwise_like_the_unfused_reference(monkeypatch):
     for stage in (model_module.conv_bn_relu, unfused_conv_bn_relu):
         stage_counts = []  # stages per call: every double conv must run through `stage`
 
-        def counted(x, stages, training, stage=stage):
+        def counted(x, stages, training, room=0, stage=stage):
             stage_counts.append(len(stages))
-            return stage(x, stages, training)
+            return stage(x, stages, training, room)
 
         monkeypatch.setattr(model_module, "conv_bn_relu", counted)
         model = TransformerUNet1D(ModelConfig(**cfg))
@@ -259,6 +260,40 @@ def test_training_forward_tape_node_count_is_pinned():
     # encoder layer (attention, feed-forward and two residual layer norms; 28
     # unfused)
     assert len(tape) == 25
+
+
+def test_each_skip_is_written_into_its_up_buffer(monkeypatch):
+    seen = []  # (skip, the transposed conv's output) per decoder level
+    forward = ConvTranspose1d.forward
+
+    def recording(self, x, skip=None):
+        out = forward(self, x, skip)
+        seen.append((skip.data, out.data))
+        return out
+
+    monkeypatch.setattr(ConvTranspose1d, "forward", recording)
+    model = TransformerUNet1D(ModelConfig(**TINY))
+    x = Tensor(np.random.default_rng(51).standard_normal((2, 1, 32)).astype(np.float32))
+    for training in (True, False):
+        seen.clear()
+        with Tape():
+            model.forward(x, training=training)
+        assert [buf.shape[0] for _, buf in seen] == [32, 16, 8, 4]
+        for skip, buf in seen:
+            assert np.shares_memory(skip, buf)
+            assert buf[buf.shape[0] // 2 :].tobytes() == skip.tobytes()
+
+
+def test_desk_training_step_traced_peak_is_bounded():
+    # one float32 step of the desk model (base 8, 1 layer, B = 8): 59.0 MiB
+    # traced peak when each Up buffer held a copy of its skip and each residual
+    # layer norm kept x_hat beside its output; 53.9 MiB with neither
+    model = TransformerUNet1D(ModelConfig(base_channels=8, transformer_layers=1, seed=1))
+    optimizer = AdamW(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(52)
+    y = rng.standard_normal((8, 1, 3600))
+    x = (y + 0.3 * rng.standard_normal(y.shape)).astype(np.float32)
+    assert traced_peak(lambda: train_step(model, optimizer, x, y, LossConfig())) < 55 * 2**20
 
 
 def test_end_to_end_gradients_vs_fd_sampled_params():

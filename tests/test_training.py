@@ -230,6 +230,29 @@ def test_float32_step_keeps_float64_weights_moments_and_checkpoints(monkeypatch,
     assert all(optim_arrays[name].tobytes() == a.tobytes() for name, a in opt.state_arrays())
 
 
+@pytest.mark.parametrize("run", ["train", "overfit"])
+def test_a_run_parses_its_manifest_once(run, monkeypatch, tmp_path):
+    from ecgdenoise import data
+    from ecgdenoise.config import RunConfig
+
+    records = [dict(record_id=f"r{i}", duration_s=1.0, fs=360.0, bpm=60.0, seed=i) for i in range(2)]
+    data.build_dataset(records, {"train": ["r0"], "val": ["r1"]}, [0.0], [("bw",)], tmp_path / "ds",
+                       window=64, stride=64)
+    parses = []
+
+    def counted(dataset_dir, load_manifest=data.load_manifest):
+        parses.append(dataset_dir)
+        return load_manifest(dataset_dir)
+
+    # `load_split` reads the manifest through the data module's name, a run through its own
+    monkeypatch.setattr(data, "load_manifest", counted)
+    monkeypatch.setattr(training, "load_manifest", counted)
+    cfg = RunConfig(base_channels=2, transformer_layers=1, epochs=1, batch_size=4, overfit_steps=1)
+    start = {"train": training.train_model, "overfit": training.run_overfit_one_batch}[run]
+    start(cfg, tmp_path / "ds", tmp_path / "run", quiet=True)
+    assert parses == [tmp_path / "ds"]
+
+
 def _libc_has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
