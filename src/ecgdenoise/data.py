@@ -368,19 +368,6 @@ def _derive(manifest: dict, split_name: str):
                     yield entry, (rid, offset, win, mean, std, snr, mix, manifest["global_seed"], record.fs)
 
 
-def _format_3_split_files(out_dir: Path) -> list:
-    """The split files named by a format-3 manifest in `out_dir`, if one is there."""
-    try:
-        with open(out_dir / "manifest.json") as fh:
-            old = json.load(fh)
-    except (OSError, ValueError):  # no manifest, or not JSON
-        return []
-    if not (isinstance(old, dict) and old.get("format_version") == 3 and isinstance(old.get("split_files"), dict)):
-        return []
-    return [name for name in old["split_files"].values()
-            if isinstance(name, str) and name.endswith(".f64") and Path(name).name == name]
-
-
 def build_dataset(records, split: dict, snr_list, mixes, out_dir,
                   global_seed: int = 0, window: int = WINDOW, stride: int = WINDOW) -> dict:
     """Write the dataset, its recipe and pair list, as one `manifest.json`; returns it.
@@ -392,8 +379,7 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
     `load_split` derives the pairs. The manifest is written with
     `write_atomically`, so a rebuild switches the whole dataset at once; a
     build that fails leaves the previous one, and removes `out_dir` if it made
-    it. A rebuild over a format-3 dataset removes the split files its manifest
-    names. Records of two sampling rates, and a mix that is empty or names an
+    it. Records of two sampling rates, and a mix that is empty or names an
     unknown kind, are a `DataError` before anything is written.
     """
     for mix in mixes:
@@ -436,15 +422,12 @@ def build_dataset(records, split: dict, snr_list, mixes, out_dir,
     out_dir = Path(out_dir)
     created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    stale = _format_3_split_files(out_dir)
     try:
         write_atomically(out_dir / "manifest.json", lambda fh: fh.write(text.encode()))
     except BaseException:
         if created:
             shutil.rmtree(out_dir, ignore_errors=True)
         raise
-    for name in stale:
-        (out_dir / name).unlink(missing_ok=True)
     return manifest
 
 

@@ -14,30 +14,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import layers
-from .loss import LossConfig, total_loss
+from . import layers, loss
 from .model import DoubleConv, ModelConfig, TransformerUNet1D
 from .tensor import Tape, Tensor
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_ORDER"]
 
-DEFAULT_TOL = 1e-4
+TOL = 1e-4
+LAYER_EPS = 1e-5  # central-difference step of the layer checks
+SAMPLES = 24  # parameter tensors sampled by the end-to-end check
 MAX_DRAWS = 10  # entries tried per sample of the end-to-end check
 
 
 class CheckResult:
-    def __init__(self, name: str, worst_err: float, tol: float = DEFAULT_TOL):
+    def __init__(self, name: str, worst_err: float):
         self.name = name
         self.worst_err = worst_err
-        self.tol = tol
 
     @property
     def passed(self) -> bool:
-        return self.worst_err < self.tol
+        return self.worst_err < TOL
 
     def __repr__(self):
         status = "ok" if self.passed else "FAIL"
-        return f"{self.name}: worst rel err {self.worst_err:.3e} (tol {self.tol:g}) {status}"
+        return f"{self.name}: worst rel err {self.worst_err:.3e} (tol {TOL:g}) {status}"
 
 
 def _finite_difference(scalar_fn, flat: np.ndarray, i: int, eps: float) -> float:
@@ -75,7 +75,7 @@ def _tape_gradients(forward_fn, tensors, probe: np.ndarray):
     return [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
 
 
-def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5) -> float:
+def _worst_err(forward_fn, tensors, probe: np.ndarray) -> float:
     """Compare tape and finite-difference gradients over whole tensors."""
     analytic = _tape_gradients(forward_fn, tensors, probe)
 
@@ -85,7 +85,7 @@ def _worst_err(forward_fn, tensors, probe: np.ndarray, eps: float = 1e-5) -> flo
     worst = 0.0
     for t, an in zip(tensors, analytic):
         flat = t.data.reshape(-1)
-        fd = np.array([_finite_difference(scalar, flat, i, eps) for i in range(flat.size)]).reshape(t.shape)
+        fd = np.array([_finite_difference(scalar, flat, i, LAYER_EPS) for i in range(flat.size)]).reshape(t.shape)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(an)), 1e-6)
         worst = max(worst, float(np.max(np.abs(fd - an) / denom)))
     return worst
@@ -137,8 +137,12 @@ def check_layernorm(rng) -> float:
     return _worst_err(lambda: ln.forward(x, f), [x, f, ln.gamma, ln.beta], probe)
 
 
-def check_model_end_to_end(rng, samples: int = 24) -> float:
+def check_model_end_to_end(rng) -> float:
     """Sampled-parameter check of the full model under the combined loss.
+
+    The model output's backward is seeded as a training step seeds it, with
+    the sum of `loss.loss_and_gradients`' two weighted gradients, uncapped.
+    The finite differences read `loss.total_loss`, which runs no backward.
 
     An entry whose central differences at eps and eps/10 disagree is not
     resolved at eps: a ReLU or maxpool kink lies within eps of it, and the
@@ -149,15 +153,19 @@ def check_model_end_to_end(rng, samples: int = 24) -> float:
         ModelConfig(base_channels=2, transformer_layers=1, heads=2, input_len=32, seed=3)
     )
     x = Tensor(rng.standard_normal((2, 1, 32)))
-    target = Tensor(rng.standard_normal((2, 1, 32)))
-    cfg = LossConfig()
+    target = rng.standard_normal((2, 1, 32))
+    cfg = loss.LossConfig()
     tensors = [t for _, t in model.parameters()]
+    with Tape() as tape:
+        out = model.forward(x, training=True)
+        _, time_grad, spectral_grad = loss.loss_and_gradients(out.data, target, cfg)
+        tape.backward(out, time_grad + spectral_grad)
+    grads = [t.grad for t in tensors]
 
-    def loss():
-        return total_loss(model.forward(x, training=True), target, cfg)
+    def total():
+        return loss.total_loss(model.forward(x, training=True).data, target, cfg).total
 
-    grads = _tape_gradients(lambda: loss()[0], tensors, np.ones(1))
-    scalar = _restoring_buffers(model, lambda: loss()[1].total)
+    scalar = _restoring_buffers(model, total)
 
     def rel(a, b):
         # unit floor: below 1 the error is absolute, so a near-0 gradient is not judged by rounding
@@ -165,14 +173,14 @@ def check_model_end_to_end(rng, samples: int = 24) -> float:
 
     eps = 1e-4
     worst = 0.0
-    for idx in rng.choice(len(tensors), size=min(samples, len(tensors)), replace=False):
+    for idx in rng.choice(len(tensors), size=min(SAMPLES, len(tensors)), replace=False):
         for draw in range(MAX_DRAWS):
             if draw:
                 idx = int(rng.integers(len(tensors)))
             flat = tensors[idx].data.reshape(-1)
             i = int(rng.integers(flat.size))
             fd = _finite_difference(scalar, flat, i, eps)
-            if rel(fd, _finite_difference(scalar, flat, i, eps / 10)) < DEFAULT_TOL:
+            if rel(fd, _finite_difference(scalar, flat, i, eps / 10)) < TOL:
                 break
         worst = max(worst, rel(fd, grads[idx].reshape(-1)[i]))
     return worst

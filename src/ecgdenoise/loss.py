@@ -7,10 +7,11 @@ supported directly; padding a segment to a power of two would change the bin
 grid and is deliberately not done. Both terms carry exact analytic gradients.
 
 The dual loss has one gradient: `loss_and_gradients`, which seeds every
-training step from one pair of FFTs. `total_loss` is the same loss as one
-tape op whose backward sums that function's two weighted gradients, so the
-finite-difference checks differentiate what training uses. `spectral_loss`
-is the spectral term alone as a tape op, sharing its `_spectral_*` helpers.
+training step from one pair of FFTs. `total_loss` is the same loss's report
+alone, a plain function on arrays that records no tape node; validation reads
+it, and gradcheck's end-to-end check takes its finite differences from it.
+`spectral_loss` is the spectral term alone as a tape op, sharing its
+`_spectral_*` helpers.
 """
 
 from __future__ import annotations
@@ -132,18 +133,10 @@ def _terms(y_hat: np.ndarray, y: np.ndarray, config: LossConfig):
     return report, e, spec_hat, spec_ref
 
 
-def total_loss(y_hat: Tensor, y: Tensor, config: LossConfig) -> tuple[Tensor, LossReport]:
-    """Weighted sum of both domains as one tape op; the report carries detached
-    components. Only `y_hat` receives a gradient: `loss_and_gradients`' two
-    uncapped gradients, summed and scaled by the upstream value."""
-    report = _terms(y_hat.data, y.data, config)[0]
-
-    def backward(g, y_hat=y_hat, target=y.data):
-        _, time_grad, spectral_grad = loss_and_gradients(y_hat.data, target, config)
-        grad = time_grad if spectral_grad is None else time_grad + spectral_grad
-        accumulate_grad(y_hat, grad * g[0])
-
-    return apply_op(np.array([report.total]), (y_hat,), backward), report
+def total_loss(y_hat: np.ndarray, y: np.ndarray, config: LossConfig) -> LossReport:
+    """Both domains' terms and their weighted sum. Raises `ShapeMismatch`
+    unless `y_hat` and `y` have one shape."""
+    return _terms(y_hat, y, config)[0]
 
 
 def loss_and_gradients(y_hat: np.ndarray, y: np.ndarray, config: LossConfig):

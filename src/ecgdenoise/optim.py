@@ -9,6 +9,9 @@ import numpy as np
 
 __all__ = ["AdamW", "CosineSchedule", "MissingGradient"]
 
+BETA1, BETA2 = 0.9, 0.999  # AdamW's moment decay rates
+EPS = 1e-8  # AdamW's denominator floor
+
 
 class MissingGradient(RuntimeError):
     """A parameter arrived at step() without a populated gradient."""
@@ -40,12 +43,9 @@ class CosineSchedule:
 class AdamW:
     """Decoupled-decay Adam over an ordered list of (name, Tensor) parameters."""
 
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in self.params}
@@ -56,15 +56,15 @@ class AdamW:
             if p.grad is None:
                 raise MissingGradient(f"parameter {name!r} has no gradient")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, p in self.params:
             g = np.asarray(p.grad, dtype=np.float64)  # in float32, g * g underflows below about 1e-23
             m = self.m[name]
             v = self.v[name]
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m[...] = BETA1 * m + (1.0 - BETA1) * g
+            v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data -= self.lr * (update + self.weight_decay * p.data)
 
     def zero_grad(self) -> None:

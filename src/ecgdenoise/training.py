@@ -151,7 +151,7 @@ def validation_loss(model, pairs, loss_cfg, batch_size: int = INFER_BATCH):
         chunk = pairs[start : start + batch_size]
         noisy = np.stack([p.noisy for p in chunk])[:, None, :]
         out = model.forward(Tensor(noisy), training=False).data[:, 0]
-        _, report = total_loss(Tensor(out), Tensor(np.stack([p.clean for p in chunk])), loss_cfg)
+        report = total_loss(out, np.stack([p.clean for p in chunk]), loss_cfg)
         sums += len(chunk) * np.array([report.time_loss, report.spectral_loss, report.total])
     return tuple(float(v) for v in sums / len(pairs))
 

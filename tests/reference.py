@@ -5,7 +5,10 @@ Each op here records one tape node and keeps its own output. The transformer
 layer is composed as the package computed it before its attention,
 feed-forward and residual-plus-layernorm blocks became one op each, and the
 dual loss as its two terms weighted by `mul` and summed by `add`, as the
-package built it before `loss.total_loss` became one op. The functions read
+package built it before its loss left the tape: the package's
+`loss.total_loss` is now a plain function on arrays, and every training
+step, and gradcheck's end-to-end check, seeds its backward from
+`loss.loss_and_gradients`. The functions read
 the parameters of the package's modules, so a reference and a fused forward
 of the same module share every weight. `conv_bn_relu` runs its stages as
 unfused conv -> batchnorm -> relu ops: `conv1d` with a constant zero bias, the
@@ -340,7 +343,8 @@ def smooth_l1(y_hat: Tensor, y: Tensor, beta: float = 1.0) -> Tensor:
 
 
 def total_loss(y_hat: Tensor, y: Tensor, config) -> tuple[Tensor, LossReport]:
-    """`loss.total_loss` as smooth-L1, the spectral term, two `mul` and an `add`."""
+    """The dual loss as tape ops: smooth-L1, the spectral term, two `mul` and
+    an `add`; the report is `loss.total_loss`'s."""
     config.validate()
     time_term = smooth_l1(y_hat, y, config.beta)
     spectral_term = spectral_loss(y_hat, y)

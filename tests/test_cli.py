@@ -13,6 +13,7 @@ import pytest
 import ecgdenoise.cli
 import ecgdenoise.layers
 import ecgdenoise.loss
+import ecgdenoise.optim
 import ecgdenoise.training
 from conftest import edit_checkpoint_header
 from ecgdenoise.cli import main
@@ -868,8 +869,8 @@ def test_fixed_values_are_the_ones_the_package_uses():
         "depth": 4, "d_ff_ratio": 4, "in_channels": 1, "out_channels": 1,
         "heads": ModelConfig.heads, "beta": LossConfig.beta,
         "eta_min": CosineSchedule.eta_min, "weight_decay": adamw["weight_decay"].default,
-        "adam_beta1": adamw["betas"].default[0], "adam_beta2": adamw["betas"].default[1],
-        "adam_eps": adamw["eps"].default, "bpm_low": ecgdenoise.cli.BPM_RANGE[0],
+        "adam_beta1": ecgdenoise.optim.BETA1, "adam_beta2": ecgdenoise.optim.BETA2,
+        "adam_eps": ecgdenoise.optim.EPS, "bpm_low": ecgdenoise.cli.BPM_RANGE[0],
         "bpm_high": ecgdenoise.cli.BPM_RANGE[1],
     }
 

@@ -346,6 +346,22 @@ def test_validation_total_is_the_dual_loss_of_the_float64_eval_forward():
     assert validation_loss(model, pairs, cfg, batch_size=4)[2] == pytest.approx(want, rel=1e-8, abs=0)
 
 
+def test_the_dual_loss_records_no_tape_node():
+    from ecgdenoise.training import validation_loss
+
+    model = TransformerUNet1D(ModelConfig(base_channels=2, transformer_layers=1, seed=0))
+    for _, t in model.parameters():
+        t.requires_grad = False  # so the eval forward records nothing either
+    rng = np.random.default_rng(47)
+    noisy, clean = rng.standard_normal((2, 3, 3600))
+    pairs = [types.SimpleNamespace(clean=c, noisy=x) for c, x in zip(clean, noisy)]
+    cfg = LossConfig()
+    with Tape() as tape:
+        ecgdenoise.loss.total_loss(noisy, clean, cfg)
+        validation_loss(model, pairs, cfg)
+        assert len(tape) == 0
+
+
 @pytest.mark.parametrize("command", ["evaluate", "validation"])
 def test_inference_memory_follows_the_batch_not_the_split(command):
     from ecgdenoise.metrics import evaluate
